@@ -5,9 +5,11 @@
 //!
 //! * **detection rate** — fraction of faulted runs RABIT halts with one
 //!   of its own checks, under [`RecoveryPolicy::AlertImmediately`];
-//! * **recovery rate** — fraction of runs that complete once the engine
-//!   retries transient faults with exponential backoff
-//!   ([`RecoveryPolicy::Retry`]);
+//! * **recovery rate** — fraction of runs in which the engine, retrying
+//!   transient faults with exponential backoff ([`RecoveryPolicy::Retry`]),
+//!   recovered at least one command (`recovered_runs / runs`);
+//! * **completion rate** — fraction of runs that complete under that
+//!   same retry policy (`completed / runs`);
 //! * **guarded-throughput overhead** — wall-clock cost of the faulted
 //!   sweep relative to a clean sweep of the same size, plus the virtual
 //!   RABIT overhead per run (retry backoff included).
@@ -51,7 +53,9 @@ fn family_json(row: &FamilyRow, clean_wall_s: f64, clean_overhead_s: f64) -> Jso
         ("detection_rate", Json::Num(a.detection_rate())),
         ("device_fault_runs", Json::Num(a.device_faults as f64)),
         ("recovered_runs", Json::Num(r.recovered_runs as f64)),
-        ("recovery_rate", Json::Num(r.completion_rate())),
+        ("recovery_rate", Json::Num(r.recovery_rate())),
+        ("completed_runs", Json::Num(r.completed as f64)),
+        ("completion_rate", Json::Num(r.completion_rate())),
         ("retries", Json::Num(r.recovery.retries as f64)),
         ("quarantined", Json::Num(r.recovery.quarantined as f64)),
         ("mean_overhead_seconds", Json::Num(r.mean_overhead_s)),
@@ -131,6 +135,7 @@ fn main() {
                 row.alerted.family.clone(),
                 row.alerted.injected.to_string(),
                 format!("{:.2}", row.alerted.detection_rate()),
+                format!("{:.2}", row.retried.recovery_rate()),
                 format!("{:.2}", row.retried.completion_rate()),
                 row.retried.recovery.retries.to_string(),
                 format!("{:.2}", row.retried.mean_overhead_s),
@@ -150,6 +155,7 @@ fn main() {
                 "injected",
                 "detect rate",
                 "recover rate",
+                "complete rate",
                 "retries",
                 "overhead s/run",
                 "wall vs clean"

@@ -110,6 +110,18 @@ impl FamilyResult {
         }
         self.completed as f64 / self.runs as f64
     }
+
+    /// Fraction of runs in which the recovery policy recovered at least
+    /// one command (`recovered_runs / runs`). A run can complete without
+    /// recovering anything (the injection was harmless) and can recover
+    /// a command yet still halt later, so this is not the completion
+    /// rate.
+    pub fn recovery_rate(&self) -> f64 {
+        if self.runs == 0 {
+            return 0.0;
+        }
+        self.recovered_runs as f64 / self.runs as f64
+    }
 }
 
 /// Sweeps one fault plan on `substrate`: `repeats` runs of the deck's
@@ -272,6 +284,36 @@ mod tests {
             retried.mean_overhead_s > alerted.mean_overhead_s,
             "backoff is charged as RABIT overhead"
         );
+    }
+
+    #[test]
+    fn recovery_rate_counts_recovered_runs_not_completions() {
+        // Latency spikes only cost time: every run completes, and no
+        // command ever needed recovering.
+        let s = substrate();
+        let (_, plan) = fault_families(7)
+            .into_iter()
+            .find(|(n, _)| *n == "latency_spike")
+            .unwrap();
+        let policy = RecoveryPolicy::Retry(RetryPolicy::default());
+        let spiked = run_fault_family_on(&s, "latency_spike", &plan, 4, 1, policy);
+        assert!(spiked.injected > 0, "the schedule must actually fire");
+        assert_eq!(spiked.completion_rate(), 1.0);
+        assert_eq!(spiked.recovered_runs, 0);
+        assert_eq!(spiked.recovery_rate(), 0.0);
+
+        // The converse: runs that recovered a command and still halted.
+        let halted = FamilyResult {
+            family: "noisy_state".to_string(),
+            runs: 16,
+            completed: 0,
+            recovered_runs: 6,
+            ..spiked
+        };
+        assert_eq!(halted.completion_rate(), 0.0);
+        assert_eq!(halted.recovery_rate(), 6.0 / 16.0);
+        let empty = FamilyResult { runs: 0, ..halted };
+        assert_eq!(empty.recovery_rate(), 0.0);
     }
 
     #[test]

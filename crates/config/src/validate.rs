@@ -265,7 +265,7 @@ pub fn to_catalog(config: &LabConfig) -> Result<(DeviceCatalog, Vec<Rule>), Inva
     let mut catalog = DeviceCatalog::new();
     for d in &config.devices {
         let device_type = parse_type(&d.device_type).expect("validated");
-        let mut meta = DeviceMeta::new(DeviceId::new(d.id.clone()), device_type);
+        let mut meta = DeviceMeta::new(DeviceId::new(&d.id), device_type);
         if d.has_door {
             meta = meta.with_door();
         }

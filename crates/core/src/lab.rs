@@ -422,13 +422,13 @@ impl Lab {
     /// executed successfully. `from` is the arm's pre-move tool position
     /// (for straight-line path hazards).
     fn apply_cross_effects(&mut self, command: &Command, from: Option<Vec3>) {
-        let actor = command.actor.clone();
+        let actor = &command.actor;
         match &command.action {
             ActionKind::MoveToLocation { .. } | ActionKind::MoveHome | ActionKind::MoveToSleep => {
                 // Use the *achieved* location (noise may have shifted it
                 // off the commanded target).
-                if let Some(loc) = self.arm_location(&actor) {
-                    self.after_arm_move(&actor, loc, from);
+                if let Some(loc) = self.arm_location(actor) {
+                    self.after_arm_move(actor, loc, from);
                 }
             }
             ActionKind::MoveInsideDevice { device } => {
@@ -446,33 +446,31 @@ impl Lab {
             }
             ActionKind::SetDoor { open: false } => {
                 // Closing the door on an arm inside crushes arm and door.
-                let arms_inside: Vec<DeviceId> = self
+                let arms_inside = self
                     .devices
                     .values()
                     .filter_map(LabDevice::as_arm)
-                    .filter(|a| a.inside_of() == Some(&actor))
-                    .map(|a| a.id().clone())
-                    .collect();
+                    .filter(|a| a.inside_of() == Some(actor));
                 for arm in arms_inside {
                     self.damage.push(DamageEvent::new(
                         actor.clone(),
                         DamageKind::EquipmentCollision {
                             equipment: actor.clone(),
                         },
-                        format!("{actor} door closed onto {arm}"),
+                        format!("{actor} door closed onto {}", arm.id()),
                     ));
                 }
             }
             ActionKind::PickObject { object } => {
-                self.physical_pick(&actor, object);
+                self.physical_pick(actor, object);
             }
             ActionKind::PlaceObject { object, into } => {
-                self.physical_place(&actor, object, into.as_ref());
+                self.physical_place(actor, object, into.as_ref());
             }
             ActionKind::OpenGripper => {
                 // Physically releases whatever was held, wherever we are.
-                if let Some(obj) = self.physically_held.remove(&actor) {
-                    if let Some(loc) = self.arm_location(&actor) {
+                if let Some(obj) = self.physically_held.remove(actor) {
+                    if let Some(loc) = self.arm_location(actor) {
                         self.set_vial_location(&obj, loc);
                         // Releasing mid-air above the deck drops the vial.
                         if loc.z > HELD_OBJECT_CLEARANCE_M + 0.05 {
@@ -486,10 +484,10 @@ impl Lab {
                 }
             }
             ActionKind::DoseSolid { .. } | ActionKind::StartAction { .. } => {
-                self.settle_dose(&actor);
+                self.settle_dose(actor);
             }
             ActionKind::DoseLiquid { volume_ml, into } => {
-                self.settle_liquid(&actor, *volume_ml, into);
+                self.settle_liquid(actor, *volume_ml, into);
             }
             ActionKind::Transfer {
                 from,
@@ -550,25 +548,21 @@ impl Lab {
         // the straight carry path from `from` to `target` slicing through
         // one (the footnote-2 silent-skip hazard). Vials are exempt — a
         // gripper intentionally envelops a vial when approaching it.
-        let hits: Vec<(DeviceId, bool)> = self
+        let held = self.physically_held.get(arm);
+        let hits = self
             .devices
             .iter()
-            .filter(|(id, d)| {
-                *id != arm
-                    && Some(*id) != self.physically_held.get(arm)
-                    && !matches!(d, LabDevice::Vial(_))
-            })
-            .filter_map(|(id, d)| {
-                let fp = d.as_device().footprint()?;
-                let hit = fp.contains_point(target)
-                    || from.is_some_and(|f| {
-                        rabit_geometry::collide::path_hits_aabb(f, target, &fp, 0.0)
-                    });
-                hit.then(|| (id.clone(), matches!(d, LabDevice::Grid(_))))
-            })
-            .collect();
-        for (id, cheap) in hits {
-            let kind = if cheap {
+            .filter(|(id, d)| *id != arm && Some(*id) != held && !matches!(d, LabDevice::Vial(_)))
+            .filter(|(_, d)| {
+                d.as_device().footprint().is_some_and(|fp| {
+                    fp.contains_point(target)
+                        || from.is_some_and(|f| {
+                            rabit_geometry::collide::path_hits_aabb(f, target, &fp, 0.0)
+                        })
+                })
+            });
+        for (id, d) in hits {
+            let kind = if matches!(d, LabDevice::Grid(_)) {
                 DamageKind::EnvironmentCollision {
                     obstacle: id.to_string(),
                 }
@@ -585,14 +579,14 @@ impl Lab {
         }
         // Arm-on-arm collision (Bug B): two tools too close. A sleeping
         // arm is parked but still solid — driving into it is a collision.
-        let others: Vec<(DeviceId, Vec3)> = self
+        let others = self
             .devices
             .values()
             .filter_map(LabDevice::as_arm)
-            .filter(|a| a.id() != arm)
-            .map(|a| (a.id().clone(), a.location()))
-            .collect();
-        for (other, loc) in others {
+            .filter(|a| a.id() != arm);
+        for other in others {
+            let loc = other.location();
+            let other = other.id();
             if loc.distance(target) <= ARM_COLLISION_RADIUS_M {
                 self.damage.push(DamageEvent::new(
                     arm.clone(),
@@ -620,29 +614,21 @@ impl Lab {
         if arm_loc.distance(obj_loc) <= GRASP_RADIUS_M {
             self.physically_held.insert(arm.clone(), object.clone());
             // Leaving a containing device and vacating any grid slot.
-            let ids: Vec<DeviceId> = self.devices.keys().cloned().collect();
-            for id in ids {
-                match self.devices.get_mut(&id) {
-                    Some(LabDevice::Dosing(d)) if d.contained() == Some(object) => {
+            for device in self.devices.values_mut() {
+                match device {
+                    LabDevice::Dosing(d) if d.contained() == Some(object) => {
                         d.remove_container();
                     }
-                    Some(LabDevice::Centrifuge(c)) if c.contained() == Some(object) => {
+                    LabDevice::Centrifuge(c) if c.contained() == Some(object) => {
                         c.remove_container();
                     }
-                    Some(LabDevice::Hotplate(h)) if h.contained() == Some(object) => {
+                    LabDevice::Hotplate(h) if h.contained() == Some(object) => {
                         h.remove_container();
                     }
-                    Some(LabDevice::Thermoshaker(t)) if t.contained() == Some(object) => {
+                    LabDevice::Thermoshaker(t) if t.contained() == Some(object) => {
                         t.remove_container();
                     }
-                    Some(LabDevice::Grid(g)) => {
-                        let slots: Vec<String> = g.slot_names().map(str::to_string).collect();
-                        for slot in slots {
-                            if g.occupant(&slot) == Some(object) {
-                                g.vacate(&slot);
-                            }
-                        }
-                    }
+                    LabDevice::Grid(g) => g.vacate_object(object),
                     _ => {}
                 }
             }
@@ -704,24 +690,10 @@ impl Lab {
             None => {
                 self.set_vial_location(object, arm_loc);
                 // Settle into a grid slot if one is at this position.
-                let grid_ids: Vec<DeviceId> = self
-                    .devices
-                    .iter()
-                    .filter(|(_, d)| matches!(d, LabDevice::Grid(_)))
-                    .map(|(id, _)| id.clone())
-                    .collect();
-                'outer: for gid in grid_ids {
-                    if let Some(LabDevice::Grid(g)) = self.devices.get_mut(&gid) {
-                        let slots: Vec<(String, Vec3)> = g
-                            .slot_names()
-                            .map(str::to_string)
-                            .filter_map(|s| g.slot_position(&s).map(|p| (s, p)))
-                            .collect();
-                        for (slot, pos) in slots {
-                            if pos.distance(arm_loc) <= GRASP_RADIUS_M * 2.0 {
-                                let _ = g.occupy(&slot, object.clone());
-                                break 'outer;
-                            }
+                for device in self.devices.values_mut() {
+                    if let LabDevice::Grid(g) = device {
+                        if g.settle_near(arm_loc, GRASP_RADIUS_M * 2.0, object) {
+                            break;
                         }
                     }
                 }

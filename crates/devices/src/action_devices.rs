@@ -47,7 +47,9 @@ impl ActionCore {
     fn fetch_state(&self) -> DeviceState {
         // Controller-sensed variables only; the contained container is a
         // believed variable (no sensor in the chamber).
-        let mut s = DeviceState::new()
+        // Room for the door and the centrifuge's red dot, so no status
+        // fetch regrows the vector.
+        let mut s = DeviceState::with_capacity(6)
             .with(StateKey::ActionActive, self.active)
             .with(
                 StateKey::ActionValue,

@@ -249,6 +249,32 @@ impl Grid {
     pub fn vacate(&mut self, slot: &str) -> Option<DeviceId> {
         self.occupancy.get_mut(slot).and_then(Option::take)
     }
+
+    /// Clears every slot `object` occupies.
+    pub fn vacate_object(&mut self, object: &DeviceId) {
+        for occupant in self.occupancy.values_mut() {
+            if occupant.as_ref() == Some(object) {
+                *occupant = None;
+            }
+        }
+    }
+
+    /// Settles `object` into the first slot, in name order, within
+    /// `radius` of `point`, if that slot is free. Returns whether any
+    /// slot was that close, occupied or not.
+    pub fn settle_near(&mut self, point: Vec3, radius: f64, object: &DeviceId) -> bool {
+        let Some((slot, _)) = self
+            .slots
+            .iter()
+            .find(|(_, position)| position.distance(point) <= radius)
+        else {
+            return false;
+        };
+        if let Some(free @ None) = self.occupancy.get_mut(slot) {
+            *free = Some(object.clone());
+        }
+        true
+    }
 }
 
 impl Device for Grid {
@@ -392,6 +418,25 @@ mod tests {
         assert_eq!(g.vacate("NW").unwrap().as_str(), "vial_1");
         assert!(g.occupant("NW").is_none());
         assert!(g.vacate("NW").is_none());
+    }
+
+    #[test]
+    fn grid_settles_and_vacates_by_object() {
+        let mut g = test_grid();
+        let vial = DeviceId::new("vial_1");
+        // Nothing within 2 cm of the deck centre.
+        assert!(!g.settle_near(Vec3::new(0.55, 0.05, 0.1), 0.02, &vial));
+        assert!(g.settle_near(Vec3::new(0.46, 0.15, 0.1), 0.02, &vial));
+        assert_eq!(g.occupant("NW"), Some(&vial));
+        // A close but occupied slot still counts as found; it keeps its
+        // occupant.
+        let other = DeviceId::new("vial_2");
+        assert!(g.settle_near(Vec3::new(0.45, 0.15, 0.1), 0.02, &other));
+        assert_eq!(g.occupant("NW"), Some(&vial));
+        g.occupy("SE", vial.clone()).unwrap();
+        g.vacate_object(&vial);
+        assert!(g.occupant("NW").is_none());
+        assert!(g.occupant("SE").is_none());
     }
 
     #[test]

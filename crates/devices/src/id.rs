@@ -1,21 +1,26 @@
 //! Device identity and the four-type taxonomy.
 use std::fmt;
+use std::sync::Arc;
 
 /// A unique device identifier (e.g. `"ur3e"`, `"dosing_device"`,
 /// `"vial_NW"`).
+///
+/// The name lives in a shared `Arc<str>`, so cloning an id (which every
+/// lab snapshot, diff and alert does) never allocates. Equality,
+/// ordering, hashing, `Display` and JSON all go by the name's content.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DeviceId(String);
+pub struct DeviceId(Arc<str>);
 
 impl DeviceId {
-    /// Creates a device id.
+    /// Creates a device id, copying `name` into one shared allocation.
     ///
     /// # Panics
     ///
     /// Panics if `name` is empty.
-    pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
+    pub fn new(name: impl AsRef<str>) -> Self {
+        let name = name.as_ref();
         assert!(!name.is_empty(), "device id must not be empty");
-        DeviceId(name)
+        DeviceId(Arc::from(name))
     }
 
     /// The id as a string slice.
@@ -88,7 +93,7 @@ impl fmt::Display for DeviceType {
 
 impl rabit_util::ToJson for DeviceId {
     fn to_json(&self) -> rabit_util::Json {
-        rabit_util::Json::Str(self.0.clone())
+        rabit_util::Json::Str(self.0.to_string())
     }
 }
 
@@ -98,7 +103,7 @@ impl rabit_util::FromJson for DeviceId {
         if s.is_empty() {
             return Err(rabit_util::JsonError::decode("device id must not be empty"));
         }
-        Ok(DeviceId(s))
+        Ok(DeviceId::new(s))
     }
 }
 
@@ -116,6 +121,38 @@ mod tests {
         let c: DeviceId = String::from("ned2").into();
         assert_ne!(a, c);
         assert!(c < a); // lexicographic: "ned2" < "ur3e"
+    }
+
+    #[test]
+    fn clones_share_the_name_and_compare_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let a = DeviceId::new("vial_NW");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        // A separately built id is a different allocation but the same id.
+        let c = DeviceId::new(String::from("vial_NW"));
+        assert!(!std::ptr::eq(a.as_str(), c.as_str()));
+        assert_eq!(a, c);
+        assert_eq!(a.cmp(&c), std::cmp::Ordering::Equal);
+        let hash = |id: &DeviceId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&c));
+        // Debug prints the tuple-struct form.
+        assert_eq!(format!("{a:?}"), "DeviceId(\"vial_NW\")");
+    }
+
+    #[test]
+    fn ids_roundtrip_through_json() {
+        use rabit_util::{FromJson, Json, ToJson};
+        let id = DeviceId::new("ned2");
+        assert_eq!(id.to_json().to_compact(), "\"ned2\"");
+        assert_eq!(DeviceId::from_json(&id.to_json()).unwrap(), id);
+        assert!(DeviceId::from_json(&Json::Str(String::new())).is_err());
+        assert!(DeviceId::from_json(&Json::Num(1.0)).is_err());
     }
 
     #[test]

@@ -1,14 +1,26 @@
 //! Lab state snapshots: `S_current`, `S_expected`, `S_actual`.
+//!
+//! A guarded step builds `S_expected`, fetches `S_actual`, diffs the two
+//! and overlays one on the other (Fig. 2, Lines 11-16), so this layout is
+//! on every command's path. Device ids are shared (`Arc<str>`), a device's
+//! variables sit in one key-sorted vector, and the diff and overlay walk
+//! both snapshots in a single ordered pass.
 
 use crate::id::DeviceId;
 use crate::value::{StateKey, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The state of a single device: a map from state variable to value.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// The variables live in one vector sorted by key, each key at most
+/// once. A device reports a handful of variables, so a binary search
+/// over one small allocation serves lookups and a clone costs one
+/// allocation.
+#[derive(Clone, PartialEq, Default)]
 pub struct DeviceState {
-    vars: BTreeMap<StateKey, Value>,
+    vars: Vec<(StateKey, Value)>,
 }
 
 impl DeviceState {
@@ -17,20 +29,37 @@ impl DeviceState {
         DeviceState::default()
     }
 
+    /// An empty device state with room for `capacity` variables, for
+    /// status commands that know how many variables they report.
+    pub fn with_capacity(capacity: usize) -> Self {
+        DeviceState {
+            vars: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Where `key` is, or where it would be inserted.
+    fn find(&self, key: &StateKey) -> Result<usize, usize> {
+        self.vars.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
     /// Sets a state variable (builder style).
     pub fn with(mut self, key: StateKey, value: impl Into<Value>) -> Self {
-        self.vars.insert(key, value.into());
+        self.set(key, value);
         self
     }
 
     /// Sets a state variable.
     pub fn set(&mut self, key: StateKey, value: impl Into<Value>) {
-        self.vars.insert(key, value.into());
+        let value = value.into();
+        match self.find(&key) {
+            Ok(i) => self.vars[i].1 = value,
+            Err(i) => self.vars.insert(i, (key, value)),
+        }
     }
 
     /// Reads a state variable.
     pub fn get(&self, key: &StateKey) -> Option<&Value> {
-        self.vars.get(key)
+        self.find(key).ok().map(|i| &self.vars[i].1)
     }
 
     /// Convenience: reads a boolean variable.
@@ -51,7 +80,7 @@ impl DeviceState {
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&StateKey, &Value)> {
-        self.vars.iter()
+        self.vars.iter().map(|(k, v)| (k, v))
     }
 
     /// Number of state variables.
@@ -63,20 +92,89 @@ impl DeviceState {
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
     }
-}
 
-impl FromIterator<(StateKey, Value)> for DeviceState {
-    fn from_iter<I: IntoIterator<Item = (StateKey, Value)>>(iter: I) -> Self {
-        DeviceState {
-            vars: iter.into_iter().collect(),
+    /// Writes every variable of `reported` into `self` in one merged
+    /// walk of the two sorted vectors. A key already present keeps its
+    /// slot and only takes the new value; only new keys are cloned.
+    fn overlay(&mut self, reported: &DeviceState) {
+        let mut i = 0;
+        for (key, value) in &reported.vars {
+            while self.vars.get(i).is_some_and(|(k, _)| k < key) {
+                i += 1;
+            }
+            match self.vars.get_mut(i) {
+                Some((k, v)) if k == key => v.clone_from(value),
+                _ => self.vars.insert(i, (key.clone(), value.clone())),
+            }
+            i += 1;
         }
     }
 }
 
+/// Prints the variables as a map: `DeviceState { vars: {key: value, ..} }`.
+impl fmt::Debug for DeviceState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Vars<'a>(&'a DeviceState);
+        impl fmt::Debug for Vars<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("DeviceState")
+            .field("vars", &Vars(self))
+            .finish()
+    }
+}
+
+impl FromIterator<(StateKey, Value)> for DeviceState {
+    fn from_iter<I: IntoIterator<Item = (StateKey, Value)>>(iter: I) -> Self {
+        let mut state = DeviceState::new();
+        state.extend(iter);
+        state
+    }
+}
+
+/// Later pairs overwrite earlier ones with the same key.
 impl Extend<(StateKey, Value)> for DeviceState {
     fn extend<I: IntoIterator<Item = (StateKey, Value)>>(&mut self, iter: I) {
-        self.vars.extend(iter);
+        for (key, value) in iter {
+            self.set(key, value);
+        }
     }
+}
+
+/// Walks two key-sorted sequences in one pass, yielding every key of
+/// either side in order with its value on each side (`None` where that
+/// side lacks the key).
+fn outer_join<'a, K: Ord + 'a, A: 'a, B: 'a>(
+    left: impl IntoIterator<Item = (&'a K, &'a A)>,
+    right: impl IntoIterator<Item = (&'a K, &'a B)>,
+) -> impl Iterator<Item = (&'a K, Option<&'a A>, Option<&'a B>)> {
+    let mut left = left.into_iter().peekable();
+    let mut right = right.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let order = match (left.peek(), right.peek()) {
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        Some(match order {
+            Ordering::Less => {
+                let (k, a) = left.next()?;
+                (k, Some(a), None)
+            }
+            Ordering::Greater => {
+                let (k, b) = right.next()?;
+                (k, None, Some(b))
+            }
+            Ordering::Equal => {
+                let (k, a) = left.next()?;
+                let (_, b) = right.next()?;
+                (k, Some(a), Some(b))
+            }
+        })
+    })
 }
 
 /// A full lab snapshot: the state of every device. This is the `S` of the
@@ -109,8 +207,12 @@ impl LabState {
     }
 
     /// Mutable access to one device's state (inserted empty if missing).
+    /// The id is cloned only when the device is new.
     pub fn device_mut(&mut self, id: &DeviceId) -> &mut DeviceState {
-        self.devices.entry(id.clone()).or_default()
+        if !self.devices.contains_key(id) {
+            self.devices.insert(id.clone(), DeviceState::new());
+        }
+        self.devices.get_mut(id).expect("device inserted above")
     }
 
     /// Reads one variable of one device.
@@ -164,11 +266,24 @@ impl LabState {
     /// held objects) are retained. This is how `S_current` is rolled
     /// forward on Line 16 of the Fig. 2 algorithm in a lab where not
     /// every state variable has a sensor.
+    ///
+    /// One ordered walk over both snapshots; a device missing here is
+    /// copied over afterwards, the only case that clones an id.
     pub fn overlay(&mut self, reported: &LabState) {
-        for (device, dstate) in reported.iter() {
-            let entry = self.device_mut(device);
-            for (key, value) in dstate.iter() {
-                entry.set(key.clone(), value.clone());
+        let mut missing = false;
+        let mut mine = self.devices.iter_mut().peekable();
+        for (id, theirs) in &reported.devices {
+            while mine.next_if(|(k, _)| *k < id).is_some() {}
+            match mine.next_if(|(k, _)| *k == id) {
+                Some((_, state)) => state.overlay(theirs),
+                None => missing = true,
+            }
+        }
+        if missing {
+            for (id, theirs) in &reported.devices {
+                if !self.devices.contains_key(id) {
+                    self.devices.insert(id.clone(), theirs.clone());
+                }
             }
         }
     }
@@ -181,15 +296,18 @@ impl LabState {
     /// spot behind the paper's undetected Bug-C class.
     pub fn diff_reported(&self, reported: &LabState, tol: f64) -> Vec<StateDiff> {
         let mut out = Vec::new();
-        for (device, dstate) in reported.iter() {
-            for (key, actual) in dstate.iter() {
-                if let Some(expected) = self.get(device, key) {
-                    if !expected.approx_eq(actual, tol) {
+        for (device, expected, actual) in outer_join(&self.devices, &reported.devices) {
+            let (Some(expected), Some(actual)) = (expected, actual) else {
+                continue;
+            };
+            for (key, e, a) in outer_join(expected.iter(), actual.iter()) {
+                if let (Some(e), Some(a)) = (e, a) {
+                    if !e.approx_eq(a, tol) {
                         out.push(StateDiff {
                             device: device.clone(),
                             key: key.clone(),
-                            left: Some(expected.clone()),
-                            right: Some(actual.clone()),
+                            left: Some(e.clone()),
+                            right: Some(a.clone()),
                         });
                     }
                 }
@@ -207,31 +325,16 @@ impl LabState {
     /// on only one side are reported with `None` for the missing side.
     pub fn diff(&self, other: &LabState, tol: f64) -> Vec<StateDiff> {
         let mut out = Vec::new();
-        let ids: std::collections::BTreeSet<&DeviceId> =
-            self.devices.keys().chain(other.devices.keys()).collect();
-        for id in ids {
-            let a = self.devices.get(id);
-            let b = other.devices.get(id);
-            let keys: std::collections::BTreeSet<&StateKey> = a
-                .map(|d| d.vars.keys().collect::<Vec<_>>())
-                .unwrap_or_default()
-                .into_iter()
-                .chain(
-                    b.map(|d| d.vars.keys().collect::<Vec<_>>())
-                        .unwrap_or_default(),
-                )
-                .collect();
-            for key in keys {
-                let va = a.and_then(|d| d.get(key));
-                let vb = b.and_then(|d| d.get(key));
-                let equal = match (va, vb) {
-                    (Some(x), Some(y)) => x.approx_eq(y, tol),
-                    (None, None) => true,
-                    _ => false,
-                };
+        for (device, a, b) in outer_join(&self.devices, &other.devices) {
+            let vars = outer_join(
+                a.into_iter().flat_map(DeviceState::iter),
+                b.into_iter().flat_map(DeviceState::iter),
+            );
+            for (key, va, vb) in vars {
+                let equal = matches!((va, vb), (Some(x), Some(y)) if x.approx_eq(y, tol));
                 if !equal {
                     out.push(StateDiff {
-                        device: id.clone(),
+                        device: device.clone(),
                         key: key.clone(),
                         left: va.cloned(),
                         right: vb.cloned(),
@@ -267,12 +370,12 @@ impl rabit_util::FromJson for DeviceState {
         let pairs = json.as_obj().ok_or_else(|| {
             rabit_util::JsonError::decode(format!("expected device state object, got {json}"))
         })?;
-        let mut vars = BTreeMap::new();
+        let mut state = DeviceState::with_capacity(pairs.len());
         for (k, v) in pairs {
             let key: StateKey = k.parse().expect("StateKey parsing is infallible");
-            vars.insert(key, Value::from_json(v)?);
+            state.set(key, Value::from_json(v)?);
         }
-        Ok(DeviceState { vars })
+        Ok(state)
     }
 }
 
@@ -294,7 +397,7 @@ impl rabit_util::FromJson for LabState {
         })?;
         let mut devices = BTreeMap::new();
         for (id, d) in pairs {
-            devices.insert(DeviceId::new(id.clone()), DeviceState::from_json(d)?);
+            devices.insert(DeviceId::new(id), DeviceState::from_json(d)?);
         }
         Ok(LabState { devices })
     }

@@ -4,7 +4,7 @@
 //! property runs `CASES` deterministic cases.
 
 use rabit_devices::{DeviceId, DeviceState, LabState, StateKey, Value, Vial};
-use rabit_geometry::Vec3;
+use rabit_geometry::{Aabb, Vec3};
 use rabit_util::{FromJson, Json, Rng, ToJson};
 
 const CASES: usize = 256;
@@ -172,4 +172,344 @@ fn vial_contents_are_conserved() {
             assert!(vial.solid_mg() <= 10.0 + 1e-9);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Differential check of the snapshot layout against a map-of-maps model.
+// ---------------------------------------------------------------------
+
+/// A `BTreeMap`-of-`BTreeMap` model of `LabState` and `DeviceState`,
+/// with map-based overlay and diffs written the straightforward way.
+/// Type and field names match the real types, so the derived `Debug`
+/// text is the map-style text the real types must print.
+mod reference {
+    use rabit_devices::{DeviceId, StateDiff, StateKey, Value};
+    use rabit_util::{Json, ToJson};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct DeviceState {
+        pub vars: BTreeMap<StateKey, Value>,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct LabState {
+        pub devices: BTreeMap<DeviceId, DeviceState>,
+    }
+
+    impl LabState {
+        pub fn device_mut(&mut self, id: &DeviceId) -> &mut DeviceState {
+            self.devices.entry(id.clone()).or_default()
+        }
+
+        pub fn get(&self, id: &DeviceId, key: &StateKey) -> Option<&Value> {
+            self.devices.get(id).and_then(|d| d.vars.get(key))
+        }
+
+        pub fn overlay(&mut self, reported: &LabState) {
+            for (device, dstate) in &reported.devices {
+                let entry = self.device_mut(device);
+                for (key, value) in &dstate.vars {
+                    entry.vars.insert(key.clone(), value.clone());
+                }
+            }
+        }
+
+        pub fn diff_reported(&self, reported: &LabState, tol: f64) -> Vec<StateDiff> {
+            let mut out = Vec::new();
+            for (device, dstate) in &reported.devices {
+                for (key, actual) in &dstate.vars {
+                    if let Some(expected) = self.get(device, key) {
+                        if !expected.approx_eq(actual, tol) {
+                            out.push(StateDiff {
+                                device: device.clone(),
+                                key: key.clone(),
+                                left: Some(expected.clone()),
+                                right: Some(actual.clone()),
+                            });
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn diff(&self, other: &LabState, tol: f64) -> Vec<StateDiff> {
+            let mut out = Vec::new();
+            let ids: BTreeSet<&DeviceId> =
+                self.devices.keys().chain(other.devices.keys()).collect();
+            for id in ids {
+                let a = self.devices.get(id);
+                let b = other.devices.get(id);
+                let keys: BTreeSet<&StateKey> =
+                    a.into_iter().chain(b).flat_map(|d| d.vars.keys()).collect();
+                for key in keys {
+                    let va = a.and_then(|d| d.vars.get(key));
+                    let vb = b.and_then(|d| d.vars.get(key));
+                    let equal = match (va, vb) {
+                        (Some(x), Some(y)) => x.approx_eq(y, tol),
+                        (None, None) => true,
+                        _ => false,
+                    };
+                    if !equal {
+                        out.push(StateDiff {
+                            device: id.clone(),
+                            key: key.clone(),
+                            left: va.cloned(),
+                            right: vb.cloned(),
+                        });
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn to_json(&self) -> Json {
+            Json::Obj(
+                self.devices
+                    .iter()
+                    .map(|(id, d)| (id.to_string(), d.to_json()))
+                    .collect(),
+            )
+        }
+    }
+
+    impl DeviceState {
+        pub fn to_json(&self) -> Json {
+            Json::Obj(
+                self.vars
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_json()))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// A small pool, so snapshots share devices and calls hit existing ones.
+const DEVICE_POOL: [&str; 6] = ["arm", "centrifuge", "doser", "grid", "vial_a", "vial_b"];
+
+fn any_device(rng: &mut Rng) -> DeviceId {
+    DeviceId::new(DEVICE_POOL[rng.random_range(0..DEVICE_POOL.len())])
+}
+
+/// Every `StateKey` variant. Custom names come from a small pool (the
+/// empty name and one spelled like a built-in included), so custom keys
+/// collide and sort among themselves.
+fn any_state_key(rng: &mut Rng) -> StateKey {
+    match rng.random_range(0..18u32) {
+        0 => StateKey::DoorOpen,
+        1 => StateKey::Holding,
+        2 => StateKey::InsideOf,
+        3 => StateKey::GripperOpen,
+        4 => StateKey::Location,
+        5 => StateKey::AtSleep,
+        6 => StateKey::ActionActive,
+        7 => StateKey::ActionValue,
+        8 => StateKey::ActionThreshold,
+        9 => StateKey::ContainedObject,
+        10 => StateKey::SolidMg,
+        11 => StateKey::LiquidMl,
+        12 => StateKey::CapacityMl,
+        13 => StateKey::CapacityMg,
+        14 => StateKey::HasStopper,
+        15 => StateKey::RedDotNorth,
+        16 => StateKey::Footprint,
+        _ => {
+            let names = ["", "location", "occupied", "rpm2", "slot:NW"];
+            StateKey::Custom(names[rng.random_range(0..names.len())].to_string())
+        }
+    }
+}
+
+/// Every `Value` variant. Numbers and positions sit near a few centres,
+/// so tolerance-based comparisons see both near and far pairs.
+fn any_value(rng: &mut Rng) -> Value {
+    let near = |rng: &mut Rng, centre: f64| centre + rng.random_range(-0.02..0.02);
+    match rng.random_range(0..6u32) {
+        0 => Value::Bool(rng.random_bool(0.5)),
+        1 => {
+            let centres = [0.0, 25.0, 60.0];
+            let centre = centres[rng.random_range(0..centres.len())];
+            Value::Number(near(rng, centre))
+        }
+        2 => Value::Position(Vec3::new(near(rng, 0.3), near(rng, 0.1), near(rng, 0.2))),
+        3 => Value::Id(rng.random_bool(0.7).then(|| any_device(rng))),
+        4 => {
+            let min = Vec3::new(near(rng, 0.4), near(rng, -0.1), 0.0);
+            Value::Box3(Aabb::new(min, min + Vec3::new(0.2, 0.3, near(rng, 0.1))))
+        }
+        _ => {
+            let texts = ["", "idle", "spinning", "é \"quoted\""];
+            Value::Text(texts[rng.random_range(0..texts.len())].to_string())
+        }
+    }
+}
+
+fn any_vars(rng: &mut Rng) -> Vec<(StateKey, Value)> {
+    let n = rng.random_range(0..7usize);
+    (0..n)
+        .map(|_| (any_state_key(rng), any_value(rng)))
+        .collect()
+}
+
+/// Applies one random mutating call to both layouts: `insert` of a
+/// collected device state, `LabState::set`, `device_mut`, or `extend`.
+fn mutate(rng: &mut Rng, lab: &mut LabState, model: &mut reference::LabState) {
+    let id = any_device(rng);
+    match rng.random_range(0..4u32) {
+        0 => {
+            let vars = any_vars(rng);
+            model.devices.insert(
+                id.clone(),
+                reference::DeviceState {
+                    vars: vars.iter().cloned().collect(),
+                },
+            );
+            lab.insert(id, vars.into_iter().collect());
+        }
+        1 => {
+            let (key, value) = (any_state_key(rng), any_value(rng));
+            model
+                .device_mut(&id)
+                .vars
+                .insert(key.clone(), value.clone());
+            lab.set(&id, key, value);
+        }
+        2 => {
+            model.device_mut(&id);
+            lab.device_mut(&id);
+        }
+        _ => {
+            let vars = any_vars(rng);
+            model.device_mut(&id).vars.extend(vars.iter().cloned());
+            lab.device_mut(&id).extend(vars);
+        }
+    }
+}
+
+fn any_lab(rng: &mut Rng) -> (LabState, reference::LabState) {
+    let mut lab = LabState::new();
+    let mut model = reference::LabState::default();
+    for _ in 0..rng.random_range(0..10usize) {
+        mutate(rng, &mut lab, &mut model);
+    }
+    (lab, model)
+}
+
+/// Every `(device, key, value)` in iteration order.
+fn triples(lab: &LabState) -> Vec<(DeviceId, StateKey, Value)> {
+    lab.iter()
+        .flat_map(|(id, d)| d.iter().map(|(k, v)| (id.clone(), k.clone(), v.clone())))
+        .collect()
+}
+
+fn model_triples(model: &reference::LabState) -> Vec<(DeviceId, StateKey, Value)> {
+    model
+        .devices
+        .iter()
+        .flat_map(|(id, d)| {
+            d.vars
+                .iter()
+                .map(|(k, v)| (id.clone(), k.clone(), v.clone()))
+        })
+        .collect()
+}
+
+/// Same contents, order, lookups, `Debug` text and JSON text.
+fn assert_matches(lab: &LabState, model: &reference::LabState) {
+    assert_eq!(triples(lab), model_triples(model));
+    assert_eq!(
+        lab.device_ids().collect::<Vec<_>>(),
+        model.devices.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(lab.len(), model.devices.len());
+    for (id, d) in &model.devices {
+        let state = lab.device(id).expect("device present");
+        assert_eq!(state.len(), d.vars.len());
+        assert_eq!(format!("{state:?}"), format!("{d:?}"));
+        assert_eq!(state.to_json().to_compact(), d.to_json().to_compact());
+        for (key, value) in &d.vars {
+            assert_eq!(lab.get(id, key), Some(value));
+        }
+    }
+    assert_eq!(format!("{lab:?}"), format!("{model:?}"));
+    assert_eq!(format!("{lab:#?}"), format!("{model:#?}"));
+    assert_eq!(lab.to_json().to_compact(), model.to_json().to_compact());
+}
+
+/// Built through any mix of calls, a snapshot iterates, prints and
+/// serialises exactly like the map-of-maps model.
+#[test]
+fn snapshots_match_the_map_model() {
+    let mut rng = Rng::seed_from_u64(107);
+    for _ in 0..CASES {
+        let (lab, model) = any_lab(&mut rng);
+        assert_matches(&lab, &model);
+    }
+}
+
+/// The one-pass overlay gives the model's result.
+#[test]
+fn overlay_matches_the_map_model() {
+    let mut rng = Rng::seed_from_u64(108);
+    for _ in 0..CASES {
+        let (mut lab, mut model) = any_lab(&mut rng);
+        let (reported, reported_model) = any_lab(&mut rng);
+        lab.overlay(&reported);
+        model.overlay(&reported_model);
+        assert_matches(&lab, &model);
+    }
+}
+
+/// Both diffs give the model's findings, in the model's order.
+#[test]
+fn diffs_match_the_map_model() {
+    let mut rng = Rng::seed_from_u64(109);
+    for _ in 0..CASES {
+        let (expected, expected_model) = any_lab(&mut rng);
+        // Half the time the other side is a lightly edited copy, so
+        // diffs are short as well as long.
+        let (actual, actual_model) = if rng.random_bool(0.5) {
+            let (mut lab, mut model) = (expected.clone(), expected_model.clone());
+            for _ in 0..rng.random_range(0..3usize) {
+                mutate(&mut rng, &mut lab, &mut model);
+            }
+            (lab, model)
+        } else {
+            any_lab(&mut rng)
+        };
+        for tol in [0.0, 0.01, 1.0] {
+            assert_eq!(
+                expected.diff_reported(&actual, tol),
+                expected_model.diff_reported(&actual_model, tol)
+            );
+            assert_eq!(
+                expected.diff(&actual, tol),
+                expected_model.diff(&actual_model, tol)
+            );
+        }
+    }
+}
+
+/// Equality agrees with the model's, on pairs that are often equal.
+#[test]
+fn equality_matches_the_map_model() {
+    let mut rng = Rng::seed_from_u64(110);
+    let mut equal_pairs = 0;
+    for _ in 0..CASES {
+        let (a, a_model) = any_lab(&mut rng);
+        let (mut b, mut b_model) = (a.clone(), a_model.clone());
+        for _ in 0..rng.random_range(0..2usize) {
+            mutate(&mut rng, &mut b, &mut b_model);
+        }
+        assert_eq!(a == b, a_model == b_model);
+        for (id, d) in &a_model.devices {
+            let same = b_model.devices.get(id) == Some(d);
+            assert_eq!(a.device(id) == b.device(id), same);
+        }
+        equal_pairs += usize::from(a == b);
+    }
+    // Both outcomes are exercised.
+    assert!(equal_pairs > CASES / 8 && equal_pairs < CASES);
 }

@@ -596,7 +596,7 @@ impl ExtendedSimulator {
                 self.narrow_checks += tested;
                 if let Some(hit) = hit {
                     result = Some(CollisionReport {
-                        device: DeviceId::new(hit.obstacle.name.clone()),
+                        device: DeviceId::new(&hit.obstacle.name),
                         // Capsule indices are relative to the slice that
                         // skipped the base link; +1 restores the arm's
                         // own link numbering.
@@ -695,7 +695,7 @@ impl ExtendedSimulator {
             let bound = arm.model.motion_bound(held);
 
             let report = |hit: crate::world::HitDetail<'_>, fraction: f64| CollisionReport {
-                device: DeviceId::new(hit.obstacle.name.clone()),
+                device: DeviceId::new(&hit.obstacle.name),
                 // Capsule indices are relative to the slice that skipped
                 // the base link; +1 restores the arm's link numbering.
                 link: hit.capsule_index + 1,

@@ -1,0 +1,100 @@
+//! Allocation budget of the guarded step.
+//!
+//! A warm Modified+Simulator testbed engine runs Fig. 5; every
+//! allocation the calling thread makes inside `Rabit::step` is counted
+//! by a pass-through global allocator. A warm step on the 9-device
+//! testbed makes about 20: `S_expected` clones `S_current` and
+//! `FetchState` builds `S_actual`, each one B-tree leaf plus one
+//! variable vector per device. Copying ids, diffing, overlaying and the
+//! lab's cross effects allocate nothing.
+
+use rabit::core::StepOutcome;
+use rabit::devices::LatencyModel;
+use rabit::testbed::{workflows, RabitStage, Testbed};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Mean allocations per warm `Rabit::step` that the test allows.
+const BUDGET_PER_STEP: f64 = 21.0;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to the system allocator, counting allocations and
+/// reallocations per thread so parallel tests never leak into the count.
+struct CountingAlloc;
+
+fn bump() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded verbatim to `System`. The counter is a
+// const-initialised thread-local `Cell<u64>` without a destructor, so
+// bumping it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn warm_guarded_steps_stay_within_the_allocation_budget() {
+    let testbed = Testbed::new();
+    let mut rabit = testbed.rabit(RabitStage::ModifiedWithSimulator);
+    let workflow = workflows::fig5_safe_workflow(&testbed.locations);
+    let commands = workflow.commands();
+    assert!(!commands.is_empty());
+
+    let mut counted = Vec::new();
+    for lap in 0..3 {
+        let mut lab = Testbed::build_lab(LatencyModel::TESTBED);
+        rabit.initialize(&mut lab);
+        for cmd in commands {
+            let before = allocations();
+            let outcome = rabit.step(&mut lab, cmd);
+            let made = allocations() - before;
+            assert!(
+                matches!(outcome, Ok(StepOutcome::Executed)),
+                "lap {lap}: {cmd}: {outcome:?}"
+            );
+            // The first two laps warm the IK memo and the verdict cache.
+            if lap == 2 {
+                counted.push(made);
+            }
+        }
+    }
+
+    let mean = counted.iter().sum::<u64>() as f64 / counted.len() as f64;
+    assert!(
+        mean <= BUDGET_PER_STEP,
+        "warm steps average {mean:.2} allocations, budget {BUDGET_PER_STEP}: {counted:?}"
+    );
+}
