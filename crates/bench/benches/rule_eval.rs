@@ -83,9 +83,6 @@ fn main() {
     bench("full_scan_dose", || {
         rulebase.check(black_box(&dose_cmd), &state, &catalog)
     });
-    bench("first_hit_safe_enter", || {
-        rulebase.check_first(black_box(&safe_cmd), &state, &catalog)
-    });
 
     // The postcondition/transition function.
     group("transition");

@@ -1,24 +1,19 @@
 //! Ablation studies for the design choices called out in DESIGN.md:
-//! trajectory polling rate, time- vs space-multiplexing, the held-object
-//! geometry extension, GUI vs headless simulation, and rule-evaluation
-//! strategy.
+//! trajectory polling rate, time- vs space-multiplexing, and the
+//! held-object geometry extension.
 
 use rabit_bench::report::{mark, render_table};
 use rabit_buginject::{catalog, run_bug};
-use rabit_devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateKey};
 use rabit_geometry::{Aabb, Vec3};
 use rabit_kinematics::presets;
-use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rulebase};
 use rabit_sim::SimWorld;
 use rabit_testbed::{RabitStage, Testbed};
 use rabit_tracer::Workflow;
-use std::time::Instant;
 
 fn main() {
     polling_rate();
     multiplexing();
     held_object();
-    rule_eval_strategy();
 }
 
 /// Ablation 1: polling interval vs detection of a small obstacle that the
@@ -165,62 +160,5 @@ fn held_object() {
     println!(
         "Paper: \"RABIT failed to account that a robot arm's dimensions may change if \
          it is holding an object. We modified RABIT to account for these changes.\"\n"
-    );
-}
-
-/// Ablation 5: full rulebase scan (collect all violations) vs first-hit
-/// evaluation — real compute cost.
-fn rule_eval_strategy() {
-    println!("Ablation 4 — rule evaluation strategy (real compute cost)\n");
-    let rulebase = Rulebase::hein_lab();
-    let catalog = DeviceCatalog::new()
-        .with(DeviceMeta::new("arm", rabit_devices::DeviceType::RobotArm))
-        .with(DeviceMeta::new("doser", rabit_devices::DeviceType::DosingSystem).with_door());
-    let mut state = LabState::new();
-    state.insert("doser", DeviceState::new().with(StateKey::DoorOpen, false));
-    state.insert(
-        "arm",
-        DeviceState::new().with(StateKey::Holding, None::<DeviceId>),
-    );
-    let cmd = Command::new(
-        "arm",
-        ActionKind::MoveInsideDevice {
-            device: "doser".into(),
-        },
-    );
-
-    let iters = 200_000;
-    let t0 = Instant::now();
-    let mut total = 0usize;
-    for _ in 0..iters {
-        total += rulebase.check(&cmd, &state, &catalog).len();
-    }
-    let full = t0.elapsed();
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..iters {
-        hits += usize::from(rulebase.check_first(&cmd, &state, &catalog).is_some());
-    }
-    let first = t0.elapsed();
-
-    let rows = vec![
-        vec![
-            "full scan (all violations)".to_string(),
-            format!("{:.0} ns", full.as_nanos() as f64 / iters as f64),
-            total.to_string(),
-        ],
-        vec![
-            "first-hit (deployment fast path)".to_string(),
-            format!("{:.0} ns", first.as_nanos() as f64 / iters as f64),
-            hits.to_string(),
-        ],
-    ];
-    println!(
-        "{}",
-        render_table(&["Strategy", "Cost per command", "Findings"], &rows)
-    );
-    println!(
-        "Either strategy costs microseconds — the 0.03 s per-command overhead the paper \
-         measured is dominated by device status round-trips, not rule evaluation."
     );
 }

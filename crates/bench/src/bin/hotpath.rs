@@ -5,16 +5,15 @@
 //!
 //! 1. **Rule dispatch** — ns/command for the linear reference scan
 //!    (`check_linear`, the pre-index behaviour) versus the
-//!    signature-indexed scan (`check`) and the stop-at-first fast path
-//!    (`check_first`), over the standard-rulebase testbed scenario.
+//!    signature-indexed scan (`check`), over the standard-rulebase
+//!    testbed scenario.
 //! 2. **Verdict cache** — ns/validation for the Extended Simulator on a
 //!    repeated-motion workflow with the cache off versus on, plus the
 //!    achieved hit rate.
 //! 3. **Fleet scenario end to end** — serial ns/command for guarded
 //!    fig5 workflow runs in the *before* configuration (no verdict
-//!    cache, full-scan rule evaluation) versus the *after* configuration
-//!    (verdict cache + `first_violation_only`), with allocations per
-//!    command from a counting global allocator.
+//!    cache) versus the *after* configuration (verdict cache on), with
+//!    allocations per command from a counting global allocator.
 //!
 //! Writes `BENCH_hotpath.json` and prints the tables. `--quick` runs a
 //! reduced calibration pass for CI smoke checks.
@@ -72,7 +71,6 @@ struct DispatchResult {
     iters: usize,
     linear_ns: f64,
     indexed_ns: f64,
-    first_ns: f64,
 }
 
 fn bench_rule_dispatch(iters: usize) -> DispatchResult {
@@ -108,19 +106,12 @@ fn bench_rule_dispatch(iters: usize) -> DispatchResult {
             .map(|c| rulebase.check(c, &state, catalog).len())
             .sum()
     });
-    let first_ns = time(&mut || {
-        commands
-            .iter()
-            .filter(|c| rulebase.check_first(c, &state, catalog).is_some())
-            .count()
-    });
     assert!(sink < usize::MAX, "keep the work observable");
     DispatchResult {
         commands: commands.len(),
         iters,
         linear_ns,
         indexed_ns,
-        first_ns,
     }
 }
 
@@ -212,14 +203,13 @@ struct FleetScenarioResult {
 
 /// Serial guarded runs of the fig5 safe workflow, one engine kept alive
 /// across laps (as a deployed RABIT instance is). `before` disables the
-/// verdict cache and scans every rule; `after` is the shipped hot path.
+/// verdict cache; `after` is the shipped hot path.
 fn bench_fleet_scenario(laps: usize, after: bool) -> (f64, f64, u64, u64, usize) {
     let tb = Testbed::new();
     let wf = workflows::fig5_safe_workflow(&tb.locations);
     let mut sim = tb.extended_simulator(false);
     sim.config_mut().verdict_cache = after;
     let mut rabit = tb.rabit(RabitStage::Modified).with_validator(Box::new(sim));
-    rabit.config_mut().first_violation_only = after;
 
     // Warm-up lap: populates the verdict cache (after-config) and the
     // allocator's size classes (both configs), so the measurement sees
@@ -273,11 +263,6 @@ fn main() {
                     "indexed".into(),
                     format!("{:.0}", d.indexed_ns),
                     format!("{:.2}", d.linear_ns / d.indexed_ns)
-                ],
-                vec![
-                    "indexed, first-only".into(),
-                    format!("{:.0}", d.first_ns),
-                    format!("{:.2}", d.linear_ns / d.first_ns)
                 ],
             ]
         )
@@ -335,13 +320,13 @@ fn main() {
             &["config", "ns/command", "allocs/command", "speedup"],
             &[
                 vec![
-                    "before (no cache, full scan)".into(),
+                    "before (no verdict cache)".into(),
                     format!("{:.0}", f.before_ns),
                     format!("{:.1}", f.before_allocs_per_cmd),
                     "1.00".into()
                 ],
                 vec![
-                    "after (cache + first-only)".into(),
+                    "after (verdict cache)".into(),
                     format!("{:.0}", f.after_ns),
                     format!("{:.1}", f.after_allocs_per_cmd),
                     format!("{:.2}", f.before_ns / f.after_ns)
@@ -369,9 +354,7 @@ fn main() {
                 ("iters", Json::Num(d.iters as f64)),
                 ("linear_ns_per_command", Json::Num(d.linear_ns)),
                 ("indexed_ns_per_command", Json::Num(d.indexed_ns)),
-                ("first_only_ns_per_command", Json::Num(d.first_ns)),
                 ("indexed_speedup", Json::Num(d.linear_ns / d.indexed_ns)),
-                ("first_only_speedup", Json::Num(d.linear_ns / d.first_ns)),
             ]),
         ),
         (

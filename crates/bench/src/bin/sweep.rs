@@ -2,23 +2,21 @@
 //!
 //! Runs the standard fleet workload — serial guarded fig5 safe-workflow
 //! runs on the testbed, verdict cache disabled so every validation
-//! really sweeps — under three kernel configurations and compares:
+//! really sweeps — under the two kernel configurations and compares:
 //!
 //! * `dense` — dense sampling, every polling-grid sample checked;
-//! * `adaptive` — conservative-advancement skipping on the batched SoA
-//!   distance kernel, whole-arm certificates off;
-//! * `batched` — the full kernel: adaptive skipping, packet BVH
-//!   queries, and whole-arm certificate spans.
+//! * `adaptive` — conservative-advancement skipping driven by packet
+//!   BVH clearance queries.
 //!
 //! Reported per mode: wall time per command, polling-grid samples
 //! evaluated versus skipped, narrow-phase obstacle tests (the cost the
-//! kernel exists to cut), clearance distance queries and batched lane
-//! slots (the price the kernel pays instead), and accepted certificate
-//! spans. The headline `wall_speedup` is dense wall over batched wall.
+//! kernel exists to cut), and clearance distance queries (the price the
+//! kernel pays instead). The headline `wall_speedup` is dense wall over
+//! adaptive wall.
 //!
-//! All configurations must agree on every verdict — the adaptive kernel
+//! Both configurations must agree on every verdict — the adaptive kernel
 //! only skips samples it proves hit-free — so the benchmark asserts all
-//! runs complete in every mode and that checked + skipped partitions
+//! runs complete in both modes and that checked + skipped partitions
 //! the same polling grid.
 //!
 //! Methodology: trajectories are polled at [`POLL_INTERVAL_S`]
@@ -28,57 +26,31 @@
 //! snapshotted after warm-up and report the timed laps only.
 //!
 //! Writes `BENCH_sweep.json` and prints the tables. `--quick` runs a
-//! reduced pass for CI smoke checks and asserts the whole-arm
-//! certificate actually fires.
+//! reduced pass for CI smoke checks.
 //!
 //! Run with `cargo run --release -p rabit-bench --bin sweep`.
 
 use rabit_bench::report::render_table;
 use rabit_buginject::RabitStage;
+use rabit_core::SweepStats;
 use rabit_testbed::{workflows, Testbed};
 use rabit_tracer::Tracer;
 use rabit_util::Json;
 use std::time::Instant;
 
-#[derive(Clone, Copy)]
-struct Mode {
-    dense_sampling: bool,
-    whole_arm_certificate: bool,
-}
-
-/// The three kernel configurations, in the order they are reported:
-/// dense, adaptive (certificates off), batched (the full kernel).
-const MODES: [Mode; 3] = [
-    Mode {
-        dense_sampling: true,
-        whole_arm_certificate: false,
-    },
-    Mode {
-        dense_sampling: false,
-        whole_arm_certificate: false,
-    },
-    Mode {
-        dense_sampling: false,
-        whole_arm_certificate: true,
-    },
-];
-
 struct SweepResult {
     wall_s: f64,
     commands: usize,
-    samples_checked: u64,
-    samples_skipped: u64,
+    /// Sweep counters over the timed laps.
+    sweep: SweepStats,
     narrow_checks: u64,
-    distance_queries: u64,
-    distance_evals_batched: u64,
-    certificate_spans: u64,
 }
 
 /// Polling interval for the benchmark workload. The paper's Extended
 /// Simulator polls trajectories continuously; 10 ms is the densest grid
 /// the testbed trajectories support without degenerate one-sample
 /// sweeps, and it is where the sweep kernel — not command dispatch —
-/// dominates the wall clock. All modes use the same grid, so verdict
+/// dominates the wall clock. Both modes use the same grid, so verdict
 /// identity across kernels is unaffected.
 const POLL_INTERVAL_S: f64 = 0.01;
 
@@ -87,23 +59,21 @@ const POLL_INTERVAL_S: f64 = 0.01;
 /// the second covers the steady-orbit start configurations (including
 /// the one deliberately unreachable pick target, whose full-restart IK
 /// failure costs ~30 ms once per distinct key). Cold IK solving is
-/// identical in every mode, so excluding it leaves the timed window
+/// identical in both modes, so excluding it leaves the timed window
 /// measuring what the modes actually differ in: the sweep kernels.
 const WARMUP_LAPS: usize = 2;
 
 /// Serial guarded runs of the fig5 safe workflow with a fresh lab per
 /// lap and one long-lived engine, the shape of a deployed RABIT
 /// instance. The verdict cache is off so every lap's validations sweep.
-fn run_workload(laps: usize, mode: Mode) -> SweepResult {
+fn run_workload(laps: usize, dense_sampling: bool) -> SweepResult {
     let tb = Testbed::new();
     let wf = workflows::fig5_safe_workflow(&tb.locations);
     let mut sim = tb.extended_simulator(false);
     sim.config_mut().verdict_cache = false;
     sim.config_mut().poll_interval_s = POLL_INTERVAL_S;
-    sim.config_mut().dense_sampling = mode.dense_sampling;
-    sim.config_mut().whole_arm_certificate = mode.whole_arm_certificate;
+    sim.config_mut().dense_sampling = dense_sampling;
     let mut rabit = tb.rabit(RabitStage::Modified).with_validator(Box::new(sim));
-    rabit.config_mut().first_violation_only = true;
 
     for _ in 0..WARMUP_LAPS {
         let mut warm = Testbed::new().lab;
@@ -120,27 +90,22 @@ fn run_workload(laps: usize, mode: Mode) -> SweepResult {
         assert!(report.completed(), "fig5 safe workflow must complete");
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    let sweep = rabit.validator_sweep_stats();
     SweepResult {
         wall_s,
         commands: laps * wf.len(),
-        samples_checked: sweep.samples_checked - warm_sweep.samples_checked,
-        samples_skipped: sweep.samples_skipped - warm_sweep.samples_skipped,
+        sweep: rabit.validator_sweep_stats().since(&warm_sweep),
         narrow_checks: rabit.validator_narrow_checks() - warm_narrow,
-        distance_queries: sweep.distance_queries - warm_sweep.distance_queries,
-        distance_evals_batched: sweep.distance_evals_batched - warm_sweep.distance_evals_batched,
-        certificate_spans: sweep.certificate_spans - warm_sweep.certificate_spans,
     }
 }
 
 /// Best-of-N wall clock over fresh workloads; counters are deterministic
 /// across repeats, so the last repeat's are as good as any.
-fn best_of(repeats: usize, laps: usize, mode: Mode) -> SweepResult {
-    let mut best = run_workload(laps, mode);
+fn best_of(repeats: usize, laps: usize, dense_sampling: bool) -> SweepResult {
+    let mut best = run_workload(laps, dense_sampling);
     for _ in 1..repeats {
-        let next = run_workload(laps, mode);
+        let next = run_workload(laps, dense_sampling);
         assert_eq!(
-            next.samples_checked, best.samples_checked,
+            next.sweep, best.sweep,
             "sweep counters must be deterministic across repeats"
         );
         best.wall_s = best.wall_s.min(next.wall_s);
@@ -152,30 +117,24 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (laps, repeats) = if quick { (4, 1) } else { (24, 3) };
 
-    let [dense, adaptive, batched] = MODES.map(|m| best_of(repeats, laps, m));
+    let dense = best_of(repeats, laps, true);
+    let adaptive = best_of(repeats, laps, false);
 
     assert_eq!(
-        dense.samples_skipped, 0,
+        dense.sweep.samples_skipped, 0,
         "dense sampling must not skip anything"
     );
-    for r in [&adaptive, &batched] {
-        assert_eq!(
-            r.samples_checked + r.samples_skipped,
-            dense.samples_checked,
-            "all kernels must walk the same polling grid"
-        );
-    }
-    assert!(
-        batched.certificate_spans > 0,
-        "whole-arm certificate must fire on the fig5 workload"
+    assert_eq!(
+        adaptive.sweep.samples_checked + adaptive.sweep.samples_skipped,
+        dense.sweep.samples_checked,
+        "both kernels must walk the same polling grid"
     );
 
-    let total = dense.samples_checked;
-    let skip_rate = |r: &SweepResult| r.samples_skipped as f64 / total.max(1) as f64;
-    let narrow_reduction =
-        |r: &SweepResult| dense.narrow_checks as f64 / r.narrow_checks.max(1) as f64;
+    let total = dense.sweep.samples_checked;
+    let skip_rate = adaptive.sweep.samples_skipped as f64 / total.max(1) as f64;
+    let narrow_reduction = dense.narrow_checks as f64 / adaptive.narrow_checks.max(1) as f64;
     let ns_per_cmd = |r: &SweepResult| r.wall_s / r.commands as f64 * 1e9;
-    let wall_speedup = dense.wall_s / batched.wall_s;
+    let wall_speedup = dense.wall_s / adaptive.wall_s;
 
     println!(
         "Adaptive sweep ({laps} laps of the fig5 safe workflow, \
@@ -185,12 +144,10 @@ fn main() {
         vec![
             name.into(),
             format!("{:.0}", ns_per_cmd(r)),
-            r.samples_checked.to_string(),
-            r.samples_skipped.to_string(),
+            r.sweep.samples_checked.to_string(),
+            r.sweep.samples_skipped.to_string(),
             r.narrow_checks.to_string(),
-            r.distance_queries.to_string(),
-            r.distance_evals_batched.to_string(),
-            r.certificate_spans.to_string(),
+            r.sweep.distance_queries.to_string(),
         ]
     };
     println!(
@@ -203,21 +160,15 @@ fn main() {
                 "samples skipped",
                 "narrow checks",
                 "distance queries",
-                "batched lanes",
-                "cert spans",
             ],
-            &[
-                row("dense", &dense),
-                row("adaptive", &adaptive),
-                row("batched", &batched),
-            ]
+            &[row("dense", &dense), row("adaptive", &adaptive)]
         )
     );
     println!(
         "skip rate: {:.1}%   narrow-phase reduction: {:.2}x   \
-         wall speedup (dense/batched): {:.2}x",
-        skip_rate(&batched) * 100.0,
-        narrow_reduction(&batched),
+         wall speedup (dense/adaptive): {:.2}x",
+        skip_rate * 100.0,
+        narrow_reduction,
         wall_speedup
     );
 
@@ -226,15 +177,13 @@ fn main() {
             ("wall_seconds", Json::Num(r.wall_s)),
             ("ns_per_command", Json::Num(ns_per_cmd(r))),
             ("commands", Json::Num(r.commands as f64)),
-            ("samples_checked", Json::Num(r.samples_checked as f64)),
-            ("samples_skipped", Json::Num(r.samples_skipped as f64)),
+            ("samples_checked", Json::Num(r.sweep.samples_checked as f64)),
+            ("samples_skipped", Json::Num(r.sweep.samples_skipped as f64)),
             ("narrow_checks", Json::Num(r.narrow_checks as f64)),
-            ("distance_queries", Json::Num(r.distance_queries as f64)),
             (
-                "distance_evals_batched",
-                Json::Num(r.distance_evals_batched as f64),
+                "distance_queries",
+                Json::Num(r.sweep.distance_queries as f64),
             ),
-            ("certificate_spans", Json::Num(r.certificate_spans as f64)),
         ])
     };
     let config = Json::obj([
@@ -249,16 +198,8 @@ fn main() {
     let results = Json::obj([
         ("dense", side(&dense)),
         ("adaptive", side(&adaptive)),
-        ("batched", side(&batched)),
-        ("skip_rate", Json::Num(skip_rate(&batched))),
-        (
-            "narrow_phase_reduction",
-            Json::Num(narrow_reduction(&batched)),
-        ),
-        (
-            "adaptive_wall_speedup",
-            Json::Num(dense.wall_s / adaptive.wall_s),
-        ),
+        ("skip_rate", Json::Num(skip_rate)),
+        ("narrow_phase_reduction", Json::Num(narrow_reduction)),
         ("wall_speedup", Json::Num(wall_speedup)),
     ]);
     rabit_bench::schema::write_artifact("sweep", config, results);

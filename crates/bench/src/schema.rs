@@ -117,34 +117,29 @@ pub fn validate(json: &Json) -> Result<(), String> {
 }
 
 /// Minimum `wall_speedup` a full-mode (`quick_mode: false`) sweep
-/// artifact must carry: the batched SoA kernel with whole-arm
-/// certificates must hold at least this wall-clock advantage over dense
-/// sampling, or CI's schema check fails the artifact as a performance
-/// regression. (The bench targets ≥2×; the gate leaves headroom for
-/// noisy machines.)
+/// artifact must carry: the adaptive kernel must hold at least this
+/// wall-clock advantage over dense sampling, or CI's schema check fails
+/// the artifact as a performance regression. (The bench targets ≥2×;
+/// the gate leaves headroom for noisy machines.)
 pub const SWEEP_MIN_WALL_SPEEDUP: f64 = 1.5;
 
 /// The sweep bench's regression contract, checked on every `"sweep"`
 /// artifact CI sees:
 ///
-/// * `results.dense` / `results.adaptive` / `results.batched` are
-///   objects each carrying the numeric kernel counters
-///   (`wall_seconds`, `samples_checked`, `samples_skipped`,
-///   `distance_queries`, `distance_evals_batched`,
-///   `certificate_spans`);
+/// * `results.dense` / `results.adaptive` are objects each carrying the
+///   numeric kernel counters (`wall_seconds`, `samples_checked`,
+///   `samples_skipped`, `distance_queries`);
 /// * `results.wall_speedup` is numeric, and at least
 ///   [`SWEEP_MIN_WALL_SPEEDUP`] when `config.quick_mode` is `false`
 ///   (quick smoke runs measure too little wall time to gate on).
 fn validate_sweep_results(config: &Json, results: &Json) -> Result<(), String> {
-    const COUNTERS: [&str; 6] = [
+    const COUNTERS: [&str; 4] = [
         "wall_seconds",
         "samples_checked",
         "samples_skipped",
         "distance_queries",
-        "distance_evals_batched",
-        "certificate_spans",
     ];
-    for mode in ["dense", "adaptive", "batched"] {
+    for mode in ["dense", "adaptive"] {
         let block = results
             .get(mode)
             .ok_or_else(|| format!("sweep artifact missing \"results.{mode}\""))?;
@@ -511,8 +506,6 @@ mod tests {
             ("samples_checked", Json::Num(100.0)),
             ("samples_skipped", Json::Num(50.0)),
             ("distance_queries", Json::Num(40.0)),
-            ("distance_evals_batched", Json::Num(64.0)),
-            ("certificate_spans", Json::Num(3.0)),
         ])
     }
 
@@ -522,8 +515,7 @@ mod tests {
             Json::obj([("quick_mode", Json::Bool(quick))]),
             Json::obj([
                 ("dense", sweep_mode_block(2.0)),
-                ("adaptive", sweep_mode_block(1.2)),
-                ("batched", sweep_mode_block(2.0 / speedup)),
+                ("adaptive", sweep_mode_block(2.0 / speedup)),
                 ("wall_speedup", Json::Num(speedup)),
             ]),
         )
@@ -543,23 +535,22 @@ mod tests {
 
     #[test]
     fn sweep_gate_requires_counter_fields() {
-        // A mode block lacking the batched-lane counter fails.
+        // A mode block lacking the distance-query counter fails.
         let mut stale = sweep_mode_block(1.0);
         if let Json::Obj(pairs) = &mut stale {
-            pairs.retain(|(k, _)| k != "distance_evals_batched");
+            pairs.retain(|(k, _)| k != "distance_queries");
         }
         let json = envelope(
             "sweep",
             Json::obj([("quick_mode", Json::Bool(true))]),
             Json::obj([
                 ("dense", sweep_mode_block(2.0)),
-                ("adaptive", sweep_mode_block(1.2)),
-                ("batched", stale),
+                ("adaptive", stale),
                 ("wall_speedup", Json::Num(2.0)),
             ]),
         );
         let err = validate(&json).unwrap_err();
-        assert!(err.contains("distance_evals_batched"), "{err}");
+        assert!(err.contains("distance_queries"), "{err}");
         // A missing mode block fails too.
         let json = envelope(
             "sweep",
@@ -577,8 +568,7 @@ mod tests {
             Json::obj([]),
             Json::obj([
                 ("dense", sweep_mode_block(2.0)),
-                ("adaptive", sweep_mode_block(1.2)),
-                ("batched", sweep_mode_block(1.0)),
+                ("adaptive", sweep_mode_block(1.0)),
             ]),
         );
         let err = validate(&json).unwrap_err();

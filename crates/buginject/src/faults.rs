@@ -141,7 +141,6 @@ pub fn run_fault_family_on(
     let runs = run_indexed(repeats, threads, |i| {
         let (mut lab, mut rabit) = substrate.instantiate_with(&plan.for_run(i as u64));
         rabit.config_mut().recovery = policy;
-        rabit.config_mut().first_violation_only = true;
         let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
         (report, lab.fault_stats().total_injected())
     });

@@ -82,13 +82,6 @@ impl RabitBuilder {
         self
     }
 
-    /// Stops rule evaluation at the first violation (the deployment
-    /// fast path).
-    pub fn first_violation_only(mut self, on: bool) -> Self {
-        self.config.first_violation_only = on;
-        self
-    }
-
     /// Skips the post-execution malfunction check (ablation knob).
     pub fn skip_malfunction_check(mut self, on: bool) -> Self {
         self.config.skip_malfunction_check = on;
@@ -165,7 +158,6 @@ mod tests {
             .catalog(DeviceCatalog::new())
             .state_tolerance(0.25)
             .stop_policy(StopPolicy::FailSafe)
-            .first_violation_only(true)
             .skip_malfunction_check(false)
             .recovery(RecoveryPolicy::Quarantine(RetryPolicy::default()))
             .validator(Box::new(ApproveAll))
@@ -173,7 +165,6 @@ mod tests {
             .build();
         assert_eq!(rabit.config().state_tolerance, 0.25);
         assert_eq!(rabit.config().stop_policy, StopPolicy::FailSafe);
-        assert!(rabit.config().first_violation_only);
         assert!(matches!(
             rabit.config().recovery,
             RecoveryPolicy::Quarantine(_)

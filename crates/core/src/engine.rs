@@ -19,13 +19,6 @@ pub struct RabitConfig {
     pub stop_policy: StopPolicy,
     /// Skip the post-execution malfunction check (ablation knob).
     pub skip_malfunction_check: bool,
-    /// Stop rule evaluation at the first violation (the paper's
-    /// stop-on-first-alert deployment fast path, routed through
-    /// [`Rulebase::check_first`]). Off by default so interactive runs and
-    /// tests report every violation; fleet runs turn it on.
-    ///
-    /// [`Rulebase::check_first`]: rabit_rulebase::Rulebase::check_first
-    pub first_violation_only: bool,
     /// How the engine treats *transient* alerts (device faults and
     /// malfunctions): alert immediately (the paper's behaviour, and the
     /// default), retry with backoff, retry then safe-stop, or
@@ -40,7 +33,6 @@ impl Default for RabitConfig {
             state_tolerance: 1e-6,
             stop_policy: StopPolicy::StopImmediately,
             skip_malfunction_check: false,
-            first_violation_only: false,
             recovery: RecoveryPolicy::AlertImmediately,
         }
     }
@@ -99,12 +91,6 @@ pub struct RunReport {
     /// Per-primitive signed-distance evaluations the validator issued for
     /// skip decisions during this run.
     pub distance_queries: u64,
-    /// Lane slots the validator pushed through its batched (4-wide)
-    /// distance kernels during this run, padding included.
-    pub distance_evals_batched: u64,
-    /// Whole-arm certificate spans the validator's adaptive sweep kernel
-    /// accepted during this run.
-    pub certificate_spans: u64,
     /// Recovery activity during this run (retries, recoveries,
     /// quarantines, safe-stops). All zeros under
     /// [`RecoveryPolicy::AlertImmediately`].
@@ -297,8 +283,8 @@ impl Rabit {
         &self.config
     }
 
-    /// Mutable configuration access (fleet runs flip
-    /// [`RabitConfig::first_violation_only`] on before starting).
+    /// Mutable configuration access (fault runners set
+    /// [`RabitConfig::recovery`] before starting).
     pub fn config_mut(&mut self) -> &mut RabitConfig {
         &mut self.config
     }
@@ -402,19 +388,11 @@ impl Rabit {
             return Ok(StepOutcome::SkippedQuarantined);
         }
 
-        // Lines 6-7: precondition check. Deployment stops on the first
-        // alert anyway, so `first_violation_only` skips the rest of the
-        // scan once one rule fires.
-        let violations: Vec<rabit_rulebase::Violation> = if self.config.first_violation_only {
-            self.rulebase
-                .check_first(command, &self.current, &self.catalog)
-                .into_iter()
-                .collect()
-        } else {
-            self.rulebase
-                .check(command, &self.current, &self.catalog)
-                .into_vec()
-        };
+        // Lines 6-7: precondition check, reporting every violated rule.
+        let violations = self
+            .rulebase
+            .check(command, &self.current, &self.catalog)
+            .into_vec();
         if !violations.is_empty() {
             self.stop(lab);
             return Err(Alert::InvalidCommand {
@@ -571,8 +549,6 @@ impl Rabit {
             samples_checked: sweep.samples_checked,
             samples_skipped: sweep.samples_skipped,
             distance_queries: sweep.distance_queries,
-            distance_evals_batched: sweep.distance_evals_batched,
-            certificate_spans: sweep.certificate_spans,
             recovery: self.recovery_totals.since(&recovery0),
             faults_injected: lab.fault_stats().total_injected() - faults0,
             rulebase_epoch: self.rulebase.epoch(),
@@ -583,6 +559,7 @@ impl Rabit {
     /// latency-overhead experiment, and how damage happens.
     pub fn run_unchecked(lab: &mut Lab, commands: &[Command]) -> RunReport {
         let t0 = lab.clock().now_s();
+        let faults0 = lab.fault_stats().total_injected();
         let mut executed = 0;
         let mut alert = None;
         for command in commands {
@@ -607,10 +584,8 @@ impl Rabit {
             samples_checked: 0,
             samples_skipped: 0,
             distance_queries: 0,
-            distance_evals_batched: 0,
-            certificate_spans: 0,
             recovery: RecoveryCounters::default(),
-            faults_injected: lab.fault_stats().total_injected(),
+            faults_injected: lab.fault_stats().total_injected() - faults0,
             rulebase_epoch: rabit_rulebase::STATIC_EPOCH,
         }
     }
@@ -997,6 +972,30 @@ mod tests {
         );
         assert!(!r.recovery_counters().any());
         assert_eq!(lab.fault_stats().dropped, 1);
+    }
+
+    #[test]
+    fn unchecked_runs_count_only_their_own_injected_faults() {
+        // Every doser command is dropped; each run sends one.
+        let plan = FaultPlan::seeded(11).with_on(
+            "doser",
+            FaultKind::DropCommand,
+            FaultSchedule::EveryNth {
+                period: 1,
+                offset: 0,
+            },
+        );
+        let mut lab = lab();
+        lab.arm_faults(plan.session());
+        let open = [Command::new("doser", ActionKind::SetDoor { open: true })];
+        let first = Rabit::run_unchecked(&mut lab, &open);
+        let second = Rabit::run_unchecked(&mut lab, &open);
+        assert_eq!(first.faults_injected, 1);
+        assert_eq!(
+            second.faults_injected, 1,
+            "the first run's fault is not recounted"
+        );
+        assert_eq!(lab.fault_stats().total_injected(), 2);
     }
 
     #[test]

@@ -66,10 +66,8 @@ impl fmt::Display for CollisionReport {
 /// A snapshot of a validator's sweep-kernel work counters, reported
 /// alongside run statistics so benchmarks and reports can attribute cost:
 /// how many polling-grid samples were checked vs proved hit-free and
-/// skipped, how many exact distance evaluations the clearance machinery
-/// issued, how many kernel lane slots they occupied, and how many
-/// whole-arm certificate spans were accepted. Validators without a sweep
-/// report all-zero.
+/// skipped, and how many exact distance evaluations the clearance
+/// machinery issued. Validators without a sweep report all-zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepStats {
     /// Polling-grid samples actually collision-checked.
@@ -78,12 +76,10 @@ pub struct SweepStats {
     pub samples_skipped: u64,
     /// Per-primitive exact signed-distance evaluations issued.
     pub distance_queries: u64,
-    /// Lane slots pushed through the 4-wide batched distance kernels
-    /// (including padding lanes; 4 × kernel invocations).
+    /// Always 0: the 4-wide batched distance kernels this counted lane
+    /// slots for were removed. Kept so existing readers of the field
+    /// (perfbench's timing probe) still compile.
     pub distance_evals_batched: u64,
-    /// Whole-arm certificate spans accepted (each certifying a run of
-    /// samples hit-free with one world query).
-    pub certificate_spans: u64,
 }
 
 impl SweepStats {
@@ -95,8 +91,7 @@ impl SweepStats {
             samples_checked: self.samples_checked - earlier.samples_checked,
             samples_skipped: self.samples_skipped - earlier.samples_skipped,
             distance_queries: self.distance_queries - earlier.distance_queries,
-            distance_evals_batched: self.distance_evals_batched - earlier.distance_evals_batched,
-            certificate_spans: self.certificate_spans - earlier.certificate_spans,
+            ..SweepStats::default()
         }
     }
 }
@@ -177,15 +172,16 @@ pub trait TrajectoryValidator: Send {
         0
     }
 
-    /// Lane slots pushed through batched (4-wide) distance kernels,
-    /// including padding lanes. Validators without a batched clearance
-    /// path report zero.
+    /// Always 0: no validator has batched distance kernels any more.
+    /// Kept only so existing validator wrappers that forward it
+    /// (perfbench's timing probe) still compile.
     fn distance_evals_batched(&self) -> u64 {
         0
     }
 
-    /// Whole-arm certificate spans accepted by an adaptive sweep kernel.
-    /// Validators without the certificate report zero.
+    /// Always 0: no validator has a whole-arm certificate any more. Kept
+    /// only so existing validator wrappers that forward it (perfbench's
+    /// timing probe) still compile.
     fn certificate_spans(&self) -> u64 {
         0
     }
@@ -196,8 +192,7 @@ pub trait TrajectoryValidator: Send {
             samples_checked: self.samples_checked(),
             samples_skipped: self.samples_skipped(),
             distance_queries: self.distance_queries(),
-            distance_evals_batched: self.distance_evals_batched(),
-            certificate_spans: self.certificate_spans(),
+            ..SweepStats::default()
         }
     }
 }

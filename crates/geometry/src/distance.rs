@@ -1,38 +1,23 @@
-//! Batched structure-of-arrays (SoA) distance kernels.
+//! Exact segment–AABB distance.
 //!
-//! The conservative-advancement sweep (PR 5) traded narrow-phase
-//! intersection tests for clearance *distance* queries — tens of thousands
-//! per fleet lap — and the old 64-iteration ternary search made each
-//! segment–box query cost ~128 point–box evaluations. This module attacks
-//! the distance path directly:
-//!
-//! * an **exact closed form** for segment–AABB distance
-//!   ([`segment_aabb_distance`]): the squared distance along the segment is
-//!   a convex piecewise quadratic whose half-derivative is piecewise
-//!   *linear* with at most six breakpoints (the per-axis slab entry/exit
-//!   parameters), so the minimizing parameter comes from locating the
-//!   derivative's sign change and interpolating within one linear piece —
-//!   roughly a hundred flops instead of ~1500, with a short bisection
-//!   fallback reserved for the degenerate edge-graze bracket;
-//! * a **structure-of-arrays obstacle layout** ([`ObstacleSoA`]) holding
-//!   box primitives as per-axis min/max arrays and capsule primitives as
-//!   per-axis endpoint arrays (spheres are degenerate zero-length
-//!   capsules), so the batched kernels ([`segment_aabb_distance_x4`],
-//!   [`segment_capsule_distance_x4`]) gather four obstacle lanes per pass
-//!   from contiguous memory and evaluate them with branch-free slab
-//!   arithmetic.
-//!
-//! Both batched kernels run the *same* scalar cores per lane as the public
-//! scalar entry points, so a batched evaluation is bit-identical to the
-//! scalar query it replaces — the sweep kernel's "clearance > 0 proves the
-//! narrow phase misses" certificate survives the rewrite exactly.
+//! The conservative-advancement sweep trades narrow-phase intersection
+//! tests for clearance *distance* queries, and the old 64-iteration
+//! ternary search made each segment–box query cost ~128 point–box
+//! evaluations. [`segment_aabb_distance`] replaces it with an **exact
+//! closed form**: the squared distance along the segment is a convex
+//! piecewise quadratic whose half-derivative is piecewise *linear* with at
+//! most six breakpoints (the per-axis slab entry/exit parameters), so the
+//! minimizing parameter comes from locating the derivative's sign change
+//! and interpolating within one linear piece — roughly a hundred flops
+//! instead of ~1500, with a short bisection fallback reserved for the
+//! degenerate edge-graze bracket.
 
-use crate::{Aabb, Segment, Vec3};
+use crate::{Aabb, Segment};
 
 /// Axes whose segment direction component is at most this value are treated
 /// as static (constant coordinate). The threshold is far below any
 /// representable lab geometry, but large enough that `1/d` and the slab
-/// crossing parameters stay finite for every input the kernels accept.
+/// crossing parameters stay finite for every input.
 const STATIC_AXIS: f64 = 1e-120;
 
 /// Bisection steps used by the degenerate-bracket fallback of the
@@ -59,13 +44,6 @@ pub fn segment_aabb_distance(seg: &Segment, aabb: &Aabb) -> f64 {
     let b = [seg.b.x, seg.b.y, seg.b.z];
     let lo = [aabb.min().x, aabb.min().y, aabb.min().z];
     let hi = [aabb.max().x, aabb.max().y, aabb.max().z];
-    segment_box_distance_sq(&a, &b, &lo, &hi).sqrt()
-}
-
-/// Squared segment–box distance on raw per-axis components. Shared scalar
-/// core of [`segment_aabb_distance`] and the box lanes of
-/// [`segment_aabb_distance_x4`], so both produce bit-identical results.
-fn segment_box_distance_sq(a: &[f64; 3], b: &[f64; 3], lo: &[f64; 3], hi: &[f64; 3]) -> f64 {
     // Per-axis slab decomposition.
     let mut fixed = 0.0; // squared gap contributed by static axes
     let mut t_in = [f64::NEG_INFINITY; 3];
@@ -115,11 +93,11 @@ fn segment_box_distance_sq(a: &[f64; 3], b: &[f64; 3], lo: &[f64; 3], hi: &[f64;
     };
     let h0 = h(0.0);
     if h0 >= 0.0 {
-        return f(0.0);
+        return f(0.0).sqrt();
     }
     let h1 = h(1.0);
     if h1 <= 0.0 {
-        return f(1.0);
+        return f(1.0).sqrt();
     }
     // h changes sign in (0, 1): scan the sorted breakpoints for the
     // bracketing linear piece and interpolate its root.
@@ -128,11 +106,11 @@ fn segment_box_distance_sq(a: &[f64; 3], b: &[f64; 3], lo: &[f64; 3], hi: &[f64;
     for &t in &breaks[..n_breaks] {
         let ht = h(t);
         if ht >= 0.0 {
-            return f(root_in_bracket(t_lo, h_lo, t, ht, &h));
+            return f(root_in_bracket(t_lo, h_lo, t, ht, &h)).sqrt();
         }
         (t_lo, h_lo) = (t, ht);
     }
-    f(root_in_bracket(t_lo, h_lo, 1.0, h1, &h))
+    f(root_in_bracket(t_lo, h_lo, 1.0, h1, &h)).sqrt()
 }
 
 /// Root of the half-derivative inside a sign-change bracket
@@ -166,204 +144,10 @@ fn root_in_bracket(t_lo: f64, h_lo: f64, t_hi: f64, h_hi: f64, h: &impl Fn(f64) 
     0.5 * (lo + hi)
 }
 
-/// Structure-of-arrays obstacle layout consumed by the batched distance
-/// kernels.
-///
-/// Two primitive kinds, each stored as per-axis arrays so a batch of lanes
-/// gathers from contiguous memory:
-///
-/// * **boxes** — axis-aligned cuboids as min/max arrays per axis;
-/// * **capsules** — segment endpoints per axis plus a radius array.
-///   Spheres are pushed as degenerate zero-length capsules (`a == b`), and
-///   hemisphere obstacles batch as their bounding sphere (the same sound
-///   under-approximation the scalar path uses).
-///
-/// Box lanes and capsule lanes are indexed independently (`lane` in
-/// `0..box_count()` / `0..capsule_count()`); callers that mix kinds keep
-/// their own lane→object mapping.
-#[derive(Clone, Debug, Default)]
-pub struct ObstacleSoA {
-    box_min: [Vec<f64>; 3],
-    box_max: [Vec<f64>; 3],
-    cap_a: [Vec<f64>; 3],
-    cap_b: [Vec<f64>; 3],
-    cap_radius: Vec<f64>,
-}
-
-impl ObstacleSoA {
-    /// Creates an empty layout.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Removes every primitive, keeping the allocations.
-    pub fn clear(&mut self) {
-        for k in 0..3 {
-            self.box_min[k].clear();
-            self.box_max[k].clear();
-            self.cap_a[k].clear();
-            self.cap_b[k].clear();
-        }
-        self.cap_radius.clear();
-    }
-
-    /// Appends a box primitive and returns its lane index.
-    pub fn push_box(&mut self, aabb: &Aabb) -> usize {
-        let lane = self.box_count();
-        let (lo, hi) = (aabb.min(), aabb.max());
-        for (k, (l, h)) in [(lo.x, hi.x), (lo.y, hi.y), (lo.z, hi.z)]
-            .into_iter()
-            .enumerate()
-        {
-            self.box_min[k].push(l);
-            self.box_max[k].push(h);
-        }
-        lane
-    }
-
-    /// Appends a capsule primitive and returns its lane index.
-    pub fn push_capsule(&mut self, segment: &Segment, radius: f64) -> usize {
-        let lane = self.capsule_count();
-        for (k, (a, b)) in [
-            (segment.a.x, segment.b.x),
-            (segment.a.y, segment.b.y),
-            (segment.a.z, segment.b.z),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            self.cap_a[k].push(a);
-            self.cap_b[k].push(b);
-        }
-        self.cap_radius.push(radius);
-        lane
-    }
-
-    /// Appends a sphere as a degenerate (zero-length) capsule lane and
-    /// returns its lane index.
-    pub fn push_sphere(&mut self, center: Vec3, radius: f64) -> usize {
-        self.push_capsule(&Segment::new(center, center), radius)
-    }
-
-    /// Number of box lanes.
-    pub fn box_count(&self) -> usize {
-        self.box_min[0].len()
-    }
-
-    /// Number of capsule lanes (including degenerate sphere lanes).
-    pub fn capsule_count(&self) -> usize {
-        self.cap_radius.len()
-    }
-
-    /// Reconstructs the box stored in `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= box_count()`.
-    pub fn box_aabb(&self, lane: usize) -> Aabb {
-        Aabb::new(
-            Vec3::new(
-                self.box_min[0][lane],
-                self.box_min[1][lane],
-                self.box_min[2][lane],
-            ),
-            Vec3::new(
-                self.box_max[0][lane],
-                self.box_max[1][lane],
-                self.box_max[2][lane],
-            ),
-        )
-    }
-
-    /// Reconstructs the capsule stored in `lane` as `(segment, radius)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= capsule_count()`.
-    pub fn capsule(&self, lane: usize) -> (Segment, f64) {
-        let a = Vec3::new(
-            self.cap_a[0][lane],
-            self.cap_a[1][lane],
-            self.cap_a[2][lane],
-        );
-        let b = Vec3::new(
-            self.cap_b[0][lane],
-            self.cap_b[1][lane],
-            self.cap_b[2][lane],
-        );
-        (Segment::new(a, b), self.cap_radius[lane])
-    }
-
-    /// `true` if `lane` stores a degenerate (sphere) capsule.
-    pub fn capsule_is_sphere(&self, lane: usize) -> bool {
-        (0..3).all(|k| self.cap_a[k][lane] == self.cap_b[k][lane])
-    }
-}
-
-/// Batched segment–box distance: evaluates `seg` against four box lanes of
-/// `soa` in one pass and returns the four surface distances.
-///
-/// Lanes may repeat (callers pad ragged tails by repeating a lane); every
-/// lane runs the same closed-form core as [`segment_aabb_distance`], so the
-/// results are bit-identical to four scalar queries.
-///
-/// # Panics
-///
-/// Panics if any lane is out of bounds.
-pub fn segment_aabb_distance_x4(soa: &ObstacleSoA, seg: &Segment, lanes: &[u32; 4]) -> [f64; 4] {
-    let a = [seg.a.x, seg.a.y, seg.a.z];
-    let b = [seg.b.x, seg.b.y, seg.b.z];
-    lanes.map(|lane| {
-        let lane = lane as usize;
-        let lo = [
-            soa.box_min[0][lane],
-            soa.box_min[1][lane],
-            soa.box_min[2][lane],
-        ];
-        let hi = [
-            soa.box_max[0][lane],
-            soa.box_max[1][lane],
-            soa.box_max[2][lane],
-        ];
-        segment_box_distance_sq(&a, &b, &lo, &hi).sqrt()
-    })
-}
-
-/// Batched segment–capsule clearance: evaluates `seg`, treated as a capsule
-/// of radius `inflate`, against four capsule lanes of `soa` and returns the
-/// four surface-to-surface distances (negative on interpenetration).
-///
-/// `inflate` is subtracted *before* the lane radius, matching the operation
-/// order of the scalar obstacle path (`Capsule::distance_to_capsule` and
-/// `collide::sphere_capsule_distance` both peel the query capsule's radius
-/// first), so batched results are bit-identical to the scalar ones.
-/// Degenerate sphere lanes dispatch to the point-distance core exactly as
-/// the scalar sphere query does.
-///
-/// # Panics
-///
-/// Panics if any lane is out of bounds.
-pub fn segment_capsule_distance_x4(
-    soa: &ObstacleSoA,
-    seg: &Segment,
-    inflate: f64,
-    lanes: &[u32; 4],
-) -> [f64; 4] {
-    lanes.map(|lane| {
-        let lane = lane as usize;
-        let (other, radius) = soa.capsule(lane);
-        let raw = if other.a == other.b {
-            seg.distance_to_point(other.a)
-        } else {
-            seg.distance_to_segment(&other)
-        };
-        (raw - inflate) - radius
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Vec3;
 
     fn brute_force(seg: &Segment, aabb: &Aabb, steps: usize) -> f64 {
         (0..=steps)
@@ -420,44 +204,5 @@ mod tests {
         let seg = Segment::new(Vec3::new(1.0, -1.0, 1.0), Vec3::new(1.0, 2.0, 1.0));
         let d = segment_aabb_distance(&seg, &aabb);
         assert!(d.abs() < 1e-12, "edge graze distance {d}");
-    }
-
-    #[test]
-    fn soa_box_lanes_match_scalar_bitwise() {
-        let mut soa = ObstacleSoA::new();
-        let boxes = [
-            Aabb::new(Vec3::ZERO, Vec3::splat(1.0)),
-            Aabb::new(Vec3::new(-2.0, -2.0, -0.3), Vec3::new(2.0, 2.0, 0.0)),
-            Aabb::new(Vec3::new(0.3, 0.4, 0.5), Vec3::new(0.9, 1.4, 2.5)),
-            Aabb::new(Vec3::new(-5.0, 1.0, 1.0), Vec3::new(-4.0, 2.0, 2.0)),
-        ];
-        for b in &boxes {
-            soa.push_box(b);
-        }
-        let seg = Segment::new(Vec3::new(-1.2, 0.7, 1.3), Vec3::new(1.9, -0.4, 0.2));
-        let batch = segment_aabb_distance_x4(&soa, &seg, &[0, 1, 2, 3]);
-        for (lane, b) in boxes.iter().enumerate() {
-            let scalar = segment_aabb_distance(&seg, b);
-            assert_eq!(batch[lane].to_bits(), scalar.to_bits());
-            assert_eq!(soa.box_aabb(lane), *b);
-        }
-    }
-
-    #[test]
-    fn soa_capsule_lanes_match_scalar_bitwise() {
-        let mut soa = ObstacleSoA::new();
-        let axis = Segment::new(Vec3::new(0.2, 0.2, 0.0), Vec3::new(0.2, 0.2, 1.5));
-        soa.push_capsule(&axis, 0.25);
-        soa.push_sphere(Vec3::new(1.0, -1.0, 0.5), 0.4);
-        let seg = Segment::new(Vec3::new(-1.0, 0.0, 0.8), Vec3::new(1.0, 0.5, 0.9));
-        let inflate = 0.05;
-        let batch = segment_capsule_distance_x4(&soa, &seg, inflate, &[0, 1, 0, 1]);
-        let scalar_cyl = (seg.distance_to_segment(&axis) - inflate) - 0.25;
-        let scalar_sph = (seg.distance_to_point(Vec3::new(1.0, -1.0, 0.5)) - inflate) - 0.4;
-        assert_eq!(batch[0].to_bits(), scalar_cyl.to_bits());
-        assert_eq!(batch[1].to_bits(), scalar_sph.to_bits());
-        assert_eq!(batch[2].to_bits(), batch[0].to_bits());
-        assert_eq!(batch[3].to_bits(), batch[1].to_bits());
-        assert!(soa.capsule_is_sphere(1) && !soa.capsule_is_sphere(0));
     }
 }

@@ -1,17 +1,13 @@
-//! Property suite for the batched SoA distance kernels and the
-//! closed-form segment–AABB distance.
+//! Property suite for the closed-form segment–AABB distance.
 //!
 //! The closed form replaced a 64-iteration ternary search; this suite
 //! keeps that reference alive *in the tests* and checks the closed form
 //! against it on ≥10k random segment/box triples (plus adversarial
-//! through-box and edge-graze families), and checks the batched x4
-//! kernels bit-identical to the scalar queries they replace. Hand-rolled
-//! property loops on the in-tree seeded PRNG, so failures reproduce
-//! exactly and the suite needs no external dependency.
+//! through-box and edge-graze families). Hand-rolled property loops on
+//! the in-tree seeded PRNG, so failures reproduce exactly and the suite
+//! needs no external dependency.
 
-use rabit_geometry::distance::{
-    segment_aabb_distance, segment_aabb_distance_x4, segment_capsule_distance_x4, ObstacleSoA,
-};
+use rabit_geometry::distance::segment_aabb_distance;
 use rabit_geometry::{Aabb, Segment, Vec3};
 use rabit_util::Rng;
 
@@ -167,69 +163,5 @@ fn closed_form_matches_ternary_on_degenerate_segments() {
             Segment::new(p, q)
         };
         assert_matches_reference(&seg, &b, "degenerate segment");
-    }
-}
-
-#[test]
-fn batched_box_lanes_match_scalar_bitwise_on_random_worlds() {
-    let mut rng = Rng::seed_from_u64(0xb0c5_0a0a);
-    for _ in 0..CASES / 10 {
-        let mut soa = ObstacleSoA::new();
-        let boxes: Vec<Aabb> = (0..8).map(|_| aabb(&mut rng)).collect();
-        for b in &boxes {
-            soa.push_box(b);
-        }
-        let seg = segment(&mut rng);
-        for chunk in [[0u32, 1, 2, 3], [4, 5, 6, 7], [7, 2, 7, 0]] {
-            let batch = segment_aabb_distance_x4(&soa, &seg, &chunk);
-            for (slot, &lane) in chunk.iter().enumerate() {
-                let scalar = segment_aabb_distance(&seg, &boxes[lane as usize]);
-                assert_eq!(
-                    batch[slot].to_bits(),
-                    scalar.to_bits(),
-                    "box lane {lane} diverged from scalar"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_capsule_lanes_match_scalar_bitwise_on_random_worlds() {
-    let mut rng = Rng::seed_from_u64(0xca55_0a0a);
-    for _ in 0..CASES / 10 {
-        let mut soa = ObstacleSoA::new();
-        let mut lanes = Vec::new();
-        for i in 0..8 {
-            let r = rng.random_range(0.01..1.0);
-            if i % 3 == 0 {
-                let center = vec3(&mut rng);
-                soa.push_sphere(center, r);
-                lanes.push((Segment::new(center, center), r));
-            } else {
-                let axis = segment(&mut rng);
-                soa.push_capsule(&axis, r);
-                lanes.push((axis, r));
-            }
-        }
-        let seg = segment(&mut rng);
-        let inflate = rng.random_range(0.0..0.5);
-        for chunk in [[0u32, 1, 2, 3], [4, 5, 6, 7], [3, 3, 0, 6]] {
-            let batch = segment_capsule_distance_x4(&soa, &seg, inflate, &chunk);
-            for (slot, &lane) in chunk.iter().enumerate() {
-                let (axis, r) = &lanes[lane as usize];
-                let raw = if axis.a == axis.b {
-                    seg.distance_to_point(axis.a)
-                } else {
-                    seg.distance_to_segment(axis)
-                };
-                let scalar = (raw - inflate) - r;
-                assert_eq!(
-                    batch[slot].to_bits(),
-                    scalar.to_bits(),
-                    "capsule lane {lane} diverged from scalar"
-                );
-            }
-        }
     }
 }

@@ -3,21 +3,7 @@
 
 use crate::chain::{DhChain, JointConfig, JointLimits};
 use crate::sweep::MotionBound;
-use rabit_geometry::{Aabb, Capsule, Vec3};
-
-/// The union of the capsules' axis-aligned bounds, or `None` for an empty
-/// set. This is the whole-arm probe of the certificate query: everything
-/// the arm occupies (links, gripper, held object) lies inside it, so a
-/// world free-distance measured around it lower-bounds every per-capsule
-/// clearance at once.
-pub fn capsules_union_bound(capsules: &[Capsule]) -> Option<Aabb> {
-    let mut probe: Option<Aabb> = None;
-    for c in capsules {
-        let b = c.bounding_box();
-        probe = Some(probe.map_or(b, |p| p.union(&b)));
-    }
-    probe
-}
+use rabit_geometry::{Capsule, Vec3};
 
 /// Gripper open/closed state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

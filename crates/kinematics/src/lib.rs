@@ -40,6 +40,6 @@ pub mod presets;
 pub mod sweep;
 pub mod trajectory;
 
-pub use arm::{capsules_union_bound, ArmModel, GripperState, HeldObject};
+pub use arm::{ArmModel, GripperState, HeldObject};
 pub use chain::{wrap_to_pi, DhChain, DhParam, JointConfig, JointLimits};
 pub use sweep::MotionBound;

@@ -114,36 +114,14 @@ impl MotionBound {
 
     /// Upper bound on the displacement of any point of *any* capsule given
     /// per-joint absolute angle deltas — the whole-arm analogue of
-    /// [`MotionBound::capsule_bound`], used by the whole-arm certificate:
-    /// when the world is provably free within `free` metres of the arm's
-    /// swept bound, every sample whose `whole_arm_bound` stays below
-    /// `free` is hit-free for *all* capsules at once.
+    /// [`MotionBound::capsule_bound`].
     ///
     /// The same delta-soundness caveat as [`MotionBound::capsule_bound`]
     /// applies: pass accumulated raw variation when bounding motion along
     /// an executed trajectory.
     #[inline]
     pub fn whole_arm_bound(&self, abs_deltas: &[f64; 6]) -> f64 {
-        self.group_bound(0..CAPSULE_COUNT, abs_deltas)
-    }
-
-    /// Upper bound on the displacement of any point of any capsule in the
-    /// index range `group` — the grouped analogue of
-    /// [`MotionBound::whole_arm_bound`]. The certificate splits the arm
-    /// into a proximal and a distal capsule group so the slow links near
-    /// the platform are not charged for the fast tool's motion (and vice
-    /// versa for clearance).
-    ///
-    /// The same delta-soundness caveat as [`MotionBound::capsule_bound`]
-    /// applies: pass accumulated raw variation when bounding motion along
-    /// an executed trajectory.
-    #[inline]
-    pub fn group_bound(&self, group: core::ops::Range<usize>, abs_deltas: &[f64; 6]) -> f64 {
-        let mut max = 0.0f64;
-        for l in group {
-            max = max.max(self.capsule_bound(l, abs_deltas));
-        }
-        max
+        (0..CAPSULE_COUNT).fold(0.0, |max, l| max.max(self.capsule_bound(l, abs_deltas)))
     }
 
     /// Sound upper bound on how far *any* point of *any* capsule travels

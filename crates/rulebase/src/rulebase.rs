@@ -238,25 +238,6 @@ impl Rulebase {
         }
     }
 
-    /// Like [`Rulebase::check`] but stops at the first violation — the
-    /// fast path used in deployment, since RABIT stops the experiment on
-    /// the first alert anyway.
-    pub fn check_first(
-        &self,
-        command: &Command,
-        state: &LabState,
-        catalog: &DeviceCatalog,
-    ) -> Option<Violation> {
-        let ctx = RuleCtx { catalog };
-        let actor = catalog.device_type(&command.actor).map(ActorClass::of);
-        self.index
-            .bucket(command.action.class())
-            .iter()
-            .map(|&i| &self.rules[i as usize])
-            .filter(|rule| rule.signature().matches_actor(actor))
-            .find_map(|rule| rule.check(command, state, &ctx))
-    }
-
     /// Reference path: evaluates **every** rule linearly, ignoring the
     /// dispatch index. Used by benches and differential tests to pin the
     /// indexed path against the pre-index semantics.
@@ -273,22 +254,6 @@ impl Rulebase {
             .filter(|(_, &enabled)| enabled)
             .filter_map(|(rule, _)| rule.check(command, state, &ctx))
             .collect()
-    }
-
-    /// Reference path twin of [`Rulebase::check_first`]: linear scan,
-    /// no index.
-    pub fn check_first_linear(
-        &self,
-        command: &Command,
-        state: &LabState,
-        catalog: &DeviceCatalog,
-    ) -> Option<Violation> {
-        let ctx = RuleCtx { catalog };
-        self.rules
-            .iter()
-            .zip(&self.enabled)
-            .filter(|(_, &enabled)| enabled)
-            .find_map(|(rule, _)| rule.check(command, state, &ctx))
     }
 
     /// Starts a batched mutation session: the same mutators as the
@@ -443,10 +408,6 @@ mod tests {
         let violations = rb.check(&cmd, &state, &cat);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].rule, RuleId::General(1));
-        assert_eq!(
-            rb.check_first(&cmd, &state, &cat).unwrap().rule,
-            RuleId::General(1)
-        );
     }
 
     #[test]
@@ -460,7 +421,6 @@ mod tests {
             },
         );
         assert!(rb.check(&cmd, &closed_door_state(), &cat).is_empty());
-        assert!(rb.check_first(&cmd, &closed_door_state(), &cat).is_none());
     }
 
     #[test]
@@ -497,8 +457,6 @@ mod tests {
         assert_eq!(rb.enabled_count(), 14);
         assert!(rb.check(&cmd, &state, &cat).is_empty());
         assert!(rb.check_linear(&cmd, &state, &cat).is_empty());
-        assert!(rb.check_first(&cmd, &state, &cat).is_none());
-        assert!(rb.check_first_linear(&cmd, &state, &cat).is_none());
         // Re-enable: fires again.
         assert!(rb.set_enabled(&RuleId::General(1), true));
         assert_eq!(rb.enabled_count(), 15);
@@ -601,11 +559,6 @@ mod tests {
             let indexed: Vec<Violation> = rb.check(cmd, &state, &cat).into_vec();
             let linear = rb.check_linear(cmd, &state, &cat);
             assert_eq!(indexed, linear, "index diverged on {cmd}");
-            assert_eq!(
-                rb.check_first(cmd, &state, &cat),
-                rb.check_first_linear(cmd, &state, &cat),
-                "check_first diverged on {cmd}"
-            );
         }
     }
 

@@ -182,13 +182,14 @@ impl ObstacleShape {
 }
 
 /// One primitive of a shape's distance decomposition, as consumed by the
-/// world's structure-of-arrays distance index. Each primitive mirrors the
-/// corresponding arm of [`ObstacleShape::distance_to_capsule`] exactly —
-/// hemispheres decompose to their *full* bounding sphere (the same sound
-/// underestimate the scalar path uses) — so a minimum over a shape's
-/// primitives reproduces the scalar clearance bit for bit. `bound` is the
-/// part's broad-phase bound, matching [`ObstacleShape::bounding_box`] so a
+/// world's distance index. Each primitive mirrors the corresponding arm of
+/// [`ObstacleShape::distance_to_capsule`] exactly — hemispheres decompose
+/// to their *full* bounding sphere (the same sound underestimate the
+/// shape-level path uses) — so a minimum over a shape's primitives
+/// reproduces the shape-level clearance bit for bit. `bound` is the part's
+/// broad-phase bound, matching [`ObstacleShape::bounding_box`] so a
 /// primitive-level index prunes no differently than the obstacle-level one.
+#[derive(Debug, Clone)]
 pub(crate) enum DistancePrim {
     /// An axis-aligned cuboid.
     Box(Aabb),
@@ -210,6 +211,32 @@ pub(crate) enum DistancePrim {
         /// Broad-phase bound of the part.
         bound: Aabb,
     },
+}
+
+impl DistancePrim {
+    /// The primitive's broad-phase bound.
+    pub(crate) fn bound(&self) -> Aabb {
+        match self {
+            DistancePrim::Box(aabb) => *aabb,
+            DistancePrim::Capsule { bound, .. } | DistancePrim::Sphere { bound, .. } => *bound,
+        }
+    }
+
+    /// Signed surface distance from `capsule` to this primitive (negative
+    /// on interpenetration). The query capsule's radius is subtracted
+    /// before the primitive's, the operation order of
+    /// [`ObstacleShape::distance_to_capsule`], so both agree bit for bit.
+    pub(crate) fn distance_to_capsule(&self, capsule: &Capsule) -> f64 {
+        match self {
+            DistancePrim::Box(aabb) => collide::capsule_aabb_distance(capsule, aabb),
+            DistancePrim::Capsule {
+                segment, radius, ..
+            } => (capsule.segment.distance_to_segment(segment) - capsule.radius) - radius,
+            DistancePrim::Sphere { center, radius, .. } => {
+                (capsule.segment.distance_to_point(*center) - capsule.radius) - radius
+            }
+        }
+    }
 }
 
 impl ObstacleShape {

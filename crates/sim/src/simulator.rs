@@ -18,7 +18,7 @@ use rabit_geometry::{Capsule, Pose, Vec3};
 use rabit_kinematics::ik::{solve_position, IkParams};
 use rabit_kinematics::sweep::CAPSULE_COUNT;
 use rabit_kinematics::trajectory::Trajectory;
-use rabit_kinematics::{capsules_union_bound, ArmModel, HeldObject, JointConfig};
+use rabit_kinematics::{ArmModel, HeldObject, JointConfig};
 use std::collections::BTreeMap;
 
 /// The paper's measured simulator overhead per collision check when the
@@ -51,10 +51,6 @@ pub struct SimConfig {
     /// Whether held objects extend the arm geometry (the post-Bug-D
     /// modification).
     pub model_held_objects: bool,
-    /// Whether sweeps use the broad-phase AABB index to prune obstacle
-    /// candidates before the narrow-phase capsule tests. Verdicts are
-    /// identical either way; pruning only changes the work done.
-    pub broad_phase: bool,
     /// Whether repeated validations are served from the verdict cache
     /// (keyed on arm, start pose, goal, held object, and world epoch).
     /// Verdicts are identical either way; caching only changes the work
@@ -66,12 +62,6 @@ pub struct SimConfig {
     /// kernel only skips samples it can prove hit-free from measured
     /// clearance and the arm's Lipschitz motion bound.
     pub dense_sampling: bool,
-    /// Whether the adaptive kernel tries the whole-arm certificate before
-    /// the per-capsule clearance machinery: one free-distance query around
-    /// the arm's swept bound can certify a whole run of samples hit-free
-    /// at once. Verdicts are identical either way; the certificate only
-    /// changes the work done.
-    pub whole_arm_certificate: bool,
 }
 
 impl Default for SimConfig {
@@ -80,10 +70,8 @@ impl Default for SimConfig {
             poll_interval_s: 0.05,
             gui: true,
             model_held_objects: true,
-            broad_phase: true,
             verdict_cache: true,
             dense_sampling: false,
-            whole_arm_certificate: true,
         }
     }
 }
@@ -122,22 +110,6 @@ const DENSE_WINDOW: usize = 8;
 /// at most a few centimetres, so one tree walk serves a whole run of
 /// samples.
 const QUERY_CACHE_SLACK: f64 = 0.1;
-
-/// Minimum number of skippable samples for a whole-arm certificate span
-/// to be accepted. Below it the per-capsule path wins anyway (its skip
-/// budgets are per-link and therefore tighter), so the kernel falls
-/// through rather than booking a span that saves less than it cost.
-const WHOLE_ARM_MIN_SPAN: usize = 3;
-
-/// First capsule of the certificate's *distal* group. The whole-arm
-/// certificate probes two capsule groups separately — proximal
-/// (`1..CERT_DISTAL_SPLIT`: shoulder and upper arm, slow but pinned
-/// near the mounting platform) and distal (`CERT_DISTAL_SPLIT..`:
-/// forearm through gripper, fast but usually high above the deck) — so
-/// the platform's proximity to the slow links is not charged against
-/// the fast links' motion budget, which would collapse every span to a
-/// sample or two.
-const CERT_DISTAL_SPLIT: usize = 3;
 
 /// Number of upcoming grid samples a clearance probe is sized to cover:
 /// each capsule's probe cap is its per-sample motion bound times this
@@ -304,16 +276,8 @@ pub struct ExtendedSimulator {
     /// Grid samples the adaptive kernel proved hit-free and skipped.
     samples_skipped: u64,
     /// Per-primitive exact signed-distance evaluations issued by the
-    /// adaptive kernel's clearance and free-distance queries.
+    /// adaptive kernel's clearance queries.
     distance_queries: u64,
-    /// Lane slots pushed through the 4-wide SoA distance kernels,
-    /// including padding lanes on ragged tails (i.e. 4 × kernel
-    /// invocations) — together with `distance_queries` this measures the
-    /// batching efficiency of the clearance path.
-    distance_evals_batched: u64,
-    /// Whole-arm certificate spans accepted by the adaptive kernel (each
-    /// elided the per-capsule machinery for a run of samples).
-    certificate_spans: u64,
     /// Temporal-coherence caches for broad-phase queries — one for
     /// narrow-phase probes, one for the wider clearance probes (mixing
     /// them would thrash: the probes differ in size every sample). Both
@@ -330,10 +294,8 @@ pub struct ExtendedSimulator {
     /// Exclusion bitset, resolved once per sweep from the exclusion names
     /// and reused across every sample of the trajectory.
     scratch_mask: ExclusionMask,
-    /// Packet-query buffers for the batched clearance kernel.
+    /// Packet-query buffers for the batched clearance query.
     scratch_clear: ClearanceScratch,
-    /// Candidate buffer for whole-arm free-distance queries.
-    scratch_free: Vec<usize>,
     /// Adaptive-kernel buffers: the materialised sample grid, the
     /// remaining per-joint variation suffix sums, and the batched-FK
     /// window (configurations in, pose rows out).
@@ -360,8 +322,6 @@ impl ExtendedSimulator {
             ik_cache: BTreeMap::new(),
             samples_skipped: 0,
             distance_queries: 0,
-            distance_evals_batched: 0,
-            certificate_spans: 0,
             query_cache: QueryCache::new(),
             clearance_cache: QueryCache::new(),
             query_cache_epoch: 0,
@@ -370,7 +330,6 @@ impl ExtendedSimulator {
             scratch_prune: Vec::new(),
             scratch_mask: ExclusionMask::default(),
             scratch_clear: ClearanceScratch::default(),
-            scratch_free: Vec::new(),
             scratch_grid: Vec::new(),
             scratch_suffix: Vec::new(),
             scratch_window: Vec::new(),
@@ -416,9 +375,8 @@ impl ExtendedSimulator {
         self.checks
     }
 
-    /// Number of narrow-phase obstacle tests performed so far. With
-    /// `broad_phase` enabled this grows far slower than
-    /// `checks × obstacles`.
+    /// Number of narrow-phase obstacle tests performed so far. Broad-phase
+    /// pruning keeps this far below `checks × obstacles`.
     pub fn narrow_checks_performed(&self) -> u64 {
         self.narrow_checks
     }
@@ -431,26 +389,10 @@ impl ExtendedSimulator {
     }
 
     /// Number of per-primitive exact signed-distance evaluations the
-    /// adaptive sweep kernel issued while measuring clearance and
-    /// whole-arm free distance. Always zero with
-    /// [`SimConfig::dense_sampling`].
+    /// adaptive sweep kernel issued while measuring clearance. Always
+    /// zero with [`SimConfig::dense_sampling`].
     pub fn distance_queries(&self) -> u64 {
         self.distance_queries
-    }
-
-    /// Number of lane slots pushed through the 4-wide SoA distance
-    /// kernels (including padding lanes; 4 × kernel invocations). The
-    /// ratio `distance_queries / distance_evals_batched` is the lane
-    /// occupancy of the batched clearance path.
-    pub fn distance_evals_batched(&self) -> u64 {
-        self.distance_evals_batched
-    }
-
-    /// Number of whole-arm certificate spans the adaptive kernel
-    /// accepted. Always zero with [`SimConfig::dense_sampling`] or with
-    /// [`SimConfig::whole_arm_certificate`] off.
-    pub fn certificate_spans(&self) -> u64 {
-        self.certificate_spans
     }
 
     /// The simulator configuration.
@@ -563,7 +505,8 @@ impl ExtendedSimulator {
         }
     }
 
-    /// The dense sweep: every sample of the polling grid is checked.
+    /// The dense sweep: every sample of the polling grid is checked, with
+    /// BVH-pruned candidates.
     ///
     /// Allocation-free in steady state: samples stream from the
     /// trajectory iterator, and the capsule and broad-phase buffers are
@@ -587,12 +530,9 @@ impl ExtendedSimulator {
                 // Skip the base link (capsule 0): it is bolted to the
                 // mounting platform, so its permanent contact with the
                 // platform slab is not a collision.
-                let (hit, tested) = self.world.first_hit_detailed_masked(
-                    &capsules[1..],
-                    &mask,
-                    self.config.broad_phase,
-                    &mut prune,
-                );
+                let (hit, tested) =
+                    self.world
+                        .first_hit_detailed_masked(&capsules[1..], &mask, &mut prune);
                 self.narrow_checks += tested;
                 if let Some(hit) = hit {
                     result = Some(CollisionReport {
@@ -670,7 +610,6 @@ impl ExtendedSimulator {
         let mut poses = std::mem::take(&mut self.scratch_poses);
         let mut mask = std::mem::take(&mut self.scratch_mask);
         let mut cscratch = std::mem::take(&mut self.scratch_clear);
-        let mut free_scratch = std::mem::take(&mut self.scratch_free);
         self.world.fill_exclusion_mask(exclude, &mut mask);
         let mut result = None;
 
@@ -722,79 +661,12 @@ impl ExtendedSimulator {
                         .link_capsules_into(&grid[i].1, held, &mut capsules),
                 }
 
-                // Whole-arm certificate: two free-distance queries, one
-                // around the union bound of the proximal capsules and
-                // one around the distal ones. When the world is provably
-                // free within a positive margin of both probes, the
-                // anchor sample is hit-free for every capsule at once —
-                // no per-capsule clearances, no narrow phase — and every
-                // upcoming sample whose per-group motion bounds stay
-                // inside the measured free distances is skipped in the
-                // same stroke.
                 // Per-sample step deltas at this anchor: the probe caps
                 // below are sized to `SKIP_HORIZON_SAMPLES` of them.
                 let mut step = [0.0_f64; 6];
                 if i + 1 < n {
                     for (j, d) in step.iter_mut().enumerate() {
                         *d = (grid[i + 1].1.angle(j) - grid[i].1.angle(j)).abs();
-                    }
-                }
-
-                if self.config.whole_arm_certificate && i + 1 < n {
-                    let (prox, dist) = capsules[1..].split_at(CERT_DISTAL_SPLIT - 1);
-                    if let (Some(probe_p), Some(probe_d)) =
-                        (capsules_union_bound(prox), capsules_union_bound(dist))
-                    {
-                        let group_cap = |group: core::ops::Range<usize>| {
-                            (bound.group_bound(group.clone(), &step) * SKIP_HORIZON_SAMPLES)
-                                .min(bound.group_bound(group, &suffix[i]))
-                                .min(MAX_CLEARANCE_CAP)
-                                + CLEARANCE_MARGIN
-                        };
-                        let (free_p, evals) = self.world.free_distance_masked(
-                            &probe_p,
-                            &mask,
-                            group_cap(1..CERT_DISTAL_SPLIT),
-                            &mut free_scratch,
-                        );
-                        self.distance_queries += evals;
-                        let free_d = if free_p > CLEARANCE_MARGIN {
-                            let (free_d, evals) = self.world.free_distance_masked(
-                                &probe_d,
-                                &mask,
-                                group_cap(CERT_DISTAL_SPLIT..CAPSULE_COUNT),
-                                &mut free_scratch,
-                            );
-                            self.distance_queries += evals;
-                            free_d
-                        } else {
-                            0.0
-                        };
-                        if free_p > CLEARANCE_MARGIN && free_d > CLEARANCE_MARGIN {
-                            let mut s = 0;
-                            while i + s + 1 < n {
-                                let cand = &grid[i + s + 1].1;
-                                let mut delta = [0.0_f64; 6];
-                                for (j, d) in delta.iter_mut().enumerate() {
-                                    *d = (cand.angle(j) - grid[i].1.angle(j)).abs();
-                                }
-                                let move_p = bound.group_bound(1..CERT_DISTAL_SPLIT, &delta);
-                                let move_d =
-                                    bound.group_bound(CERT_DISTAL_SPLIT..CAPSULE_COUNT, &delta);
-                                if move_p > free_p - CLEARANCE_MARGIN
-                                    || move_d > free_d - CLEARANCE_MARGIN
-                                {
-                                    break;
-                                }
-                                s += 1;
-                            }
-                            if s >= WHOLE_ARM_MIN_SPAN {
-                                self.certificate_spans += 1;
-                                self.samples_skipped += s as u64;
-                                i += s + 1;
-                                continue 'sweep;
-                            }
-                        }
                     }
                 }
 
@@ -813,7 +685,7 @@ impl ExtendedSimulator {
                         + CLEARANCE_MARGIN;
                 }
                 let mut clearances = [0.0_f64; CAPSULE_COUNT - 1];
-                let (evals, lanes) = self.world.clearances_into_masked(
+                let evals = self.world.clearances_into_masked(
                     &capsules[1..],
                     &mask,
                     &caps,
@@ -823,7 +695,6 @@ impl ExtendedSimulator {
                     &mut clearances,
                 );
                 self.distance_queries += evals;
-                self.distance_evals_batched += lanes;
                 if clearances.iter().any(|&c| c <= 0.0) {
                     // Some capsule touches something: only now is the
                     // exact narrow phase needed, and it decides the
@@ -893,7 +764,6 @@ impl ExtendedSimulator {
         self.scratch_poses = poses;
         self.scratch_mask = mask;
         self.scratch_clear = cscratch;
-        self.scratch_free = free_scratch;
         result
     }
 
@@ -1278,14 +1148,6 @@ impl TrajectoryValidator for ExtendedSimulator {
 
     fn distance_queries(&self) -> u64 {
         self.distance_queries
-    }
-
-    fn distance_evals_batched(&self) -> u64 {
-        self.distance_evals_batched
-    }
-
-    fn certificate_spans(&self) -> u64 {
-        self.certificate_spans
     }
 }
 

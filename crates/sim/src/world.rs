@@ -9,7 +9,7 @@
 
 use crate::shapes::{DistancePrim, ObstacleShape};
 use rabit_geometry::broadphase::{Bvh, PacketLists, QueryCache};
-use rabit_geometry::{distance, Aabb, Capsule, Vec3};
+use rabit_geometry::{Aabb, Capsule, Vec3};
 
 /// A named obstacle (historically a cuboid; any [`ObstacleShape`] today).
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +55,8 @@ impl NamedBox {
 pub struct SimWorld {
     obstacles: Vec<NamedBox>,
     index: Bvh,
-    /// Primitive-level distance index (SoA layout + its own BVH) driving
-    /// the batched clearance kernels. Rebuilt alongside `index`.
+    /// Primitive-level distance index (primitives + their own BVH) driving
+    /// the clearance queries. Rebuilt alongside `index`.
     dist: DistanceIndex,
     /// Monotonic mutation counter: bumped on every obstacle change, so
     /// downstream caches (the simulator's verdict cache) can key on it
@@ -65,21 +65,17 @@ pub struct SimWorld {
 }
 
 /// The distance decomposition of the obstacle set: every shape flattened
-/// into box and capsule/sphere primitives stored structure-of-arrays
-/// (see [`rabit_geometry::distance::ObstacleSoA`]), plus a BVH over the
-/// per-primitive broad-phase bounds. Box primitives occupy primitive ids
-/// `0..n_boxes`, capsule primitives follow — so an ascending candidate
-/// list splits into the two kernel batches with one partition point.
+/// into box, capsule and sphere primitives in obstacle order, plus a BVH
+/// over the per-primitive broad-phase bounds.
 #[derive(Debug, Clone, Default)]
 struct DistanceIndex {
-    soa: distance::ObstacleSoA,
+    prims: Vec<DistancePrim>,
     /// Primitive id → owning obstacle index.
     owners: Vec<u32>,
     /// Per-primitive broad-phase bounds (matching the owning part's
     /// [`ObstacleShape::bounding_box`] contribution).
     bounds: Vec<Aabb>,
     bvh: Bvh,
-    n_boxes: usize,
 }
 
 impl PartialEq for SimWorld {
@@ -195,43 +191,14 @@ impl SimWorld {
         let bounds: Vec<Aabb> = self.obstacles.iter().map(|o| o.bounding_box()).collect();
         self.index = Bvh::build(&bounds);
         let di = &mut self.dist;
-        di.soa.clear();
+        di.prims.clear();
         di.owners.clear();
         di.bounds.clear();
-        // Two passes keep all box primitives in the low primitive ids, so
-        // candidate lists (always ascending) split into the two kernel
-        // batches at a single partition point.
         for (i, o) in self.obstacles.iter().enumerate() {
             o.shape.for_each_distance_prim(&mut |prim| {
-                if let DistancePrim::Box(aabb) = prim {
-                    di.soa.push_box(&aabb);
-                    di.owners.push(i as u32);
-                    di.bounds.push(aabb);
-                }
-            });
-        }
-        di.n_boxes = di.owners.len();
-        for (i, o) in self.obstacles.iter().enumerate() {
-            o.shape.for_each_distance_prim(&mut |prim| match prim {
-                DistancePrim::Box(_) => {}
-                DistancePrim::Capsule {
-                    segment,
-                    radius,
-                    bound,
-                } => {
-                    di.soa.push_capsule(&segment, radius);
-                    di.owners.push(i as u32);
-                    di.bounds.push(bound);
-                }
-                DistancePrim::Sphere {
-                    center,
-                    radius,
-                    bound,
-                } => {
-                    di.soa.push_sphere(center, radius);
-                    di.owners.push(i as u32);
-                    di.bounds.push(bound);
-                }
+                di.owners.push(i as u32);
+                di.bounds.push(prim.bound());
+                di.prims.push(prim);
             });
         }
         di.bvh = Bvh::build(&di.bounds);
@@ -294,29 +261,18 @@ impl SimWorld {
         broad_phase: bool,
     ) -> (Option<&NamedBox>, u64) {
         let mut scratch = Vec::new();
-        self.first_hit_counting_with(capsules, exclude, broad_phase, &mut scratch)
-    }
-
-    /// As [`SimWorld::first_hit_counting`], reusing a caller-owned
-    /// candidate buffer for the broad-phase query so a sweep over many
-    /// trajectory samples performs no per-sample allocation.
-    pub fn first_hit_counting_with(
-        &self,
-        capsules: &[Capsule],
-        exclude: &[&str],
-        broad_phase: bool,
-        scratch: &mut Vec<usize>,
-    ) -> (Option<&NamedBox>, u64) {
-        let (hit, tested) = self.first_hit_detailed_with(capsules, exclude, broad_phase, scratch);
+        let (hit, tested) =
+            self.first_hit_detailed_with(capsules, exclude, broad_phase, &mut scratch);
         (hit.map(|h| h.obstacle), tested)
     }
 
-    /// As [`SimWorld::first_hit_counting_with`], additionally reporting
-    /// *which* capsule hit and an approximate contact point — the data a
+    /// As [`SimWorld::first_hit_counting`], additionally reporting *which*
+    /// capsule hit and an approximate contact point — the data a
     /// structured [`CollisionReport`] needs. The contact point is the
     /// point on the hitting capsule's axis closest to the obstacle's
     /// bounding-box center (exact penetration geometry is not needed for
-    /// an alert; the operator needs "link 4, above the hotplate").
+    /// an alert; the operator needs "link 4, above the hotplate"). The
+    /// broad-phase query reuses the caller-owned `scratch` buffer.
     ///
     /// [`CollisionReport`]: rabit_core::CollisionReport
     pub fn first_hit_detailed_with(
@@ -327,43 +283,29 @@ impl SimWorld {
         scratch: &mut Vec<usize>,
     ) -> (Option<HitDetail<'_>>, u64) {
         let mask = self.exclusion_mask(exclude);
-        self.first_hit_detailed_masked(capsules, &mask, broad_phase, scratch)
+        if broad_phase {
+            self.first_hit_detailed_masked(capsules, &mask, scratch)
+        } else {
+            self.narrow_scan(capsules, &mask, 0..self.obstacles.len())
+        }
     }
 
-    /// As [`SimWorld::first_hit_detailed_with`], resolving exclusions
-    /// through a prebuilt [`ExclusionMask`] instead of comparing name
-    /// strings per obstacle. The sweep kernel builds the mask once per
-    /// trajectory and reuses it for every sample.
+    /// As [`SimWorld::first_hit_detailed_with`] with BVH pruning,
+    /// resolving exclusions through a prebuilt [`ExclusionMask`] instead
+    /// of comparing name strings per obstacle. The dense sweep builds the
+    /// mask once per trajectory and reuses it for every sample.
     pub fn first_hit_detailed_masked(
         &self,
         capsules: &[Capsule],
         mask: &ExclusionMask,
-        broad_phase: bool,
         scratch: &mut Vec<usize>,
     ) -> (Option<HitDetail<'_>>, u64) {
         debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
-        let mut tested = 0;
-        let mut narrow = |o: &NamedBox| -> Option<usize> {
-            tested += 1;
-            capsules.iter().position(|c| o.shape.intersects_capsule(c))
+        let Some(probe) = union_bound(capsules) else {
+            return (None, 0);
         };
-        let hit = if broad_phase {
-            union_bound(capsules).and_then(|probe| {
-                self.index.query_into(&probe, scratch);
-                scratch
-                    .iter()
-                    .filter(|&&i| !mask.excludes(i))
-                    .map(|&i| &self.obstacles[i])
-                    .find_map(|o| narrow(o).map(|i| (o, i)))
-            })
-        } else {
-            self.obstacles
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !mask.excludes(i))
-                .find_map(|(_, o)| narrow(o).map(|i| (o, i)))
-        };
-        (hit.map(|(o, i)| self.detail_for(capsules, o, i)), tested)
+        self.index.query_into(&probe, scratch);
+        self.narrow_scan(capsules, mask, scratch.iter().copied())
     }
 
     /// As [`SimWorld::first_hit_detailed_with`] with broad-phase pruning,
@@ -403,11 +345,23 @@ impl SimWorld {
             return (None, 0);
         };
         self.index.query_into_cached(&probe, slack, cache, scratch);
+        self.narrow_scan(capsules, mask, scratch.iter().copied())
+    }
+
+    /// The narrow phase over candidate obstacle indices (ascending): the
+    /// first non-excluded obstacle any capsule intersects, plus the
+    /// number of obstacles tested.
+    fn narrow_scan(
+        &self,
+        capsules: &[Capsule],
+        mask: &ExclusionMask,
+        candidates: impl IntoIterator<Item = usize>,
+    ) -> (Option<HitDetail<'_>>, u64) {
         let mut tested = 0;
-        let hit = scratch
-            .iter()
-            .filter(|&&i| !mask.excludes(i))
-            .map(|&i| &self.obstacles[i])
+        let hit = candidates
+            .into_iter()
+            .filter(|&i| !mask.excludes(i))
+            .map(|i| &self.obstacles[i])
             .find_map(|o| {
                 tested += 1;
                 capsules
@@ -442,17 +396,12 @@ impl SimWorld {
         let mask = self.exclusion_mask(exclude);
         let probe = capsule.bounding_box().inflated(cap);
         self.dist.bvh.query_into(&probe, scratch);
-        let (clearance, evals, _) = self.prim_clearance(capsule, &mask, cap, scratch);
-        (clearance, evals)
+        self.prim_clearance(capsule, &mask, cap, scratch)
     }
 
-    /// The shared narrow-phase clearance kernel: min distance from
-    /// `capsule` to the candidate primitives (ascending prim ids from the
-    /// distance-index BVH), clamped to `cap`, skipping masked owners.
-    /// Candidates are split at the box/capsule partition point and fed
-    /// through the 4-wide SoA kernels; ragged tails are padded by
-    /// repeating the last lane (padding lanes are computed but not
-    /// min-folded, so results are bit-identical to a scalar scan).
+    /// The shared clearance kernel: min distance from `capsule` to the
+    /// candidate primitives (prim ids from the distance-index BVH),
+    /// clamped to `cap`, skipping masked owners.
     ///
     /// Each candidate is prefiltered with the cheap box-to-box gap
     /// between its broad-phase bound and the capsule's: the gap is a
@@ -464,161 +413,32 @@ impl SimWorld {
     /// coherence caches and are supersets of the current probe's true
     /// candidates.
     ///
-    /// Returns `(clearance, exact_evals, kernel_lane_slots)` and stops
-    /// after the first chunk that drives the clearance non-positive.
+    /// Returns `(clearance, exact_evals)` and stops at the first
+    /// primitive that drives the clearance non-positive.
     fn prim_clearance(
         &self,
         capsule: &Capsule,
         mask: &ExclusionMask,
         cap: f64,
         candidates: &[usize],
-    ) -> (f64, u64, u64) {
+    ) -> (f64, u64) {
         let di = &self.dist;
-        let split = candidates.partition_point(|&p| p < di.n_boxes);
         let probe_bb = capsule.bounding_box();
         let mut clearance = cap;
-        let mut evals = 0u64;
-        let mut lanes = 0u64;
-        let mut batch = [0u32; 4];
-        let mut n = 0usize;
-
-        let flush_boxes =
-            |batch: &[u32; 4], n: usize, clearance: &mut f64, evals: &mut u64, lanes: &mut u64| {
-                let d = distance::segment_aabb_distance_x4(&di.soa, &capsule.segment, batch);
-                for &v in d.iter().take(n) {
-                    *clearance = clearance.min(v - capsule.radius);
-                }
-                *evals += n as u64;
-                *lanes += 4;
-            };
-        for &p in &candidates[..split] {
-            if mask.excludes(di.owners[p] as usize) {
-                continue;
-            }
-            if di.bounds[p].distance_to(&probe_bb) >= clearance {
-                continue;
-            }
-            batch[n] = p as u32;
-            n += 1;
-            if n == 4 {
-                flush_boxes(&batch, 4, &mut clearance, &mut evals, &mut lanes);
-                n = 0;
-                if clearance <= 0.0 {
-                    return (clearance, evals, lanes);
-                }
-            }
-        }
-        if n > 0 {
-            let pad = batch[n - 1];
-            batch[n..].fill(pad);
-            flush_boxes(&batch, n, &mut clearance, &mut evals, &mut lanes);
-            n = 0;
-            if clearance <= 0.0 {
-                return (clearance, evals, lanes);
-            }
-        }
-
-        let flush_capsules =
-            |batch: &[u32; 4], n: usize, clearance: &mut f64, evals: &mut u64, lanes: &mut u64| {
-                let d = distance::segment_capsule_distance_x4(
-                    &di.soa,
-                    &capsule.segment,
-                    capsule.radius,
-                    batch,
-                );
-                for &v in d.iter().take(n) {
-                    *clearance = clearance.min(v);
-                }
-                *evals += n as u64;
-                *lanes += 4;
-            };
-        for &p in &candidates[split..] {
-            if mask.excludes(di.owners[p] as usize) {
-                continue;
-            }
-            if di.bounds[p].distance_to(&probe_bb) >= clearance {
-                continue;
-            }
-            batch[n] = (p - di.n_boxes) as u32;
-            n += 1;
-            if n == 4 {
-                flush_capsules(&batch, 4, &mut clearance, &mut evals, &mut lanes);
-                n = 0;
-                if clearance <= 0.0 {
-                    return (clearance, evals, lanes);
-                }
-            }
-        }
-        if n > 0 {
-            let pad = batch[n - 1];
-            batch[n..].fill(pad);
-            flush_capsules(&batch, n, &mut clearance, &mut evals, &mut lanes);
-        }
-        (clearance, evals, lanes)
-    }
-
-    /// Distance from `probe` to the nearest obstacle surface, or `+∞` for
-    /// an empty world. This is the whole-arm certificate's world query:
-    /// anything (arm link, held object) contained in `probe` is at least
-    /// this far from every obstacle.
-    pub fn free_distance(&self, probe: &Aabb) -> f64 {
-        let mut free = f64::INFINITY;
-        for p in 0..self.dist.owners.len() {
-            free = free.min(self.prim_probe_distance(p, probe));
-        }
-        free
-    }
-
-    /// As [`SimWorld::free_distance`], clamped to `cap`, skipping masked
-    /// obstacles, and pruned through the distance-index BVH (primitives
-    /// farther than `cap` are provably irrelevant under the clamp).
-    /// Returns the free distance and the number of exact evaluations.
-    pub fn free_distance_masked(
-        &self,
-        probe: &Aabb,
-        mask: &ExclusionMask,
-        cap: f64,
-        scratch: &mut Vec<usize>,
-    ) -> (f64, u64) {
-        debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
-        if cap <= 0.0 {
-            return (cap.min(0.0), 0);
-        }
-        let inflated = probe.inflated(cap);
-        self.dist.bvh.query_into(&inflated, scratch);
-        let mut free = cap;
         let mut evals = 0;
-        for &p in scratch.iter() {
-            if mask.excludes(self.dist.owners[p] as usize) {
-                continue;
-            }
-            // Same gap prefilter as `prim_clearance`: a primitive whose
-            // broad-phase bound already sits beyond the running minimum
-            // cannot lower it.
-            if self.dist.bounds[p].distance_to(probe) >= free {
+        for &p in candidates {
+            if mask.excludes(di.owners[p] as usize)
+                || di.bounds[p].distance_to(&probe_bb) >= clearance
+            {
                 continue;
             }
             evals += 1;
-            free = free.min(self.prim_probe_distance(p, probe));
-            if free <= 0.0 {
+            clearance = clearance.min(di.prims[p].distance_to_capsule(capsule));
+            if clearance <= 0.0 {
                 break;
             }
         }
-        (free, evals)
-    }
-
-    /// Exact distance from one distance-index primitive to an AABB probe
-    /// (surface to surface; box primitives via the box-box gap, capsule
-    /// and sphere primitives via the closed-form segment–AABB distance
-    /// minus the primitive radius).
-    fn prim_probe_distance(&self, prim: usize, probe: &Aabb) -> f64 {
-        let di = &self.dist;
-        if prim < di.n_boxes {
-            probe.distance_to(&di.soa.box_aabb(prim))
-        } else {
-            let (seg, r) = di.soa.capsule(prim - di.n_boxes);
-            distance::segment_aabb_distance(&seg, probe) - r
-        }
+        (clearance, evals)
     }
 
     /// Batched clearance for a whole capsule chain: fills `out[l]` with a
@@ -657,13 +477,10 @@ impl SimWorld {
     ) -> u64 {
         let mask = self.exclusion_mask(exclude);
         self.clearances_into_masked(capsules, &mask, caps, slack, cache, scratch, out)
-            .0
     }
 
     /// As [`SimWorld::clearances_into`], resolving exclusions through a
-    /// prebuilt [`ExclusionMask`] and additionally reporting the number of
-    /// lane slots pushed through the 4-wide SoA kernels (including
-    /// padding): the `(exact_evals, kernel_lane_slots)` pair.
+    /// prebuilt [`ExclusionMask`].
     #[allow(clippy::too_many_arguments)]
     pub fn clearances_into_masked(
         &self,
@@ -674,7 +491,7 @@ impl SimWorld {
         cache: &mut QueryCache,
         scratch: &mut ClearanceScratch,
         out: &mut [f64],
-    ) -> (u64, u64) {
+    ) -> u64 {
         assert_eq!(capsules.len(), caps.len(), "one cap per capsule");
         assert_eq!(capsules.len(), out.len(), "one slot per capsule");
         debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
@@ -689,21 +506,19 @@ impl SimWorld {
             scratch.slots.push(l);
         }
         if scratch.probes.is_empty() {
-            return (0, 0);
+            return 0;
         }
         self.dist
             .bvh
             .query_packet_cached(&scratch.probes, slack, cache, &mut scratch.lists);
         let mut evals = 0;
-        let mut lanes = 0;
         for (p, &l) in scratch.slots.iter().enumerate() {
-            let (clearance, e, ln) =
+            let (clearance, e) =
                 self.prim_clearance(&capsules[l], mask, caps[l], scratch.lists.list(p));
             out[l] = clearance;
             evals += e;
-            lanes += ln;
         }
-        (evals, lanes)
+        evals
     }
 
     fn detail_for<'a>(

@@ -1,13 +1,12 @@
 //! Differential test: the adaptive conservative-advancement sweep must
-//! be invisible. Three [`ExtendedSimulator`]s — dense sampling, the
-//! adaptive kernel with whole-arm certificates off, and the full
-//! batched kernel with certificates on — driven with identical command
-//! streams over identical worlds, must return bit-identical verdicts —
-//! including the full [`CollisionReport`] payload (obstacle, link,
-//! contact point, and the triggering sample's fraction) — and mirror
-//! the same arm pose at every step. The adaptive kernels may only
-//! differ in *how much work* they do: every kernel must partition the
-//! same polling grid between checked and skipped samples.
+//! be invisible. Two [`ExtendedSimulator`]s — dense sampling and the
+//! adaptive kernel — driven with identical command streams over
+//! identical worlds, must return bit-identical verdicts — including the
+//! full [`CollisionReport`] payload (obstacle, link, contact point, and
+//! the triggering sample's fraction) — and mirror the same arm pose at
+//! every step. The adaptive kernel may only differ in *how much work*
+//! it does: it must partition the same polling grid between checked
+//! and skipped samples.
 //!
 //! [`CollisionReport`]: rabit_core::CollisionReport
 
@@ -21,25 +20,14 @@ use rabit_util::Rng;
 const WORLDS: usize = 120;
 const COMMANDS_PER_WORLD: usize = 3;
 
-/// The three kernel configurations under differential test.
-#[derive(Clone, Copy)]
-enum Mode {
-    Dense,
-    /// Adaptive skipping on the batched distance kernel, certificates off.
-    Adaptive,
-    /// The full kernel: adaptive skipping plus whole-arm certificates.
-    Certified,
-}
-
-fn sim(world: SimWorld, mode: Mode) -> ExtendedSimulator {
+fn sim(world: SimWorld, dense_sampling: bool) -> ExtendedSimulator {
     ExtendedSimulator::new(
         world,
         SimConfig {
             gui: false,
             // No verdict cache: every command must really sweep.
             verdict_cache: false,
-            dense_sampling: matches!(mode, Mode::Dense),
-            whole_arm_certificate: matches!(mode, Mode::Certified),
+            dense_sampling,
             ..SimConfig::default()
         },
     )
@@ -114,43 +102,38 @@ fn random_command(rng: &mut Rng) -> Command {
     }
 }
 
-/// Per-kernel work counters collected by [`drive_trio`].
+/// Per-kernel work counters collected by [`drive_pair`].
 #[derive(Default, Clone, Copy)]
 struct KernelWork {
     checked: u64,
     skipped: u64,
-    certificate_spans: u64,
 }
 
 fn work(sim: &ExtendedSimulator) -> KernelWork {
     KernelWork {
         checked: sim.samples_checked(),
         skipped: sim.samples_skipped(),
-        certificate_spans: sim.certificate_spans(),
     }
 }
 
-/// Drives the same command stream through a dense, an adaptive
-/// (certificate-off), and a certified simulator over clones of the same
-/// world, asserting bit-identical verdicts and mirrored poses at every
-/// step. Returns the per-kernel work counters in
-/// (dense, adaptive, certified) order plus the verdict mix observed.
-fn drive_trio(
+/// Drives the same command stream through a dense and an adaptive
+/// simulator over clones of the same world, asserting bit-identical
+/// verdicts and mirrored poses at every step. Returns the per-kernel
+/// work counters in (dense, adaptive) order plus the verdict mix
+/// observed.
+fn drive_pair(
     world: SimWorld,
     commands: &[Command],
     label: &str,
-) -> ([KernelWork; 3], usize, usize) {
+) -> ([KernelWork; 2], usize, usize) {
     let st = state();
-    let mut dense = sim(world.clone(), Mode::Dense);
-    let mut adaptive = sim(world.clone(), Mode::Adaptive);
-    let mut certified = sim(world, Mode::Certified);
+    let mut dense = sim(world.clone(), true);
+    let mut adaptive = sim(world, false);
     let (mut safe, mut collisions) = (0, 0);
     for (k, cmd) in commands.iter().enumerate() {
         let vd = dense.validate(cmd, &st);
         let va = adaptive.validate(cmd, &st);
-        let vc = certified.validate(cmd, &st);
-        assert_eq!(va, vd, "{label}, command {k} (certificate off): {cmd:?}");
-        assert_eq!(vc, vd, "{label}, command {k} (certificate on): {cmd:?}");
+        assert_eq!(va, vd, "{label}, command {k}: {cmd:?}");
         match &vd {
             TrajectoryVerdict::Safe => safe += 1,
             TrajectoryVerdict::Collision(_) => collisions += 1,
@@ -162,83 +145,48 @@ fn drive_trio(
             pose,
             "{label}, command {k}: adaptive pose diverged"
         );
-        assert_eq!(
-            certified.arm_configuration(&"ur3e".into()),
-            pose,
-            "{label}, command {k}: certified pose diverged"
-        );
     }
-    (
-        [work(&dense), work(&adaptive), work(&certified)],
-        safe,
-        collisions,
-    )
+    ([work(&dense), work(&adaptive)], safe, collisions)
 }
 
 #[test]
-fn adaptive_and_certified_match_dense_over_many_random_worlds() {
+fn adaptive_matches_dense_over_many_random_worlds() {
     let mut rng = Rng::seed_from_u64(0xADA_517);
     let (mut safe, mut collisions) = (0usize, 0usize);
-    let mut totals = [KernelWork::default(); 3];
+    let mut totals = [KernelWork::default(); 2];
     for w in 0..WORLDS {
         let commands: Vec<Command> = (0..COMMANDS_PER_WORLD)
             .map(|_| random_command(&mut rng))
             .collect();
-        let (runs, s, c) = drive_trio(random_world(&mut rng), &commands, &format!("world {w}"));
-        let [dense, adaptive, certified] = runs;
+        let (runs, s, c) = drive_pair(random_world(&mut rng), &commands, &format!("world {w}"));
+        let [dense, adaptive] = runs;
         assert_eq!(dense.skipped, 0, "dense sampling must not skip");
         assert_eq!(
-            dense.certificate_spans, 0,
-            "dense sampling must not certify spans"
+            adaptive.checked + adaptive.skipped,
+            dense.checked,
+            "world {w}: adaptive kernel must partition the same polling grid"
         );
-        assert_eq!(
-            adaptive.certificate_spans, 0,
-            "certificate-off kernel must not certify spans"
-        );
-        for (name, r) in [("adaptive", &adaptive), ("certified", &certified)] {
-            assert_eq!(
-                r.checked + r.skipped,
-                dense.checked,
-                "world {w}: {name} kernel must partition the same polling grid"
-            );
-        }
         for (i, r) in runs.iter().enumerate() {
             totals[i].checked += r.checked;
             totals[i].skipped += r.skipped;
-            totals[i].certificate_spans += r.certificate_spans;
         }
         safe += s;
         collisions += c;
     }
-    // The suite must actually exercise both outcomes, real skipping, and
-    // real certificate spans, otherwise agreement is vacuous.
+    // The suite must actually exercise both outcomes and real skipping,
+    // otherwise agreement is vacuous.
     assert!(safe > 20, "only {safe} safe verdicts across the suite");
     assert!(
         collisions > 20,
         "only {collisions} collision verdicts across the suite"
     );
-    let [dense, adaptive, certified] = totals;
+    let [dense, adaptive] = totals;
     assert!(
         adaptive.skipped * 2 > adaptive.checked,
         "adaptive kernel barely skipped: {} skipped vs {} checked ({} dense)",
         adaptive.skipped,
         adaptive.checked,
         dense.checked
-    );
-    assert!(
-        certified.certificate_spans > 0,
-        "whole-arm certificate never fired across {WORLDS} worlds"
-    );
-    // The certificate's union-probe free distance is more conservative
-    // per anchor than per-capsule clearance analysis, so it may skip
-    // slightly fewer samples — but it must stay in the same regime (it
-    // wins on wall clock by making each anchor far cheaper, not by
-    // skipping more).
-    assert!(
-        certified.skipped * 10 > adaptive.skipped * 9,
-        "certificates collapsed skipping: {} certified vs {} adaptive",
-        certified.skipped,
-        adaptive.skipped
     );
 }
 
@@ -247,8 +195,8 @@ fn near_graze_boundary_is_bit_identical() {
     // Slide a slab through the swept volume of one fixed move in 1 mm
     // steps, from clearly colliding to clearly free. Every position —
     // including the grazing transition — must agree bit for bit across
-    // all three kernels, and the scan must actually cross the
-    // safe/collision boundary.
+    // both kernels, and the scan must actually cross the safe/collision
+    // boundary.
     let arm = presets::ur3e();
     let home_tool = arm.tool_position(&arm.home_configuration());
     let target = home_tool + Vec3::new(0.0, 0.25, 0.0);
@@ -266,7 +214,7 @@ fn near_graze_boundary_is_bit_identical() {
             ),
         );
         let cmd = Command::new("ur3e", ActionKind::MoveToLocation { target });
-        let (_, s, c) = drive_trio(world, std::slice::from_ref(&cmd), &format!("step {step}"));
+        let (_, s, c) = drive_pair(world, std::slice::from_ref(&cmd), &format!("step {step}"));
         safe += s;
         collisions += c;
     }
@@ -277,37 +225,30 @@ fn near_graze_boundary_is_bit_identical() {
 #[test]
 fn mid_run_world_mutation_is_seen_by_all_kernels() {
     // Mutating the world between commands bumps its epoch; the adaptive
-    // kernels' temporal-coherence caches must notice and neither serve
+    // kernel's temporal-coherence caches must notice and neither serve
     // stale candidates (missing the new obstacle) nor diverge from the
     // dense kernel afterwards.
     let arm = presets::ur3e();
     let home_tool = arm.tool_position(&arm.home_configuration());
     let away = home_tool + Vec3::new(-0.05, 0.18, 0.08);
     let st = state();
-    let mut dense = sim(SimWorld::new(), Mode::Dense);
-    let mut adaptive = sim(SimWorld::new(), Mode::Adaptive);
-    let mut certified = sim(SimWorld::new(), Mode::Certified);
+    let mut dense = sim(SimWorld::new(), true);
+    let mut adaptive = sim(SimWorld::new(), false);
 
     let go = Command::new("ur3e", ActionKind::MoveToLocation { target: away });
     assert_eq!(dense.validate(&go, &st), TrajectoryVerdict::Safe);
     assert_eq!(adaptive.validate(&go, &st), TrajectoryVerdict::Safe);
-    assert_eq!(certified.validate(&go, &st), TrajectoryVerdict::Safe);
 
     // Drop a crate onto the midpoint of the return path.
     let obstacle =
         Aabb::from_center_half_extents(home_tool.lerp(away, 0.5), Vec3::new(0.06, 0.06, 0.06));
     dense.world_mut().add_obstacle("dropped_crate", obstacle);
     adaptive.world_mut().add_obstacle("dropped_crate", obstacle);
-    certified
-        .world_mut()
-        .add_obstacle("dropped_crate", obstacle);
 
     let back = Command::new("ur3e", ActionKind::MoveToLocation { target: home_tool });
     let vd = dense.validate(&back, &st);
     let va = adaptive.validate(&back, &st);
-    let vc = certified.validate(&back, &st);
-    assert_eq!(va, vd, "post-mutation verdicts diverged (certificate off)");
-    assert_eq!(vc, vd, "post-mutation verdicts diverged (certificate on)");
+    assert_eq!(va, vd, "post-mutation verdicts diverged");
     match vd {
         TrajectoryVerdict::Collision(report) => {
             assert_eq!(report.device.as_str(), "dropped_crate");

@@ -51,12 +51,6 @@ pub struct FleetRun {
     /// Per-primitive signed-distance evaluations the validator issued
     /// for skip decisions.
     pub distance_queries: u64,
-    /// Lane slots the validator pushed through its batched (4-wide)
-    /// distance kernels, padding included.
-    pub distance_evals_batched: u64,
-    /// Whole-arm certificate spans the validator's adaptive sweep kernel
-    /// accepted.
-    pub certificate_spans: u64,
     /// Faults the run's lab actually injected (0 without a fault plan).
     pub faults_injected: u64,
     /// The rulebase epoch this run's engine validated against (0 for
@@ -155,16 +149,6 @@ impl FleetReport {
         self.runs.iter().map(|r| r.distance_queries).sum()
     }
 
-    /// Total batched-kernel lane slots across the fleet.
-    pub fn total_distance_evals_batched(&self) -> u64 {
-        self.runs.iter().map(|r| r.distance_evals_batched).sum()
-    }
-
-    /// Total whole-arm certificate spans across the fleet.
-    pub fn total_certificate_spans(&self) -> u64 {
-        self.runs.iter().map(|r| r.certificate_spans).sum()
-    }
-
     /// Fleet-wide sweep skip rate, `skipped / (checked + skipped)`.
     /// `None` when no validator processed any trajectory sample.
     pub fn sweep_skip_rate(&self) -> Option<f64> {
@@ -189,13 +173,6 @@ impl FleetReport {
 /// Determinism: for a deterministic `setup`, the returned
 /// [`FleetReport::runs`] — traces, alerts, and damage logs — is
 /// identical for every `threads >= 1`.
-///
-/// Guarded runs execute on the deployment fast path:
-/// [`RabitConfig::first_violation_only`] is switched on, so rule
-/// evaluation stops at the first violation (the run stops on the first
-/// alert anyway).
-///
-/// [`RabitConfig::first_violation_only`]: rabit_core::RabitConfig::first_violation_only
 pub fn run_fleet<S>(workflows: &[Workflow], threads: usize, setup: S) -> FleetReport
 where
     S: Fn(usize) -> (Lab, Option<Rabit>) + Sync,
@@ -204,7 +181,6 @@ where
         let (mut lab, rabit) = setup(i);
         let (report, cache_hits, cache_misses, sweep, rulebase_epoch) = match rabit {
             Some(mut rabit) => {
-                rabit.config_mut().first_violation_only = true;
                 let report = Tracer::guarded(&mut lab, &mut rabit).run(&workflows[i]);
                 let (hits, misses) = rabit.validator_cache_stats();
                 let sweep = rabit.validator_sweep_stats();
@@ -232,8 +208,6 @@ where
             samples_checked: sweep.samples_checked,
             samples_skipped: sweep.samples_skipped,
             distance_queries: sweep.distance_queries,
-            distance_evals_batched: sweep.distance_evals_batched,
-            certificate_spans: sweep.certificate_spans,
             faults_injected: lab.fault_stats().total_injected(),
             rulebase_epoch,
         }
@@ -368,7 +342,6 @@ impl FleetJob<'_> {
                 Some(snapshot) => self.substrate.instantiate_on(snapshot.clone(), &fault),
                 None => self.substrate.instantiate_with(&fault),
             };
-            rabit.config_mut().first_violation_only = true;
             let report = Tracer::guarded(&mut lab, &mut rabit).run(self.workflow);
             let cache = rabit.validator_cache_stats();
             let sweep = rabit.validator_sweep_stats();
@@ -402,8 +375,6 @@ impl FleetJob<'_> {
             samples_checked: sweep.samples_checked,
             samples_skipped: sweep.samples_skipped,
             distance_queries: sweep.distance_queries,
-            distance_evals_batched: sweep.distance_evals_batched,
-            certificate_spans: sweep.certificate_spans,
             faults_injected: lab.fault_stats().total_injected(),
             rulebase_epoch,
         };
@@ -416,10 +387,10 @@ impl FleetJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rabit_core::RabitConfig;
-    use rabit_devices::{DeviceType, DosingDevice, RobotArm, Vial};
+    use rabit_core::{Alert, RabitConfig};
+    use rabit_devices::{ActionKind, DeviceType, DosingDevice, RobotArm, Vial};
     use rabit_geometry::{Aabb, Vec3};
-    use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rulebase};
+    use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rule, RuleId, Rulebase};
 
     fn lab() -> Lab {
         Lab::new()
@@ -435,15 +406,18 @@ mod tests {
             .with_device(Vial::new("vial", Vec3::new(0.537, 0.018, 0.12)))
     }
 
-    fn rabit() -> Rabit {
-        let catalog = DeviceCatalog::new()
+    fn catalog() -> DeviceCatalog {
+        DeviceCatalog::new()
             .with(
                 DeviceMeta::new("viperx", DeviceType::RobotArm)
                     .with_arm_positions(Vec3::new(0.3, 0.0, 0.3), Vec3::new(0.1, -0.3, 0.2)),
             )
             .with(DeviceMeta::new("doser", DeviceType::DosingSystem).with_door())
-            .with(DeviceMeta::new("vial", DeviceType::Container));
-        Rabit::new(Rulebase::standard(), catalog, RabitConfig::default())
+            .with(DeviceMeta::new("vial", DeviceType::Container))
+    }
+
+    fn rabit() -> Rabit {
+        Rabit::new(Rulebase::standard(), catalog(), RabitConfig::default())
     }
 
     fn workflows() -> Vec<Workflow> {
@@ -485,6 +459,14 @@ mod tests {
 
     struct MiniSubstrate {
         stage: rabit_core::Stage,
+        rulebase: Rulebase,
+    }
+
+    fn mini(stage: Stage) -> MiniSubstrate {
+        MiniSubstrate {
+            stage,
+            rulebase: Rulebase::standard(),
+        }
     }
 
     impl rabit_core::Substrate for MiniSubstrate {
@@ -511,27 +493,17 @@ mod tests {
                 .with_device(Vial::new("vial", Vec3::new(0.537, 0.018, 0.12)))
         }
         fn rulebase(&self) -> rabit_rulebase::RulebaseSnapshot {
-            Rulebase::standard().into()
+            self.rulebase.clone().into()
         }
         fn catalog(&self) -> DeviceCatalog {
-            DeviceCatalog::new()
-                .with(
-                    DeviceMeta::new("viperx", DeviceType::RobotArm)
-                        .with_arm_positions(Vec3::new(0.3, 0.0, 0.3), Vec3::new(0.1, -0.3, 0.2)),
-                )
-                .with(DeviceMeta::new("doser", DeviceType::DosingSystem).with_door())
-                .with(DeviceMeta::new("vial", DeviceType::Container))
+            catalog()
         }
     }
 
     #[test]
     fn substrate_fleet_mixes_stages() {
-        let sim = MiniSubstrate {
-            stage: Stage::Simulator,
-        };
-        let prod = MiniSubstrate {
-            stage: Stage::Production,
-        };
+        let sim = mini(Stage::Simulator);
+        let prod = mini(Stage::Production);
         let wfs = workflows();
         let jobs: Vec<(&dyn Substrate, &Workflow)> = vec![
             (&sim, &wfs[0]),
@@ -555,9 +527,7 @@ mod tests {
 
     #[test]
     fn fleet_job_matches_fleet_semantics() {
-        let sub = MiniSubstrate {
-            stage: Stage::Testbed,
-        };
+        let sub = mini(Stage::Testbed);
         let wfs = workflows();
         // Guarded single job ≡ the same job inside run_fleet_on.
         let jobs: Vec<(&dyn Substrate, &Workflow)> = vec![(&sub, &wfs[1])];
@@ -588,6 +558,58 @@ mod tests {
         .execute();
         assert!(unguarded.report.completed(), "nothing halts pass-through");
         assert_eq!(unguarded.damage.len(), 1, "bug_a breaks the door");
+    }
+
+    /// The standard rulebase plus two rules that both reject opening the
+    /// doser door, so one command violates two rules at once.
+    fn doubly_vetoed() -> Rulebase {
+        let veto = |name: &str| {
+            Rule::new(
+                RuleId::Custom(name.into()),
+                "the doser door stays shut",
+                |cmd, _, _| {
+                    matches!(cmd.action, ActionKind::SetDoor { open: true })
+                        .then(|| "door opened".to_string())
+                },
+            )
+        };
+        Rulebase::standard()
+            .with_rule(veto("veto_a"))
+            .with_rule(veto("veto_b"))
+    }
+
+    fn violated_rules(run: &FleetRun) -> Vec<String> {
+        match &run.report.alert {
+            Some(Alert::InvalidCommand { violations, .. }) => {
+                violations.iter().map(|v| v.rule.to_string()).collect()
+            }
+            other => panic!("expected an invalid-command alert, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn guarded_fleets_report_every_violated_rule() {
+        // `safe2` opens the doser door, which both vetoes reject.
+        let wfs = workflows();
+        let want = ["custom:veto_a", "custom:veto_b"];
+        let fleet = run_fleet(&wfs[2..], 1, |_| {
+            let rabit = Rabit::new(doubly_vetoed(), catalog(), RabitConfig::default());
+            (lab(), Some(rabit))
+        });
+        assert_eq!(violated_rules(&fleet.runs[0]), want, "run_fleet");
+        let sub = MiniSubstrate {
+            stage: Stage::Testbed,
+            rulebase: doubly_vetoed(),
+        };
+        let (run, _) = FleetJob {
+            substrate: &sub,
+            workflow: &wfs[2],
+            fault: None,
+            guarded: true,
+            snapshot: None,
+        }
+        .execute();
+        assert_eq!(violated_rules(&run), want, "FleetJob::execute");
     }
 
     #[test]

@@ -247,9 +247,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting in untrusted text
+/// (config files, trace lines, campaign state) would overflow the stack;
+/// beyond this depth it returns an error instead.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -257,6 +265,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -304,8 +313,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -314,6 +323,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -665,6 +689,29 @@ mod tests {
         assert_eq!(Json::parse("3.25").unwrap(), Json::Num(3.25));
         assert_eq!(Json::parse("-1e3").unwrap(), Json::Num(-1000.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Far past any stack: parsing must fail with a position.
+        for open in ["[", "{\"k\":"] {
+            let text = open.repeat(1_000_000);
+            let err = Json::parse(&text).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{err}");
+            assert_eq!(err.line(), 1);
+            assert_eq!(err.column(), MAX_NESTING * open.len() + 1);
+        }
+        // At the limit itself, both kinds still parse.
+        let arrays = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&arrays).is_ok());
+        let objects = format!(
+            "{}0{}",
+            "{\"k\":".repeat(MAX_NESTING),
+            "}".repeat(MAX_NESTING)
+        );
+        assert!(Json::parse(&objects).is_ok());
+        let too_deep = format!("[{arrays}]");
+        assert!(Json::parse(&too_deep).is_err());
     }
 
     #[test]

@@ -109,19 +109,22 @@ fn corrupt_state_files_rerun_only_their_trials() {
     let want = runner.artifact().unwrap().to_pretty();
     let states = runner.states();
 
-    // Truncate one state file mid-byte and replace another with garbage
-    // that parses as JSON but fails schema validation.
+    // Truncate one state file mid-byte, replace another with garbage
+    // that parses as JSON but fails schema validation, and a third with
+    // a million open brackets (deeper than any parser stack).
     let trials = runner.trials();
     let truncated_path = dir.join("trials").join(format!("{}.json", trials[1].id));
     let text = fs::read_to_string(&truncated_path).unwrap();
     fs::write(&truncated_path, &text[..text.len() / 2]).unwrap();
     let invalid_path = dir.join("trials").join(format!("{}.json", trials[5].id));
     fs::write(&invalid_path, "{\"schema\": \"rabit.campaign.trial/v1\"}").unwrap();
+    let nested_path = dir.join("trials").join(format!("{}.json", trials[3].id));
+    fs::write(&nested_path, "[".repeat(1_000_000)).unwrap();
 
     let summary = runner.run(2, None).expect("recovery run");
     assert_eq!(
-        summary.executed, 2,
-        "exactly the two damaged trials re-run, nothing else"
+        summary.executed, 3,
+        "exactly the three damaged trials re-run, nothing else"
     );
     assert!(summary.complete());
     assert_eq!(
@@ -130,13 +133,14 @@ fn corrupt_state_files_rerun_only_their_trials() {
             .iter()
             .filter(|w| w.contains("corrupt"))
             .count(),
-        2,
+        3,
         "each damaged file leaves a warning: {:?}",
         summary.warnings
     );
     // The warnings are persisted in the manifest.
     let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.contains("corrupt"));
+    assert!(manifest.contains("nesting"), "the bracket file's reason");
     // Results are unchanged; only attempt counters moved.
     assert_eq!(runner.artifact().unwrap().to_pretty(), want);
     let after = runner.states();
