@@ -22,7 +22,7 @@ use rabit_bench::report::render_table;
 use rabit_buginject::{fault_families, run_fault_family_on, FamilyResult};
 use rabit_core::{FaultPlan, RecoveryPolicy, RetryPolicy, Stage, Substrate};
 use rabit_testbed::TestbedSubstrate;
-use rabit_util::Json;
+use rabit_util::{Json, ToJson};
 use std::time::Instant;
 
 /// Best-of-N wall-clock seconds for `f`.
@@ -45,10 +45,11 @@ struct FamilyRow {
 fn family_json(row: &FamilyRow, clean_wall_s: f64, clean_overhead_s: f64) -> Json {
     let a = &row.alerted;
     let r = &row.retried;
+    let recovery = &r.counters.recovery;
     Json::obj([
         ("family", Json::Str(a.family.clone())),
         ("runs", Json::Num(a.runs as f64)),
-        ("faults_injected", Json::Num(a.injected as f64)),
+        ("faults_injected", a.counters.faults_injected.to_json()),
         ("detected_runs", Json::Num(a.detected as f64)),
         ("detection_rate", Json::Num(a.detection_rate())),
         ("device_fault_runs", Json::Num(a.device_faults as f64)),
@@ -56,8 +57,8 @@ fn family_json(row: &FamilyRow, clean_wall_s: f64, clean_overhead_s: f64) -> Jso
         ("recovery_rate", Json::Num(r.recovery_rate())),
         ("completed_runs", Json::Num(r.completed as f64)),
         ("completion_rate", Json::Num(r.completion_rate())),
-        ("retries", Json::Num(r.recovery.retries as f64)),
-        ("quarantined", Json::Num(r.recovery.quarantined as f64)),
+        ("retries", Json::Num(recovery.retries as f64)),
+        ("quarantined", Json::Num(recovery.quarantined as f64)),
         ("mean_overhead_seconds", Json::Num(r.mean_overhead_s)),
         (
             "overhead_vs_clean_virtual",
@@ -101,7 +102,10 @@ fn main() {
         ));
     });
     let clean = clean.expect("at least one clean sweep ran");
-    assert_eq!(clean.injected, 0, "the empty plan must inject nothing");
+    assert_eq!(
+        clean.counters.faults_injected, 0,
+        "the empty plan must inject nothing"
+    );
     assert_eq!(clean.completed, runs, "clean runs must all complete");
 
     // --- Faulted sweeps, one per family -----------------------------------
@@ -133,11 +137,11 @@ fn main() {
         .map(|row| {
             vec![
                 row.alerted.family.clone(),
-                row.alerted.injected.to_string(),
+                row.alerted.counters.faults_injected.to_string(),
                 format!("{:.2}", row.alerted.detection_rate()),
                 format!("{:.2}", row.retried.recovery_rate()),
                 format!("{:.2}", row.retried.completion_rate()),
-                row.retried.recovery.retries.to_string(),
+                row.retried.counters.recovery.retries.to_string(),
                 format!("{:.2}", row.retried.mean_overhead_s),
                 format!("{:.2}x", row.wall_s / clean_wall_s.max(1e-12)),
             ]

@@ -1,7 +1,7 @@
 //! Fleet-executor and broad-phase throughput benchmark.
 //!
 //! Measures (1) guarded workflow runs per second, serial versus the
-//! work-stealing fleet pool, and (2) the collision-check speedup of the
+//! fleet worker pool, and (2) the collision-check speedup of the
 //! BVH broad phase over the exhaustive scan at 8/64/256 devices. Writes
 //! the results to `BENCH_fleet.json` and prints them as a table.
 //!
@@ -14,12 +14,13 @@
 
 use rabit_bench::report::render_table;
 use rabit_buginject::RabitStage;
+use rabit_core::Substrate;
 use rabit_geometry::{Aabb, Vec3};
 use rabit_kinematics::presets;
 use rabit_kinematics::trajectory::Trajectory;
 use rabit_sim::SimWorld;
-use rabit_testbed::{workflows, Testbed};
-use rabit_tracer::{run_fleet, Workflow};
+use rabit_testbed::{workflows, Testbed, TestbedSubstrate};
+use rabit_tracer::{run_fleet_on, Workflow};
 use rabit_util::Json;
 use std::time::Instant;
 
@@ -42,12 +43,11 @@ fn fleet_workflows(runs: usize) -> Vec<Workflow> {
 }
 
 fn fleet_seconds(wfs: &[Workflow], threads: usize, repeats: usize) -> f64 {
+    let substrate = TestbedSubstrate::study(RabitStage::ModifiedWithSimulator);
+    let jobs: Vec<(&dyn Substrate, &Workflow)> =
+        wfs.iter().map(|wf| (&substrate as _, wf)).collect();
     measure(repeats, || {
-        let fleet = run_fleet(wfs, threads, |_| {
-            let tb = Testbed::new();
-            let rabit = tb.rabit(RabitStage::ModifiedWithSimulator);
-            (tb.lab, Some(rabit))
-        });
+        let fleet = run_fleet_on(&jobs, threads);
         assert_eq!(
             fleet.completed_runs(),
             wfs.len(),

@@ -22,7 +22,7 @@
 
 use rabit_bench::report::render_table;
 use rabit_buginject::RabitStage;
-use rabit_core::TrajectoryValidator;
+use rabit_core::{RunCounters, TrajectoryValidator};
 use rabit_devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateKey};
 use rabit_testbed::{workflows, Testbed};
 use rabit_tracer::Tracer;
@@ -197,14 +197,15 @@ struct FleetScenarioResult {
     after_ns: f64,
     before_allocs_per_cmd: f64,
     after_allocs_per_cmd: f64,
-    hits: u64,
-    misses: u64,
+    /// The after-config engine's counters over every lap, the warm-up
+    /// included.
+    counters: RunCounters,
 }
 
 /// Serial guarded runs of the fig5 safe workflow, one engine kept alive
 /// across laps (as a deployed RABIT instance is). `before` disables the
 /// verdict cache; `after` is the shipped hot path.
-fn bench_fleet_scenario(laps: usize, after: bool) -> (f64, f64, u64, u64, usize) {
+fn bench_fleet_scenario(laps: usize, after: bool) -> (f64, f64, RunCounters, usize) {
     let tb = Testbed::new();
     let wf = workflows::fig5_safe_workflow(&tb.locations);
     let mut sim = tb.extended_simulator(false);
@@ -228,12 +229,10 @@ fn bench_fleet_scenario(laps: usize, after: bool) -> (f64, f64, u64, u64, usize)
     let dt = t0.elapsed().as_secs_f64();
     let allocs = allocations() - alloc0;
     let total_cmds = laps * wf.len();
-    let (hits, misses) = rabit.validator_cache_stats();
     (
         dt / total_cmds as f64 * 1e9,
         allocs as f64 / total_cmds as f64,
-        hits,
-        misses,
+        rabit.counters(&lab),
         wf.len(),
     )
 }
@@ -297,8 +296,8 @@ fn main() {
     );
 
     // --- 3. Fleet scenario ------------------------------------------------
-    let (before_ns, before_allocs, _, _, cmds_per_lap) = bench_fleet_scenario(fleet_laps, false);
-    let (after_ns, after_allocs, hits, misses, _) = bench_fleet_scenario(fleet_laps, true);
+    let (before_ns, before_allocs, _, cmds_per_lap) = bench_fleet_scenario(fleet_laps, false);
+    let (after_ns, after_allocs, counters, _) = bench_fleet_scenario(fleet_laps, true);
     let f = FleetScenarioResult {
         laps: fleet_laps,
         commands_per_lap: cmds_per_lap,
@@ -306,10 +305,9 @@ fn main() {
         after_ns,
         before_allocs_per_cmd: before_allocs,
         after_allocs_per_cmd: after_allocs,
-        hits,
-        misses,
+        counters,
     };
-    let fleet_hit_rate = f.hits as f64 / (f.hits + f.misses).max(1) as f64;
+    let fleet_hit_rate = f.counters.cache_hit_rate().unwrap_or(0.0);
     println!(
         "Fleet scenario end to end ({} laps x {} commands, serial guarded runs)\n",
         f.laps, f.commands_per_lap
@@ -386,8 +384,8 @@ fn main() {
                     "after_allocations_per_command",
                     Json::Num(f.after_allocs_per_cmd),
                 ),
-                ("cache_hits", Json::Num(f.hits as f64)),
-                ("cache_misses", Json::Num(f.misses as f64)),
+                ("cache_hits", Json::Num(f.counters.cache_hits as f64)),
+                ("cache_misses", Json::Num(f.counters.cache_misses as f64)),
                 ("cache_hit_rate", Json::Num(fleet_hit_rate)),
             ]),
         ),

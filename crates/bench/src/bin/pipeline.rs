@@ -20,7 +20,7 @@
 
 use rabit_bench::report::render_table;
 use rabit_buginject::{catalog, run_study_on};
-use rabit_core::{PipelineReport, Stage, StagePipeline, Substrate};
+use rabit_core::{PipelineReport, RunCounters, Stage, StagePipeline, Substrate};
 use rabit_testbed::{locations, workflows, Testbed};
 use rabit_tracer::Workflow;
 use rabit_util::Json;
@@ -44,8 +44,7 @@ struct StageRow {
     lab_time_s: f64,
     detected: usize,
     suite_len: usize,
-    cache_hits: u64,
-    cache_misses: u64,
+    counters: RunCounters,
 }
 
 /// Measures one pipeline stage: guarded Fig. 5 throughput plus the
@@ -58,11 +57,11 @@ fn profile_stage(
 ) -> StageRow {
     let mut executed = 0u64;
     let mut lab_time_s = 0.0;
-    let mut cache = (0u64, 0u64);
+    let mut counters = RunCounters::default();
     let wall_s = measure(repeats, || {
         executed = 0;
         lab_time_s = 0.0;
-        cache = (0, 0);
+        counters = RunCounters::default();
         for _ in 0..runs {
             let (mut lab, mut rabit) = substrate.instantiate();
             let report = rabit.run(&mut lab, wf.commands());
@@ -74,8 +73,7 @@ fn profile_stage(
             );
             executed += report.executed as u64;
             lab_time_s += report.lab_time_s;
-            cache.0 += report.cache_hits;
-            cache.1 += report.cache_misses;
+            counters.merge(&report.counters);
         }
     });
     let study = run_study_on(substrate);
@@ -86,8 +84,7 @@ fn profile_stage(
         lab_time_s,
         detected: study.detected(),
         suite_len: study.outcomes.len(),
-        cache_hits: cache.0,
-        cache_misses: cache.1,
+        counters,
     }
 }
 
@@ -144,14 +141,9 @@ fn main() {
                 r.substrate.clone(),
                 format!("{:.0}", r.commands_per_sec),
                 format!("{}/{}", r.detected, r.suite_len),
-                if r.cache_hits + r.cache_misses > 0 {
-                    format!(
-                        "{:.2}",
-                        r.cache_hits as f64 / (r.cache_hits + r.cache_misses) as f64
-                    )
-                } else {
-                    "-".to_string()
-                },
+                r.counters
+                    .cache_hit_rate()
+                    .map_or("-".to_string(), |rate| format!("{rate:.2}")),
             ]
         })
         .collect();
@@ -218,8 +210,8 @@ fn main() {
                             ("virtual_lab_seconds", Json::Num(r.lab_time_s)),
                             ("bugs_detected", Json::Num(r.detected as f64)),
                             ("bug_suite_size", Json::Num(r.suite_len as f64)),
-                            ("cache_hits", Json::Num(r.cache_hits as f64)),
-                            ("cache_misses", Json::Num(r.cache_misses as f64)),
+                            ("cache_hits", Json::Num(r.counters.cache_hits as f64)),
+                            ("cache_misses", Json::Num(r.counters.cache_misses as f64)),
                         ])
                     })
                     .collect(),

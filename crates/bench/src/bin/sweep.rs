@@ -23,7 +23,7 @@
 //! (continuous polling, per the paper), and each repeat runs
 //! [`WARMUP_LAPS`] untimed laps first so one-off IK solves — identical
 //! in every mode — do not sit inside the timed window. Counters are
-//! snapshotted after warm-up and report the timed laps only.
+//! summed over the timed laps only.
 //!
 //! Writes `BENCH_sweep.json` and prints the tables. `--quick` runs a
 //! reduced pass for CI smoke checks.
@@ -32,7 +32,7 @@
 
 use rabit_bench::report::render_table;
 use rabit_buginject::RabitStage;
-use rabit_core::SweepStats;
+use rabit_core::RunCounters;
 use rabit_testbed::{workflows, Testbed};
 use rabit_tracer::Tracer;
 use rabit_util::Json;
@@ -41,9 +41,8 @@ use std::time::Instant;
 struct SweepResult {
     wall_s: f64,
     commands: usize,
-    /// Sweep counters over the timed laps.
-    sweep: SweepStats,
-    narrow_checks: u64,
+    /// Run counters over the timed laps.
+    counters: RunCounters,
 }
 
 /// Polling interval for the benchmark workload. The paper's Extended
@@ -81,20 +80,18 @@ fn run_workload(laps: usize, dense_sampling: bool) -> SweepResult {
         assert!(report.completed(), "fig5 safe workflow must complete");
     }
     let mut labs: Vec<_> = (0..laps).map(|_| Testbed::new().lab).collect();
-    // Counter snapshot so the report covers the timed laps only.
-    let warm_sweep = rabit.validator_sweep_stats();
-    let warm_narrow = rabit.validator_narrow_checks();
+    let mut counters = RunCounters::default();
     let t0 = Instant::now();
     for lab in &mut labs {
         let report = Tracer::guarded(lab, &mut rabit).run(&wf);
         assert!(report.completed(), "fig5 safe workflow must complete");
+        counters.merge(&report.counters);
     }
     let wall_s = t0.elapsed().as_secs_f64();
     SweepResult {
         wall_s,
         commands: laps * wf.len(),
-        sweep: rabit.validator_sweep_stats().since(&warm_sweep),
-        narrow_checks: rabit.validator_narrow_checks() - warm_narrow,
+        counters,
     }
 }
 
@@ -105,8 +102,8 @@ fn best_of(repeats: usize, laps: usize, dense_sampling: bool) -> SweepResult {
     for _ in 1..repeats {
         let next = run_workload(laps, dense_sampling);
         assert_eq!(
-            next.sweep, best.sweep,
-            "sweep counters must be deterministic across repeats"
+            next.counters, best.counters,
+            "run counters must be deterministic across repeats"
         );
         best.wall_s = best.wall_s.min(next.wall_s);
     }
@@ -120,19 +117,20 @@ fn main() {
     let dense = best_of(repeats, laps, true);
     let adaptive = best_of(repeats, laps, false);
 
+    let (dense_sweep, adaptive_sweep) = (dense.counters.sweep, adaptive.counters.sweep);
     assert_eq!(
-        dense.sweep.samples_skipped, 0,
+        dense_sweep.samples_skipped, 0,
         "dense sampling must not skip anything"
     );
     assert_eq!(
-        adaptive.sweep.samples_checked + adaptive.sweep.samples_skipped,
-        dense.sweep.samples_checked,
+        adaptive_sweep.samples_checked + adaptive_sweep.samples_skipped,
+        dense_sweep.samples_checked,
         "both kernels must walk the same polling grid"
     );
 
-    let total = dense.sweep.samples_checked;
-    let skip_rate = adaptive.sweep.samples_skipped as f64 / total.max(1) as f64;
-    let narrow_reduction = dense.narrow_checks as f64 / adaptive.narrow_checks.max(1) as f64;
+    let skip_rate = adaptive.counters.skip_rate().unwrap_or(0.0);
+    let narrow_reduction =
+        dense.counters.narrow_checks as f64 / adaptive.counters.narrow_checks.max(1) as f64;
     let ns_per_cmd = |r: &SweepResult| r.wall_s / r.commands as f64 * 1e9;
     let wall_speedup = dense.wall_s / adaptive.wall_s;
 
@@ -144,10 +142,10 @@ fn main() {
         vec![
             name.into(),
             format!("{:.0}", ns_per_cmd(r)),
-            r.sweep.samples_checked.to_string(),
-            r.sweep.samples_skipped.to_string(),
-            r.narrow_checks.to_string(),
-            r.sweep.distance_queries.to_string(),
+            r.counters.sweep.samples_checked.to_string(),
+            r.counters.sweep.samples_skipped.to_string(),
+            r.counters.narrow_checks.to_string(),
+            r.counters.sweep.distance_queries.to_string(),
         ]
     };
     println!(
@@ -173,17 +171,15 @@ fn main() {
     );
 
     let side = |r: &SweepResult| {
+        let sweep = &r.counters.sweep;
         Json::obj([
             ("wall_seconds", Json::Num(r.wall_s)),
             ("ns_per_command", Json::Num(ns_per_cmd(r))),
             ("commands", Json::Num(r.commands as f64)),
-            ("samples_checked", Json::Num(r.sweep.samples_checked as f64)),
-            ("samples_skipped", Json::Num(r.sweep.samples_skipped as f64)),
-            ("narrow_checks", Json::Num(r.narrow_checks as f64)),
-            (
-                "distance_queries",
-                Json::Num(r.sweep.distance_queries as f64),
-            ),
+            ("samples_checked", Json::Num(sweep.samples_checked as f64)),
+            ("samples_skipped", Json::Num(sweep.samples_skipped as f64)),
+            ("narrow_checks", Json::Num(r.counters.narrow_checks as f64)),
+            ("distance_queries", Json::Num(sweep.distance_queries as f64)),
         ])
     };
     let config = Json::obj([

@@ -18,9 +18,7 @@
 //! count.
 
 use rabit_core::fleet::run_indexed;
-use rabit_core::{
-    FaultKind, FaultPlan, FaultSchedule, RecoveryCounters, RecoveryPolicy, Substrate,
-};
+use rabit_core::{FaultKind, FaultPlan, FaultSchedule, RecoveryPolicy, RunCounters, Substrate};
 use rabit_testbed::{locations, workflows};
 use rabit_tracer::Tracer;
 
@@ -76,8 +74,6 @@ pub struct FamilyResult {
     pub family: String,
     /// Number of faulted runs executed.
     pub runs: usize,
-    /// Faults actually injected across all runs.
-    pub injected: u64,
     /// Runs halted by a RABIT check (malfunction / invalid command).
     pub detected: usize,
     /// Runs halted by a device fault (crash windows land here).
@@ -86,8 +82,9 @@ pub struct FamilyResult {
     pub completed: usize,
     /// Runs in which the recovery policy recovered at least one command.
     pub recovered_runs: usize,
-    /// Summed recovery activity across all runs.
-    pub recovery: RecoveryCounters,
+    /// Every run's counters merged: faults injected and recovery
+    /// activity across all runs.
+    pub counters: RunCounters,
     /// Mean virtual lab time per run (seconds).
     pub mean_lab_time_s: f64,
     /// Mean RABIT overhead per run (seconds) — retry backoff included.
@@ -141,37 +138,30 @@ pub fn run_fault_family_on(
     let runs = run_indexed(repeats, threads, |i| {
         let (mut lab, mut rabit) = substrate.instantiate_with(&plan.for_run(i as u64));
         rabit.config_mut().recovery = policy;
-        let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
-        (report, lab.fault_stats().total_injected())
+        Tracer::guarded(&mut lab, &mut rabit).run(&wf)
     });
 
     let mut result = FamilyResult {
         family: family.into(),
         runs: repeats,
-        injected: 0,
         detected: 0,
         device_faults: 0,
         completed: 0,
         recovered_runs: 0,
-        recovery: RecoveryCounters::default(),
+        counters: RunCounters::default(),
         mean_lab_time_s: 0.0,
         mean_overhead_s: 0.0,
     };
-    for (report, injected) in &runs {
-        result.injected += injected;
+    for report in &runs {
         match &report.alert {
             Some(alert) if alert.is_rabit_detection() => result.detected += 1,
             Some(_) => result.device_faults += 1,
             None => result.completed += 1,
         }
-        if report.recovery.recovered > 0 {
+        if report.counters.recovery.recovered > 0 {
             result.recovered_runs += 1;
         }
-        result.recovery.retries += report.recovery.retries;
-        result.recovery.recovered += report.recovery.recovered;
-        result.recovery.quarantined += report.recovery.quarantined;
-        result.recovery.skipped_quarantined += report.recovery.skipped_quarantined;
-        result.recovery.safe_stops += report.recovery.safe_stops;
+        result.counters.merge(&report.counters);
         result.mean_lab_time_s += report.lab_time_s;
         result.mean_overhead_s += report.rabit_overhead_s;
     }
@@ -245,12 +235,18 @@ mod tests {
             RecoveryPolicy::AlertImmediately,
         );
         assert_eq!(result.runs, 4);
-        assert!(result.injected > 0, "the schedule must actually fire");
+        assert!(
+            result.counters.faults_injected > 0,
+            "the schedule must actually fire"
+        );
         assert!(
             result.detected > 0,
             "dropped commands must surface as malfunctions: {result:?}"
         );
-        assert!(!result.recovery.any(), "no recovery policy, no recovery");
+        assert!(
+            !result.counters.recovery.any(),
+            "no recovery policy, no recovery"
+        );
     }
 
     #[test]
@@ -277,7 +273,7 @@ mod tests {
             RecoveryPolicy::Retry(RetryPolicy::default()),
         );
         assert!(retried.completed > alerted.completed);
-        assert!(retried.recovery.recovered > 0);
+        assert!(retried.counters.recovery.recovered > 0);
         assert!(retried.recovered_runs > 0);
         assert!(
             retried.mean_overhead_s > alerted.mean_overhead_s,
@@ -296,7 +292,10 @@ mod tests {
             .unwrap();
         let policy = RecoveryPolicy::Retry(RetryPolicy::default());
         let spiked = run_fault_family_on(&s, "latency_spike", &plan, 4, 1, policy);
-        assert!(spiked.injected > 0, "the schedule must actually fire");
+        assert!(
+            spiked.counters.faults_injected > 0,
+            "the schedule must actually fire"
+        );
         assert_eq!(spiked.completion_rate(), 1.0);
         assert_eq!(spiked.recovered_runs, 0);
         assert_eq!(spiked.recovery_rate(), 0.0);
@@ -325,10 +324,9 @@ mod tests {
             .unwrap();
         let serial = run_fault_family_on(&s, "noisy_state", &plan, 6, 1, policy);
         let parallel = run_fault_family_on(&s, "noisy_state", &plan, 6, 4, policy);
-        assert_eq!(serial.injected, parallel.injected);
+        assert_eq!(serial.counters, parallel.counters);
         assert_eq!(serial.detected, parallel.detected);
         assert_eq!(serial.completed, parallel.completed);
-        assert_eq!(serial.recovery, parallel.recovery);
         assert_eq!(serial.mean_lab_time_s, parallel.mean_lab_time_s);
     }
 }

@@ -13,7 +13,7 @@
 //!   (`Pending → Running → Done | Failed | Skipped`), persisted as one
 //!   JSON file per trial plus a run-level [`Manifest`];
 //! * [`CampaignRunner`] — executes pending trials on the deterministic
-//!   work-stealing fleet pool (`rabit_tracer::FleetJob` per trial), so
+//!   fleet worker pool (`rabit_tracer::FleetJob` per trial), so
 //!   a killed campaign resumes exactly where it stopped: `Done` and
 //!   `Skipped` trials are kept, interrupted/failed/corrupt ones re-run
 //!   with a warning in the manifest;

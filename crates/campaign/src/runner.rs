@@ -222,7 +222,7 @@ impl CampaignRunner {
             None => pending,
         };
 
-        // Execute the selected trials on the work-stealing pool. Each
+        // Execute the selected trials on the fleet worker pool. Each
         // job claims its trial (Running state hits disk before the
         // workflow runs) and persists its own outcome, so a kill leaves
         // every finished trial's Done file already on disk.
@@ -587,12 +587,7 @@ fn execute_trial(trial: &Trial) -> TrialResult {
         lab_time_s: run.report.lab_time_s,
         rabit_overhead_s: run.report.rabit_overhead_s,
         damage: run.damage.iter().map(|d| d.severity.to_string()).collect(),
-        faults_injected: run.faults_injected,
-        cache_hits: run.cache_hits,
-        cache_misses: run.cache_misses,
-        samples_checked: run.samples_checked,
-        samples_skipped: run.samples_skipped,
-        distance_queries: run.distance_queries,
+        counters: run.report.counters,
         placement_error_m,
     }
 }

@@ -8,7 +8,7 @@
 //! (including corrupt files) to `Pending`.
 //!
 //! Determinism contract: [`TrialResult`] holds *only* fields that are a
-//! pure function of the plan — simulated clocks, alerts, damage, cache
+//! pure function of the plan — simulated clocks, alerts, damage, run
 //! counters. Real wall-clock timing lives in [`TrialState::wall_ms`],
 //! outside the result, and is excluded from merged artifacts so
 //! kill-and-resume runs stay bit-identical.
@@ -17,11 +17,12 @@
 //! numbers as `f64`, so seeds are serialized as fixed-width hex strings
 //! to survive the round trip exactly.
 
+use rabit_core::RunCounters;
 use rabit_util::json::field;
 use rabit_util::{Json, JsonError, ToJson};
 
 /// The schema tag carried by serialized trial states.
-pub const TRIAL_SCHEMA: &str = "rabit.campaign.trial/v1";
+pub const TRIAL_SCHEMA: &str = "rabit.campaign.trial/v2";
 
 /// A trial's lifecycle position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,18 +120,9 @@ pub struct TrialResult {
     pub rabit_overhead_s: f64,
     /// Severity labels of the ground-truth damage log, in event order.
     pub damage: Vec<String>,
-    /// Faults the lab's fault runtime actually injected.
-    pub faults_injected: u64,
-    /// Validator verdict-cache hits.
-    pub cache_hits: u64,
-    /// Validator verdict-cache misses.
-    pub cache_misses: u64,
-    /// Trajectory grid samples collision-checked.
-    pub samples_checked: u64,
-    /// Grid samples the adaptive sweep kernel skipped.
-    pub samples_skipped: u64,
-    /// Signed-distance evaluations issued for skip decisions.
-    pub distance_queries: u64,
+    /// The run's counters: faults injected, verdict-cache, sweep and
+    /// narrow-phase work, and recovery activity.
+    pub counters: RunCounters,
     /// Distance (m) between commanded and achieved arm pose, for
     /// placement-precision trials.
     pub placement_error_m: Option<f64>,
@@ -152,12 +144,7 @@ impl ToJson for TrialResult {
             ("lab_time_s", Json::Num(self.lab_time_s)),
             ("rabit_overhead_s", Json::Num(self.rabit_overhead_s)),
             ("damage", self.damage.to_json()),
-            ("faults_injected", self.faults_injected.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
-            ("cache_misses", self.cache_misses.to_json()),
-            ("samples_checked", self.samples_checked.to_json()),
-            ("samples_skipped", self.samples_skipped.to_json()),
-            ("distance_queries", self.distance_queries.to_json()),
+            ("counters", self.counters.to_json()),
             ("placement_error_m", self.placement_error_m.to_json()),
         ])
     }
@@ -179,12 +166,7 @@ impl rabit_util::FromJson for TrialResult {
             lab_time_s: field(json, "lab_time_s")?,
             rabit_overhead_s: field(json, "rabit_overhead_s")?,
             damage: field(json, "damage")?,
-            faults_injected: field(json, "faults_injected")?,
-            cache_hits: field(json, "cache_hits")?,
-            cache_misses: field(json, "cache_misses")?,
-            samples_checked: field(json, "samples_checked")?,
-            samples_skipped: field(json, "samples_skipped")?,
-            distance_queries: field(json, "distance_queries")?,
+            counters: field(json, "counters")?,
             placement_error_m: field(json, "placement_error_m")?,
         })
     }
@@ -313,12 +295,13 @@ mod tests {
             lab_time_s: 12.5,
             rabit_overhead_s: 0.75,
             damage: vec!["High".into()],
-            faults_injected: 0,
-            cache_hits: 4,
-            cache_misses: 2,
-            samples_checked: 120,
-            samples_skipped: 80,
-            distance_queries: 16,
+            counters: RunCounters {
+                cache_hits: 4,
+                cache_misses: 2,
+                narrow_checks: 40,
+                faults_injected: 1,
+                ..RunCounters::default()
+            },
             placement_error_m: None,
         }
     }

@@ -127,6 +127,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultKind, FaultSchedule, RetryPolicy};
     use crate::trajcheck::ApproveAll;
+    use crate::{Lab, RunCounters};
 
     #[test]
     fn builder_defaults_match_plain_construction() {
@@ -170,6 +171,6 @@ mod tests {
             RecoveryPolicy::Quarantine(_)
         ));
         assert_eq!(rabit.fault_plan(), &plan);
-        assert_eq!(rabit.validator_cache_stats(), (0, 0));
+        assert_eq!(rabit.counters(&Lab::new()), RunCounters::default());
     }
 }

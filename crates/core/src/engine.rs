@@ -2,9 +2,10 @@
 
 use crate::alert::{Alert, StopPolicy};
 use crate::builder::RabitBuilder;
+use crate::counters::RunCounters;
 use crate::faults::{FaultPlan, RecoveryCounters, RecoveryPolicy};
 use crate::lab::Lab;
-use crate::trajcheck::{SweepStats, TrajectoryValidator, TrajectoryVerdict};
+use crate::trajcheck::{TrajectoryValidator, TrajectoryVerdict};
 use rabit_devices::{ActionKind, Command, DeviceId, LabState};
 use rabit_rulebase::{transition, DeviceCatalog, Rulebase, RulebaseSnapshot};
 use std::collections::BTreeSet;
@@ -76,28 +77,11 @@ pub struct RunReport {
     /// The share of `lab_time_s` attributable to RABIT (status fetches +
     /// simulator checks).
     pub rabit_overhead_s: f64,
-    /// Trajectory validations served from the validator's verdict cache
-    /// during this run (zero without a caching validator).
-    pub cache_hits: u64,
-    /// Trajectory validations that missed the verdict cache and ran in
-    /// full during this run.
-    pub cache_misses: u64,
-    /// Trajectory polling-grid samples the validator collision-checked
-    /// during this run (zero without a sweeping validator).
-    pub samples_checked: u64,
-    /// Polling-grid samples the validator's adaptive sweep kernel proved
-    /// hit-free and skipped during this run (zero for dense validators).
-    pub samples_skipped: u64,
-    /// Per-primitive signed-distance evaluations the validator issued for
-    /// skip decisions during this run.
-    pub distance_queries: u64,
-    /// Recovery activity during this run (retries, recoveries,
-    /// quarantines, safe-stops). All zeros under
-    /// [`RecoveryPolicy::AlertImmediately`].
-    pub recovery: RecoveryCounters,
-    /// Faults the lab's armed session injected during this run (zero
-    /// without a fault plan).
-    pub faults_injected: u64,
+    /// What the run cost and survived: verdict-cache, sweep and
+    /// narrow-phase work, faults injected and recovery activity. The
+    /// delta from a snapshot taken before [`Rabit::initialize`], so a
+    /// fault injected into the initial state fetch counts too.
+    pub counters: RunCounters,
     /// The rulebase epoch this run validated against
     /// ([`rabit_rulebase::STATIC_EPOCH`] for pinned rulebases and for
     /// unchecked runs). With a live rule store, this records which
@@ -109,22 +93,6 @@ impl RunReport {
     /// Whether the workflow ran to completion with no alert.
     pub fn completed(&self) -> bool {
         self.alert.is_none()
-    }
-
-    /// Fraction of this run's trajectory validations served from the
-    /// verdict cache, or `None` if no validations happened (no validator
-    /// attached, or no robot motions in the workflow).
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
-    /// Fraction of this run's trajectory grid samples the adaptive sweep
-    /// kernel skipped, `skipped / (checked + skipped)`, or `None` if the
-    /// validator processed no samples.
-    pub fn skip_rate(&self) -> Option<f64> {
-        let total = self.samples_checked + self.samples_skipped;
-        (total > 0).then(|| self.samples_skipped as f64 / total as f64)
     }
 }
 
@@ -225,32 +193,19 @@ impl Rabit {
         self.validator.take()
     }
 
-    /// Narrow-phase collision tests the attached validator has performed
-    /// (zero when no validator is attached). Instrumentation for the
-    /// broad-phase pruning benchmarks.
-    pub fn validator_narrow_checks(&self) -> u64 {
-        self.validator
-            .as_ref()
-            .map_or(0, |v| v.narrow_checks_performed())
-    }
-
-    /// Verdict-cache `(hits, misses)` of the attached validator — `(0, 0)`
-    /// when no validator is attached or it has no cache. Instrumentation
-    /// for the hot-path benchmarks and fleet cache-efficiency reports.
-    pub fn validator_cache_stats(&self) -> (u64, u64) {
-        self.validator
-            .as_ref()
-            .map_or((0, 0), |v| (v.cache_hits(), v.cache_misses()))
-    }
-
-    /// Sweep-kernel counters of the attached validator as a
-    /// [`SweepStats`] snapshot — all zero when no validator is attached
-    /// or it does no sampling sweep. Instrumentation for the adaptive
-    /// conservative-advancement benchmarks.
-    pub fn validator_sweep_stats(&self) -> SweepStats {
-        self.validator
-            .as_ref()
-            .map_or(SweepStats::default(), |v| v.sweep_stats())
+    /// A counters snapshot: the validator's tallies, this engine's
+    /// recovery totals over every run, and the faults `lab` has injected
+    /// so far. Per-run deltas land in [`RunReport::counters`].
+    pub fn counters(&self, lab: &Lab) -> RunCounters {
+        let mut counters = RunCounters::of_lab(lab);
+        counters.recovery = self.recovery_totals;
+        if let Some(v) = &self.validator {
+            counters.cache_hits = v.cache_hits();
+            counters.cache_misses = v.cache_misses();
+            counters.narrow_checks = v.narrow_checks_performed();
+            counters.sweep = v.sweep_stats();
+        }
+        counters
     }
 
     /// The rulebase (for inspection).
@@ -308,12 +263,6 @@ impl Rabit {
     /// [`Rabit::with_fault_plan`] or the builder).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
-    }
-
-    /// Accumulated recovery activity across every run of this engine.
-    /// Per-run deltas land in [`RunReport::recovery`].
-    pub fn recovery_counters(&self) -> RecoveryCounters {
-        self.recovery_totals
     }
 
     /// Whether a device has been quarantined by the
@@ -517,11 +466,8 @@ impl Rabit {
     pub fn run(&mut self, lab: &mut Lab, commands: &[Command]) -> RunReport {
         let t0 = lab.clock().now_s();
         let overhead0 = self.overhead_s;
-        let (hits0, misses0) = self.validator_cache_stats();
-        let sweep0 = self.validator_sweep_stats();
-        let recovery0 = self.recovery_totals;
+        let counters0 = self.counters(lab);
         self.initialize(lab);
-        let faults0 = lab.fault_stats().total_injected();
         let mut executed = 0;
         let mut alert = None;
         for command in commands {
@@ -537,20 +483,12 @@ impl Rabit {
                 }
             }
         }
-        let (hits1, misses1) = self.validator_cache_stats();
-        let sweep = self.validator_sweep_stats().since(&sweep0);
         RunReport {
             executed,
             alert,
             lab_time_s: lab.clock().now_s() - t0,
             rabit_overhead_s: self.overhead_s - overhead0,
-            cache_hits: hits1 - hits0,
-            cache_misses: misses1 - misses0,
-            samples_checked: sweep.samples_checked,
-            samples_skipped: sweep.samples_skipped,
-            distance_queries: sweep.distance_queries,
-            recovery: self.recovery_totals.since(&recovery0),
-            faults_injected: lab.fault_stats().total_injected() - faults0,
+            counters: self.counters(lab).since(&counters0),
             rulebase_epoch: self.rulebase.epoch(),
         }
     }
@@ -559,7 +497,7 @@ impl Rabit {
     /// latency-overhead experiment, and how damage happens.
     pub fn run_unchecked(lab: &mut Lab, commands: &[Command]) -> RunReport {
         let t0 = lab.clock().now_s();
-        let faults0 = lab.fault_stats().total_injected();
+        let counters0 = RunCounters::of_lab(lab);
         let mut executed = 0;
         let mut alert = None;
         for command in commands {
@@ -579,13 +517,7 @@ impl Rabit {
             alert,
             lab_time_s: lab.clock().now_s() - t0,
             rabit_overhead_s: 0.0,
-            cache_hits: 0,
-            cache_misses: 0,
-            samples_checked: 0,
-            samples_skipped: 0,
-            distance_queries: 0,
-            recovery: RecoveryCounters::default(),
-            faults_injected: lab.fault_stats().total_injected() - faults0,
+            counters: RunCounters::of_lab(lab).since(&counters0),
             rulebase_epoch: rabit_rulebase::STATIC_EPOCH,
         }
     }
@@ -970,7 +902,7 @@ mod tests {
             matches!(alert, Alert::DeviceMalfunction { .. }),
             "a silently dropped command surfaces as S_actual ≠ S_expected: {alert:?}"
         );
-        assert!(!r.recovery_counters().any());
+        assert!(!r.counters(&lab).recovery.any());
         assert_eq!(lab.fault_stats().dropped, 1);
     }
 
@@ -990,9 +922,9 @@ mod tests {
         let open = [Command::new("doser", ActionKind::SetDoor { open: true })];
         let first = Rabit::run_unchecked(&mut lab, &open);
         let second = Rabit::run_unchecked(&mut lab, &open);
-        assert_eq!(first.faults_injected, 1);
+        assert_eq!(first.counters.faults_injected, 1);
         assert_eq!(
-            second.faults_injected, 1,
+            second.counters.faults_injected, 1,
             "the first run's fault is not recounted"
         );
         assert_eq!(lab.fault_stats().total_injected(), 2);
@@ -1015,9 +947,9 @@ mod tests {
             .expect("the retry re-sends the dropped command");
         assert_eq!(outcome, StepOutcome::Recovered { retries: 1 });
         assert!(outcome.executed());
-        let counters = r.recovery_counters();
-        assert_eq!(counters.retries, 1);
-        assert_eq!(counters.recovered, 1);
+        let counters = r.counters(&lab);
+        assert_eq!(counters.recovery.retries, 1);
+        assert_eq!(counters.recovery.recovered, 1);
         // The door really opened on the second attempt.
         assert_eq!(
             lab.fetch_state()
@@ -1087,9 +1019,9 @@ mod tests {
         assert_eq!(report.executed, 0, "nothing actually ran");
         assert!(r.is_quarantined(&"doser".into()));
         assert_eq!(r.quarantined_devices().count(), 1);
-        assert_eq!(report.recovery.quarantined, 1);
-        assert_eq!(report.recovery.skipped_quarantined, 1);
-        assert!(report.faults_injected >= 2);
+        assert_eq!(report.counters.recovery.quarantined, 1);
+        assert_eq!(report.counters.recovery.skipped_quarantined, 1);
+        assert!(report.counters.faults_injected >= 2);
     }
 
     #[test]
@@ -1119,7 +1051,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(alert, Alert::DeviceMalfunction { .. }));
-        assert_eq!(r.recovery_counters().safe_stops, 1);
+        assert_eq!(r.counters(&lab).recovery.safe_stops, 1);
         let arm = lab.device(&"arm".into()).unwrap().as_arm().unwrap();
         assert!(arm.at_sleep(), "safe-stop must park the arm");
     }
@@ -1136,7 +1068,6 @@ mod tests {
         ];
         let report = r.run(&mut lab, &commands);
         assert!(report.completed());
-        assert_eq!(report.faults_injected, 0);
-        assert!(!report.recovery.any());
+        assert_eq!(report.counters, RunCounters::default());
     }
 }

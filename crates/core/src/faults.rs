@@ -483,7 +483,7 @@ impl RecoveryPolicy {
     }
 }
 
-/// Per-run recovery activity, reported in `RunReport::recovery`.
+/// Recovery activity, one part of [`crate::RunCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Retry attempts performed (each preceded by a backoff).
@@ -514,6 +514,15 @@ impl RecoveryCounters {
             skipped_quarantined: self.skipped_quarantined - earlier.skipped_quarantined,
             safe_stops: self.safe_stops - earlier.safe_stops,
         }
+    }
+
+    /// Adds `other` into `self`, componentwise.
+    pub fn merge(&mut self, other: &RecoveryCounters) {
+        self.retries += other.retries;
+        self.recovered += other.recovered;
+        self.quarantined += other.quarantined;
+        self.skipped_quarantined += other.skipped_quarantined;
+        self.safe_stops += other.safe_stops;
     }
 }
 

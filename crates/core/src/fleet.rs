@@ -1,4 +1,4 @@
-//! A deterministic work-stealing executor for fleets of independent runs.
+//! A deterministic worker pool for fleets of independent runs.
 //!
 //! Self-driving-lab studies replay the same workflow library against many
 //! virtual labs (the uncontrolled study alone re-runs 16 bugs × 3 RABIT
@@ -13,11 +13,10 @@
 //! affects *when* a job runs, never *what* it computes or *where* its
 //! result goes.
 //!
-//! Work distribution is a work-stealing job queue over
-//! `std::thread::scope`: jobs are dealt round-robin into per-worker
-//! deques; a worker drains its own deque from the front and, when empty,
-//! steals from the back of its neighbours'. Long-running jobs therefore
-//! do not strand work behind them.
+//! Work distribution is one shared job cursor over
+//! `std::thread::scope`: each worker claims the next unclaimed index
+//! until none is left, so a long-running job never strands work behind
+//! it.
 //!
 //! # Example
 //!
@@ -28,53 +27,8 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Per-worker job deques with stealing. Indices are dealt round-robin at
-/// construction; `pop` takes from the owner's front, then steals from
-/// other queues' backs.
-struct StealQueue {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    fn new(n_jobs: usize, n_workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..n_workers).map(|_| VecDeque::new()).collect();
-        for job in 0..n_jobs {
-            queues[job % n_workers].push_back(job);
-        }
-        StealQueue {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// The next job for `worker`, or `None` when every queue is empty.
-    fn pop(&self, worker: usize) -> Option<usize> {
-        let n = self.queues.len();
-        // Own queue first (front: the jobs dealt to this worker, in order).
-        if let Some(job) = self.queues[worker]
-            .lock()
-            .expect("queue poisoned")
-            .pop_front()
-        {
-            return Some(job);
-        }
-        // Steal from the back of the other queues, scanning round-robin
-        // from our right-hand neighbour.
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(job) = self.queues[victim]
-                .lock()
-                .expect("queue poisoned")
-                .pop_back()
-            {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
 
 /// Runs `n_jobs` independent jobs on `threads` workers and returns their
 /// results in job order.
@@ -98,22 +52,28 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
 
     if threads == 1 {
-        // Serial fast path — no scope, no queue contention.
+        // Serial fast path — no scope, no threads.
         for (i, slot) in slots.iter().enumerate() {
             *slot.lock().expect("slot poisoned") = Some(job(i));
         }
     } else {
-        let queue = StealQueue::new(n_jobs, threads);
+        let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let queue = &queue;
+            for _ in 0..threads {
+                let cursor = &cursor;
                 let slots = &slots;
                 let job = &job;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(worker) {
-                        let result = job(i);
-                        *slots[i].lock().expect("slot poisoned") = Some(result);
+                scope.spawn(move || loop {
+                    // The cursor only hands out indices; results travel
+                    // through the slot mutexes and the scope join, so
+                    // `Relaxed` suffices: each `fetch_add` still returns
+                    // a distinct index.
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_jobs {
+                        break;
                     }
+                    let result = job(i);
+                    *slots[i].lock().expect("slot poisoned") = Some(result);
                 });
             }
         });

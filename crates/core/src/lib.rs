@@ -11,8 +11,10 @@
 //!   physics, virtual time, and the ground-truth [`DamageEvent`] oracle;
 //! * [`Alert`] — the three `alertAndStop` variants plus device faults;
 //! * [`TrajectoryValidator`] — the hook the Extended Simulator plugs into;
+//! * [`RunCounters`] — one run's cache, sweep, fault and recovery
+//!   tallies, merged the same way at every level (run, fleet, campaign);
 //! * [`SimClock`] — deterministic virtual lab time;
-//! * [`fleet`] — a deterministic work-stealing executor for running many
+//! * [`fleet`] — a deterministic worker pool for running many
 //!   independent labs in parallel;
 //! * [`substrate`] — the three-stage deployment pipeline as a typed API:
 //!   [`Substrate`] backends, the [`Stage`] enum, and the gating
@@ -47,6 +49,7 @@
 mod alert;
 mod builder;
 mod clock;
+mod counters;
 mod damage;
 mod engine;
 pub mod faults;
@@ -58,6 +61,7 @@ mod trajcheck;
 pub use alert::{Alert, StopPolicy};
 pub use builder::RabitBuilder;
 pub use clock::SimClock;
+pub use counters::RunCounters;
 pub use damage::{DamageEvent, DamageKind, Severity};
 pub use engine::{Rabit, RabitConfig, RunReport, StepOutcome};
 pub use faults::{

@@ -94,6 +94,13 @@ impl SweepStats {
             ..SweepStats::default()
         }
     }
+
+    /// Adds `other` into `self`, componentwise.
+    pub fn merge(&mut self, other: &SweepStats) {
+        self.samples_checked += other.samples_checked;
+        self.samples_skipped += other.samples_skipped;
+        self.distance_queries += other.distance_queries;
+    }
 }
 
 /// The simulator's verdict on a proposed robot motion.

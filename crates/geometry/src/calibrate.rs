@@ -35,6 +35,12 @@ pub enum FitTransformError {
     /// The points are (numerically) collinear or coincident, so the
     /// rotation is under-determined.
     Degenerate,
+    /// A source or target point has a NaN or infinite coordinate (a
+    /// failed measurement).
+    NonFinite {
+        /// Index of the first correspondence with such a point.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for FitTransformError {
@@ -51,6 +57,9 @@ impl std::fmt::Display for FitTransformError {
                     f,
                     "points are collinear or coincident; rotation under-determined"
                 )
+            }
+            FitTransformError::NonFinite { index } => {
+                write!(f, "point {index} has a NaN or infinite coordinate")
             }
         }
     }
@@ -78,7 +87,8 @@ pub struct FitResult {
 /// # Errors
 ///
 /// Returns an error if fewer than 3 correspondences are given, the slices
-/// have different lengths, or the point sets are degenerate (collinear).
+/// have different lengths, a point is not finite, or the point sets are
+/// degenerate (collinear).
 pub fn fit_rigid_transform(
     source: &[Vec3],
     target: &[Vec3],
@@ -91,6 +101,13 @@ pub fn fit_rigid_transform(
     }
     if source.len() < 3 {
         return Err(FitTransformError::TooFewPoints { got: source.len() });
+    }
+    if let Some(index) = source
+        .iter()
+        .zip(target)
+        .position(|(s, t)| !(s.is_finite() && t.is_finite()))
+    {
+        return Err(FitTransformError::NonFinite { index });
     }
 
     let n = source.len() as f64;
@@ -143,7 +160,9 @@ fn kabsch_rotation(h: &Mat3) -> Option<Mat3> {
     // Degenerate if the two largest singular values do not span a plane.
     // Sort eigenvalues descending with matching eigenvectors.
     let mut idx = [0usize, 1, 2];
-    idx.sort_by(|&a, &b| eigvals[b].partial_cmp(&eigvals[a]).unwrap());
+    // `total_cmp`: coordinates large enough to overflow H to ∞ give NaN
+    // eigenvalues, which must end in the rotation check, not a panic.
+    idx.sort_by(|&a, &b| eigvals[b].total_cmp(&eigvals[a]));
     let sv: Vec<f64> = idx.iter().map(|&i| eigvals[i].max(0.0).sqrt()).collect();
     if sv[1] <= 1e-12 {
         return None; // rank < 2: collinear points
@@ -335,6 +354,24 @@ mod tests {
                 target: 2
             }
         );
+    }
+
+    #[test]
+    fn non_finite_points_rejected() {
+        let good = sample_points();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut broken = good.clone();
+            broken[4] = Vec3::new(0.2, bad, 0.1);
+            let want = Err(FitTransformError::NonFinite { index: 4 });
+            assert_eq!(fit_rigid_transform(&broken, &good), want, "{bad} in source");
+            assert_eq!(fit_rigid_transform(&good, &broken), want, "{bad} in target");
+        }
+        let err = FitTransformError::NonFinite { index: 4 };
+        assert!(err.to_string().contains("point 4"), "{err}");
+        // Finite but huge coordinates overflow the covariance to ∞.
+        let mut huge = good.clone();
+        huge[4] = Vec3::new(1e200, -1e200, 1e200);
+        assert!(fit_rigid_transform(&huge, &good).is_err());
     }
 
     #[test]

@@ -98,7 +98,7 @@ mod tests {
         assert!(report.stage(Stage::Testbed).is_none());
         // The simulator stage swept trajectories before any motor turned.
         let sim_stage = report.stage(Stage::Simulator).unwrap();
-        assert!(sim_stage.report.cache_hits + sim_stage.report.cache_misses > 0);
+        assert!(sim_stage.report.counters.cache_hit_rate().is_some());
         // Production is 15× the simulator's per-run overhead in setup
         // cost alone.
         assert!(report.total_cost_s() > Stage::Production.setup_cost_s());

@@ -486,9 +486,7 @@ fn static_store_fleet_is_bit_identical_to_no_store() {
         assert_eq!(p.report.executed, l.report.executed);
         assert_eq!(p.report.lab_time_s, l.report.lab_time_s);
         assert_eq!(p.damage.len(), l.damage.len());
-        assert_eq!(p.cache_hits, l.cache_hits);
-        assert_eq!(p.cache_misses, l.cache_misses);
-        assert_eq!(p.samples_checked, l.samples_checked);
+        assert_eq!(p.report.counters, l.report.counters);
         assert_eq!(l.rulebase_epoch, 0, "static store pins epoch 0");
     }
 }

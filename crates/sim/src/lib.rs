@@ -14,13 +14,14 @@
 //! # Example
 //!
 //! ```
+//! use rabit_core::TrajectoryValidator;
 //! use rabit_sim::{ExtendedSimulator, SimConfig, SimWorld};
 //! use rabit_kinematics::presets;
 //!
 //! let world = SimWorld::new().with_platform(1.5);
 //! let sim = ExtendedSimulator::new(world, SimConfig::default())
 //!     .with_arm("ur3e", presets::ur3e());
-//! assert_eq!(sim.checks_performed(), 0);
+//! assert_eq!(sim.samples_checked(), 0);
 //! ```
 
 #![forbid(unsafe_code)]

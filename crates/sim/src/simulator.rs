@@ -370,31 +370,6 @@ impl ExtendedSimulator {
         &self.world
     }
 
-    /// Number of collision checks performed so far.
-    pub fn checks_performed(&self) -> u64 {
-        self.checks
-    }
-
-    /// Number of narrow-phase obstacle tests performed so far. Broad-phase
-    /// pruning keeps this far below `checks × obstacles`.
-    pub fn narrow_checks_performed(&self) -> u64 {
-        self.narrow_checks
-    }
-
-    /// Number of polling-grid samples the adaptive sweep kernel proved
-    /// hit-free from clearance + motion bounds and therefore skipped.
-    /// Always zero with [`SimConfig::dense_sampling`].
-    pub fn samples_skipped(&self) -> u64 {
-        self.samples_skipped
-    }
-
-    /// Number of per-primitive exact signed-distance evaluations the
-    /// adaptive sweep kernel issued while measuring clearance. Always
-    /// zero with [`SimConfig::dense_sampling`].
-    pub fn distance_queries(&self) -> u64 {
-        self.distance_queries
-    }
-
     /// The simulator configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -406,16 +381,6 @@ impl ExtendedSimulator {
     /// unread; [`ExtendedSimulator::clear_verdict_cache`] drops them.
     pub fn config_mut(&mut self) -> &mut SimConfig {
         &mut self.config
-    }
-
-    /// Verdict-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Verdict-cache misses so far (validations that ran the full sweep).
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
     }
 
     /// Number of verdicts currently cached.
@@ -1193,7 +1158,7 @@ mod tests {
         // Simulator mirrored the motion.
         let q = sim.arm_configuration(&"ur3e".into()).unwrap();
         assert!(arm.tool_position(&q).distance(target) < 1e-3);
-        assert!(sim.checks_performed() > 0);
+        assert!(sim.samples_checked() > 0);
     }
 
     #[test]
@@ -1359,7 +1324,7 @@ mod tests {
             .with_arm("ur3e", presets::ur3e());
             let verdict = sim.validate(&mv(target), &empty_state());
             let pose = sim.arm_configuration(&"ur3e".into()).unwrap();
-            (verdict, pose, sim.checks_performed(), sim.samples_skipped())
+            (verdict, pose, sim.samples_checked(), sim.samples_skipped())
         };
         let (dense_verdict, dense_pose, dense_checks, dense_skipped) = run(true);
         let (adaptive_verdict, adaptive_pose, adaptive_checks, adaptive_skipped) = run(false);

@@ -211,10 +211,11 @@ mod tests {
             &[Command::new("ur3e", ActionKind::MoveToLocation { target })],
         );
         assert!(report.completed(), "alert: {:?}", report.alert);
-        assert!(rabit.validator_narrow_checks() > 0 || rabit.validator_cache_stats().1 > 0);
+        let counters = rabit.counters(&lab);
+        assert!(counters.narrow_checks > 0 || counters.cache_misses > 0);
         // Each instantiate() is fresh — no state bleeds between runs.
-        let (_, rabit2) = s.instantiate();
-        assert_eq!(rabit2.validator_cache_stats(), (0, 0));
+        let (lab2, rabit2) = s.instantiate();
+        assert_eq!(rabit2.counters(&lab2), rabit_core::RunCounters::default());
     }
 
     #[test]

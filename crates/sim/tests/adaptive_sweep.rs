@@ -10,7 +10,7 @@
 //!
 //! [`CollisionReport`]: rabit_core::CollisionReport
 
-use rabit_core::{TrajectoryValidator, TrajectoryVerdict};
+use rabit_core::{SweepStats, TrajectoryValidator, TrajectoryVerdict};
 use rabit_devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateKey};
 use rabit_geometry::{Aabb, Sphere, Vec3};
 use rabit_kinematics::presets;
@@ -102,20 +102,6 @@ fn random_command(rng: &mut Rng) -> Command {
     }
 }
 
-/// Per-kernel work counters collected by [`drive_pair`].
-#[derive(Default, Clone, Copy)]
-struct KernelWork {
-    checked: u64,
-    skipped: u64,
-}
-
-fn work(sim: &ExtendedSimulator) -> KernelWork {
-    KernelWork {
-        checked: sim.samples_checked(),
-        skipped: sim.samples_skipped(),
-    }
-}
-
 /// Drives the same command stream through a dense and an adaptive
 /// simulator over clones of the same world, asserting bit-identical
 /// verdicts and mirrored poses at every step. Returns the per-kernel
@@ -125,7 +111,7 @@ fn drive_pair(
     world: SimWorld,
     commands: &[Command],
     label: &str,
-) -> ([KernelWork; 2], usize, usize) {
+) -> ([SweepStats; 2], usize, usize) {
     let st = state();
     let mut dense = sim(world.clone(), true);
     let mut adaptive = sim(world, false);
@@ -146,29 +132,32 @@ fn drive_pair(
             "{label}, command {k}: adaptive pose diverged"
         );
     }
-    ([work(&dense), work(&adaptive)], safe, collisions)
+    (
+        [dense.sweep_stats(), adaptive.sweep_stats()],
+        safe,
+        collisions,
+    )
 }
 
 #[test]
 fn adaptive_matches_dense_over_many_random_worlds() {
     let mut rng = Rng::seed_from_u64(0xADA_517);
     let (mut safe, mut collisions) = (0usize, 0usize);
-    let mut totals = [KernelWork::default(); 2];
+    let mut totals = [SweepStats::default(); 2];
     for w in 0..WORLDS {
         let commands: Vec<Command> = (0..COMMANDS_PER_WORLD)
             .map(|_| random_command(&mut rng))
             .collect();
         let (runs, s, c) = drive_pair(random_world(&mut rng), &commands, &format!("world {w}"));
         let [dense, adaptive] = runs;
-        assert_eq!(dense.skipped, 0, "dense sampling must not skip");
+        assert_eq!(dense.samples_skipped, 0, "dense sampling must not skip");
         assert_eq!(
-            adaptive.checked + adaptive.skipped,
-            dense.checked,
+            adaptive.samples_checked + adaptive.samples_skipped,
+            dense.samples_checked,
             "world {w}: adaptive kernel must partition the same polling grid"
         );
-        for (i, r) in runs.iter().enumerate() {
-            totals[i].checked += r.checked;
-            totals[i].skipped += r.skipped;
+        for (total, r) in totals.iter_mut().zip(&runs) {
+            total.merge(r);
         }
         safe += s;
         collisions += c;
@@ -182,11 +171,11 @@ fn adaptive_matches_dense_over_many_random_worlds() {
     );
     let [dense, adaptive] = totals;
     assert!(
-        adaptive.skipped * 2 > adaptive.checked,
+        adaptive.samples_skipped * 2 > adaptive.samples_checked,
         "adaptive kernel barely skipped: {} skipped vs {} checked ({} dense)",
-        adaptive.skipped,
-        adaptive.checked,
-        dense.checked
+        adaptive.samples_skipped,
+        adaptive.samples_checked,
+        dense.samples_checked
     );
 }
 

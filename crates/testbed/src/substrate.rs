@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(report.stages.len(), 3);
         // The simulator stage actually swept trajectories.
         let sim_stage = report.stage(Stage::Simulator).unwrap();
-        assert!(sim_stage.report.cache_hits + sim_stage.report.cache_misses > 0);
+        assert!(sim_stage.report.counters.cache_hit_rate().is_some());
         assert_eq!(report.total_damage(), 0);
     }
 }

@@ -1,26 +1,27 @@
-//! Fleet execution: many independent `(Lab, Workflow)` runs in parallel.
+//! Fleet execution: many independent `(substrate, workflow)` runs in
+//! parallel.
 //!
 //! The bug study and the latency experiments replay whole workflow
-//! libraries; each replay builds its own virtual lab, runs one workflow
-//! through a [`Tracer`], and collects the report. [`run_fleet`] fans those
-//! replays out over `rabit_core::fleet`'s deterministic work-stealing
-//! pool: results are keyed by workflow index and every run constructs its
-//! lab inside its own job, so the per-run alerts and damage logs are
-//! identical for any thread count — the property the fleet integration
-//! test pins down.
+//! libraries; each replay instantiates its own virtual lab and engine
+//! from a [`Substrate`], runs one workflow through a [`Tracer`], and
+//! collects the report. [`run_fleet_on`] fans those replays out over
+//! `rabit_core::fleet`'s deterministic worker pool: results are keyed by
+//! job index and every run builds its lab inside its own job, so the
+//! per-run alerts and damage logs are identical for any thread count —
+//! the property the fleet integration test pins down. Every run goes
+//! through [`FleetJob::execute`], the one place a [`FleetRun`] is built.
 
 use crate::tracer::{TraceReport, Tracer};
 use crate::workflow::Workflow;
 use rabit_core::fleet::run_indexed;
-use rabit_core::{
-    DamageEvent, FaultPlan, Lab, Rabit, RecoveryCounters, Stage, Substrate, SweepStats,
-};
+use rabit_core::{DamageEvent, FaultPlan, Lab, RunCounters, Stage, Substrate};
 use rabit_rulebase::{RulebaseSnapshot, SnapshotCache, SnapshotSource, TenantId};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// One fleet run: the workflow's trace report plus the physical damage
-/// its lab accumulated.
+/// its lab accumulated. The run's counters are in
+/// [`TraceReport::counters`].
 #[derive(Debug)]
 pub struct FleetRun {
     /// Index of the workflow in the fleet (result vectors are keyed by
@@ -28,31 +29,15 @@ pub struct FleetRun {
     pub index: usize,
     /// The workflow's name.
     pub workflow: String,
-    /// The deployment stage this run executed at (`None` for plain
-    /// [`run_fleet`] setups, which carry no stage identity).
+    /// The deployment stage this run executed at (always set by
+    /// [`FleetJob::execute`]).
     pub stage: Option<Stage>,
-    /// The substrate's name (`None` for plain [`run_fleet`] setups).
+    /// The substrate's name (always set by [`FleetJob::execute`]).
     pub substrate: Option<String>,
     /// The tracer's report for this run.
     pub report: TraceReport,
     /// Ground-truth damage the lab recorded during the run.
     pub damage: Vec<DamageEvent>,
-    /// Verdict-cache hits of this run's validator (0 without a guarded
-    /// engine or a caching validator).
-    pub cache_hits: u64,
-    /// Verdict-cache misses of this run's validator.
-    pub cache_misses: u64,
-    /// Trajectory grid samples this run's validator collision-checked
-    /// (0 without a sweeping validator).
-    pub samples_checked: u64,
-    /// Grid samples the validator's adaptive sweep kernel proved
-    /// hit-free and skipped (0 for dense validators).
-    pub samples_skipped: u64,
-    /// Per-primitive signed-distance evaluations the validator issued
-    /// for skip decisions.
-    pub distance_queries: u64,
-    /// Faults the run's lab actually injected (0 without a fault plan).
-    pub faults_injected: u64,
     /// The rulebase epoch this run's engine validated against (0 for
     /// pinned rulebases and pass-through baselines; the published epoch
     /// for live-store fleets via [`run_fleet_on_live`]).
@@ -91,134 +76,25 @@ impl FleetReport {
         self.runs.iter().map(|r| r.damage.len()).sum()
     }
 
-    /// Total simulated lab time across the fleet (seconds).
-    pub fn total_lab_time_s(&self) -> f64 {
-        self.runs.iter().map(|r| r.report.lab_time_s).sum()
-    }
-
-    /// The runs that executed at one deployment stage (empty for fleets
-    /// assembled without substrates).
+    /// The runs that executed at one deployment stage.
     pub fn runs_at(&self, stage: Stage) -> impl Iterator<Item = &FleetRun> {
         self.runs.iter().filter(move |r| r.stage == Some(stage))
     }
 
-    /// Total faults injected across the fleet.
-    pub fn total_faults_injected(&self) -> u64 {
-        self.runs.iter().map(|r| r.faults_injected).sum()
-    }
-
-    /// Fleet-wide recovery activity, summed over every run.
-    pub fn total_recovery(&self) -> RecoveryCounters {
-        let mut out = RecoveryCounters::default();
+    /// The fleet's counters: every run's [`TraceReport::counters`],
+    /// merged.
+    pub fn totals(&self) -> RunCounters {
+        let mut totals = RunCounters::default();
         for run in &self.runs {
-            let r = run.report.recovery;
-            out.retries += r.retries;
-            out.recovered += r.recovered;
-            out.quarantined += r.quarantined;
-            out.skipped_quarantined += r.skipped_quarantined;
-            out.safe_stops += r.safe_stops;
+            totals.merge(&run.report.counters);
         }
-        out
+        totals
     }
-
-    /// Fleet-wide verdict-cache hit rate, `hits / (hits + misses)`.
-    /// `None` when no run performed any cached validation.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let hits: u64 = self.runs.iter().map(|r| r.cache_hits).sum();
-        let misses: u64 = self.runs.iter().map(|r| r.cache_misses).sum();
-        if hits + misses == 0 {
-            None
-        } else {
-            Some(hits as f64 / (hits + misses) as f64)
-        }
-    }
-
-    /// Total trajectory grid samples the fleet's validators
-    /// collision-checked.
-    pub fn total_samples_checked(&self) -> u64 {
-        self.runs.iter().map(|r| r.samples_checked).sum()
-    }
-
-    /// Total grid samples the fleet's adaptive sweep kernels skipped.
-    pub fn total_samples_skipped(&self) -> u64 {
-        self.runs.iter().map(|r| r.samples_skipped).sum()
-    }
-
-    /// Total clearance distance evaluations across the fleet.
-    pub fn total_distance_queries(&self) -> u64 {
-        self.runs.iter().map(|r| r.distance_queries).sum()
-    }
-
-    /// Fleet-wide sweep skip rate, `skipped / (checked + skipped)`.
-    /// `None` when no validator processed any trajectory sample.
-    pub fn sweep_skip_rate(&self) -> Option<f64> {
-        let checked = self.total_samples_checked();
-        let skipped = self.total_samples_skipped();
-        if checked + skipped == 0 {
-            None
-        } else {
-            Some(skipped as f64 / (checked + skipped) as f64)
-        }
-    }
-}
-
-/// Runs every workflow against its own freshly-built lab, on `threads`
-/// workers.
-///
-/// `setup(i)` builds the lab (and optionally a RABIT engine) for
-/// workflow `i`; it is called from the worker that executes the run, so
-/// labs never cross threads. With `Some(rabit)` the run is guarded
-/// (check-then-forward); with `None` it is a pass-through baseline.
-///
-/// Determinism: for a deterministic `setup`, the returned
-/// [`FleetReport::runs`] — traces, alerts, and damage logs — is
-/// identical for every `threads >= 1`.
-pub fn run_fleet<S>(workflows: &[Workflow], threads: usize, setup: S) -> FleetReport
-where
-    S: Fn(usize) -> (Lab, Option<Rabit>) + Sync,
-{
-    let runs = run_indexed(workflows.len(), threads, |i| {
-        let (mut lab, rabit) = setup(i);
-        let (report, cache_hits, cache_misses, sweep, rulebase_epoch) = match rabit {
-            Some(mut rabit) => {
-                let report = Tracer::guarded(&mut lab, &mut rabit).run(&workflows[i]);
-                let (hits, misses) = rabit.validator_cache_stats();
-                let sweep = rabit.validator_sweep_stats();
-                let epoch = rabit.rulebase_epoch();
-                drop(rabit);
-                (report, hits, misses, sweep, epoch)
-            }
-            None => (
-                Tracer::pass_through(&mut lab).run(&workflows[i]),
-                0,
-                0,
-                SweepStats::default(),
-                rabit_rulebase::STATIC_EPOCH,
-            ),
-        };
-        FleetRun {
-            index: i,
-            workflow: workflows[i].name().to_string(),
-            stage: None,
-            substrate: None,
-            report,
-            damage: lab.damage_log().to_vec(),
-            cache_hits,
-            cache_misses,
-            samples_checked: sweep.samples_checked,
-            samples_skipped: sweep.samples_skipped,
-            distance_queries: sweep.distance_queries,
-            faults_injected: lab.fault_stats().total_injected(),
-            rulebase_epoch,
-        }
-    });
-    FleetReport { threads, runs }
 }
 
 /// Runs each `(substrate, workflow)` job guarded on `threads` workers.
 ///
-/// This is [`run_fleet`] made generic over deployment substrates: every
-/// job instantiates a fresh `(Lab, Rabit)` pair from its substrate —
+/// Every job instantiates a fresh `(Lab, Rabit)` pair from its substrate —
 /// rulebase, catalog, latency, and (if the substrate attaches one)
 /// trajectory validator included — so a single fleet can mix stages:
 /// simulator replays next to testbed runs next to production profiles.
@@ -226,8 +102,7 @@ where
 /// (see [`FleetReport::runs_at`]).
 ///
 /// Determinism: substrates build state inside the executing worker, so
-/// reports are identical for every `threads >= 1`, exactly as for
-/// [`run_fleet`].
+/// reports are identical for every `threads >= 1`.
 pub fn run_fleet_on(jobs: &[(&dyn Substrate, &Workflow)], threads: usize) -> FleetReport {
     fleet_on_with(jobs, threads, None, None)
 }
@@ -331,7 +206,7 @@ impl FleetJob<'_> {
     /// so post-run ground truth (device poses, damage detail) stays
     /// inspectable.
     pub fn execute(&self) -> (FleetRun, Lab) {
-        let (lab, report, cache, sweep, rulebase_epoch) = if self.guarded {
+        let (lab, report, rulebase_epoch) = if self.guarded {
             // No explicit per-run plan → the substrate's own, exactly
             // what `Substrate::instantiate` would arm.
             let fault = match &self.fault {
@@ -343,10 +218,7 @@ impl FleetJob<'_> {
                 None => self.substrate.instantiate_with(&fault),
             };
             let report = Tracer::guarded(&mut lab, &mut rabit).run(self.workflow);
-            let cache = rabit.validator_cache_stats();
-            let sweep = rabit.validator_sweep_stats();
-            let epoch = rabit.rulebase_epoch();
-            (lab, report, cache, sweep, epoch)
+            (lab, report, rabit.rulebase_epoch())
         } else {
             let mut lab = self.substrate.build_lab();
             if let Some(plan) = &self.fault {
@@ -355,13 +227,7 @@ impl FleetJob<'_> {
                 }
             }
             let report = Tracer::pass_through(&mut lab).run(self.workflow);
-            (
-                lab,
-                report,
-                (0, 0),
-                SweepStats::default(),
-                rabit_rulebase::STATIC_EPOCH,
-            )
+            (lab, report, rabit_rulebase::STATIC_EPOCH)
         };
         let run = FleetRun {
             index: 0,
@@ -370,16 +236,10 @@ impl FleetJob<'_> {
             substrate: Some(self.substrate.name().to_string()),
             report,
             damage: lab.damage_log().to_vec(),
-            cache_hits: cache.0,
-            cache_misses: cache.1,
-            samples_checked: sweep.samples_checked,
-            samples_skipped: sweep.samples_skipped,
-            distance_queries: sweep.distance_queries,
-            faults_injected: lab.fault_stats().total_injected(),
             rulebase_epoch,
         };
-        // The damage log and fault stats are already captured; hand the
-        // lab back for post-run ground-truth reads.
+        // The damage log is already captured; hand the lab back for
+        // post-run ground-truth reads.
         (run, lab)
     }
 }
@@ -387,24 +247,10 @@ impl FleetJob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rabit_core::{Alert, RabitConfig};
+    use rabit_core::Alert;
     use rabit_devices::{ActionKind, DeviceType, DosingDevice, RobotArm, Vial};
     use rabit_geometry::{Aabb, Vec3};
     use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rule, RuleId, Rulebase};
-
-    fn lab() -> Lab {
-        Lab::new()
-            .with_device(RobotArm::new(
-                "viperx",
-                Vec3::new(0.3, 0.0, 0.3),
-                Vec3::new(0.1, -0.3, 0.2),
-            ))
-            .with_device(DosingDevice::new(
-                "doser",
-                Aabb::new(Vec3::new(0.1, 0.35, 0.0), Vec3::new(0.25, 0.55, 0.3)),
-            ))
-            .with_device(Vial::new("vial", Vec3::new(0.537, 0.018, 0.12)))
-    }
 
     fn catalog() -> DeviceCatalog {
         DeviceCatalog::new()
@@ -414,10 +260,6 @@ mod tests {
             )
             .with(DeviceMeta::new("doser", DeviceType::DosingSystem).with_door())
             .with(DeviceMeta::new("vial", DeviceType::Container))
-    }
-
-    fn rabit() -> Rabit {
-        Rabit::new(Rulebase::standard(), catalog(), RabitConfig::default())
     }
 
     fn workflows() -> Vec<Workflow> {
@@ -435,10 +277,19 @@ mod tests {
         ]
     }
 
+    /// One job per workflow, all on `sub`.
+    fn jobs_on<'a>(
+        sub: &'a dyn Substrate,
+        wfs: &'a [Workflow],
+    ) -> Vec<(&'a dyn Substrate, &'a Workflow)> {
+        wfs.iter().map(|wf| (sub, wf)).collect()
+    }
+
     #[test]
     fn guarded_fleet_reports_per_run_alerts() {
+        let sub = mini(Stage::Testbed);
         let wfs = workflows();
-        let fleet = run_fleet(&wfs, 2, |_| (lab(), Some(rabit())));
+        let fleet = run_fleet_on(&jobs_on(&sub, &wfs), 2);
         assert_eq!(fleet.runs.len(), 3);
         assert_eq!(fleet.completed_runs(), 2);
         assert!(fleet.runs[0].report.completed());
@@ -450,8 +301,22 @@ mod tests {
 
     #[test]
     fn unguarded_fleet_takes_damage() {
+        let sub = mini(Stage::Testbed);
         let wfs = workflows();
-        let fleet = run_fleet(&wfs, 2, |_| (lab(), None));
+        let runs = wfs
+            .iter()
+            .map(|workflow| {
+                let job = FleetJob {
+                    substrate: &sub,
+                    workflow,
+                    fault: None,
+                    guarded: false,
+                    snapshot: None,
+                };
+                job.execute().0
+            })
+            .collect();
+        let fleet = FleetReport { threads: 1, runs };
         assert_eq!(fleet.completed_runs(), 3, "nothing halts pass-through");
         assert_eq!(fleet.total_damage(), 1, "bug_a breaks the door");
         assert_eq!(fleet.runs[1].damage.len(), 1);
@@ -592,15 +457,12 @@ mod tests {
         // `safe2` opens the doser door, which both vetoes reject.
         let wfs = workflows();
         let want = ["custom:veto_a", "custom:veto_b"];
-        let fleet = run_fleet(&wfs[2..], 1, |_| {
-            let rabit = Rabit::new(doubly_vetoed(), catalog(), RabitConfig::default());
-            (lab(), Some(rabit))
-        });
-        assert_eq!(violated_rules(&fleet.runs[0]), want, "run_fleet");
         let sub = MiniSubstrate {
             stage: Stage::Testbed,
             rulebase: doubly_vetoed(),
         };
+        let fleet = run_fleet_on(&jobs_on(&sub, &wfs[2..]), 1);
+        assert_eq!(violated_rules(&fleet.runs[0]), want, "run_fleet_on");
         let (run, _) = FleetJob {
             substrate: &sub,
             workflow: &wfs[2],
@@ -614,8 +476,9 @@ mod tests {
 
     #[test]
     fn fleet_results_keyed_by_workflow_index() {
+        let sub = mini(Stage::Testbed);
         let wfs = workflows();
-        let fleet = run_fleet(&wfs, 3, |_| (lab(), Some(rabit())));
+        let fleet = run_fleet_on(&jobs_on(&sub, &wfs), 3);
         for (i, run) in fleet.runs.iter().enumerate() {
             assert_eq!(run.index, i);
             assert_eq!(run.workflow, wfs[i].name());

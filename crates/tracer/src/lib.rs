@@ -11,8 +11,9 @@
 //! * [`Tracer`] — guarded (check-then-forward) and pass-through modes;
 //! * [`Trace`] / [`TraceEvent`] — the serializable command log (the RAD
 //!   on-disk format);
-//! * [`fleet`] — parallel execution of many independent `(Lab, Workflow)`
-//!   runs with deterministic, thread-count-independent results.
+//! * [`fleet`] — parallel execution of many independent
+//!   `(substrate, workflow)` runs with deterministic,
+//!   thread-count-independent results.
 //!
 //! # Example
 //!
@@ -36,8 +37,7 @@ mod workflow;
 
 pub use concurrent::{run_concurrent, ConcurrentReport, StreamReport};
 pub use fleet::{
-    run_fleet, run_fleet_on, run_fleet_on_faulted, run_fleet_on_live, FleetJob, FleetReport,
-    FleetRun,
+    run_fleet_on, run_fleet_on_faulted, run_fleet_on_live, FleetJob, FleetReport, FleetRun,
 };
 pub use script::{parse_script, AliasTable, ScriptError};
 pub use trace::{Trace, TraceEvent, TraceOutcome};

@@ -7,7 +7,7 @@
 
 use crate::trace::{Trace, TraceEvent, TraceOutcome};
 use crate::workflow::Workflow;
-use rabit_core::{Alert, Lab, Rabit, RecoveryCounters, StepOutcome};
+use rabit_core::{Alert, Lab, Rabit, RunCounters, StepOutcome};
 
 /// How the tracer treats each intercepted command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,9 +35,9 @@ pub struct TraceReport {
     pub lab_time_s: f64,
     /// RABIT's share of that time (zero in pass-through mode).
     pub rabit_overhead_s: f64,
-    /// Recovery activity during this run (all zero in pass-through mode
-    /// or when no recovery policy is configured).
-    pub recovery: RecoveryCounters,
+    /// The run's counters, as in [`rabit_core::RunReport::counters`]. In
+    /// pass-through mode only `faults_injected` can be non-zero.
+    pub counters: RunCounters,
 }
 
 impl TraceReport {
@@ -84,10 +84,11 @@ impl<'a> Tracer<'a> {
         let mut halt_alert = None;
 
         let overhead0 = self.rabit.as_ref().map_or(0.0, |r| r.overhead_s());
-        let recovery0 = self
-            .rabit
-            .as_ref()
-            .map_or(RecoveryCounters::default(), |r| r.recovery_counters());
+        // Without an engine only the lab's own counters can move.
+        let snapshot = |rabit: Option<&Rabit>, lab: &Lab| {
+            rabit.map_or_else(|| RunCounters::of_lab(lab), |r| r.counters(lab))
+        };
+        let counters0 = snapshot(self.rabit.as_deref(), self.lab);
         if let Some(rabit) = self.rabit.as_deref_mut() {
             rabit.initialize(self.lab);
         }
@@ -158,19 +159,13 @@ impl<'a> Tracer<'a> {
         }
 
         let rabit_overhead_s = self.rabit.as_ref().map_or(0.0, |r| r.overhead_s()) - overhead0;
-        let recovery = self
-            .rabit
-            .as_ref()
-            .map_or(RecoveryCounters::default(), |r| {
-                r.recovery_counters().since(&recovery0)
-            });
         TraceReport {
             trace,
             alert: halt_alert,
             executed,
             lab_time_s: self.lab.clock().now_s() - t0,
             rabit_overhead_s,
-            recovery,
+            counters: snapshot(self.rabit.as_deref(), self.lab).since(&counters0),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! state file must re-run exactly its own trial, with a warning in the
 //! manifest, leaving the artifact unchanged.
 
-use rabit::campaign::{plans, CampaignPlan, CampaignRunner, TrialState, TrialStatus};
+use rabit::campaign::{plans, CampaignPlan, CampaignRunner, TrialState, TrialStatus, TRIAL_SCHEMA};
 use rabit::util::{Json, ToJson};
 use std::fs;
 use std::path::PathBuf;
@@ -110,21 +110,24 @@ fn corrupt_state_files_rerun_only_their_trials() {
     let states = runner.states();
 
     // Truncate one state file mid-byte, replace another with garbage
-    // that parses as JSON but fails schema validation, and a third with
-    // a million open brackets (deeper than any parser stack).
+    // that parses as JSON but fails schema validation, a third with a
+    // million open brackets (deeper than any parser stack), and a fourth
+    // with its own state in the previous (v1) layout.
     let trials = runner.trials();
     let truncated_path = dir.join("trials").join(format!("{}.json", trials[1].id));
     let text = fs::read_to_string(&truncated_path).unwrap();
     fs::write(&truncated_path, &text[..text.len() / 2]).unwrap();
     let invalid_path = dir.join("trials").join(format!("{}.json", trials[5].id));
-    fs::write(&invalid_path, "{\"schema\": \"rabit.campaign.trial/v1\"}").unwrap();
+    fs::write(&invalid_path, format!("{{\"schema\": \"{TRIAL_SCHEMA}\"}}")).unwrap();
     let nested_path = dir.join("trials").join(format!("{}.json", trials[3].id));
     fs::write(&nested_path, "[".repeat(1_000_000)).unwrap();
+    let v1_path = dir.join("trials").join(format!("{}.json", trials[6].id));
+    fs::write(&v1_path, as_v1(&states[6]).to_pretty()).unwrap();
 
     let summary = runner.run(2, None).expect("recovery run");
     assert_eq!(
-        summary.executed, 3,
-        "exactly the three damaged trials re-run, nothing else"
+        summary.executed, 4,
+        "exactly the four damaged trials re-run, nothing else"
     );
     assert!(summary.complete());
     assert_eq!(
@@ -133,7 +136,7 @@ fn corrupt_state_files_rerun_only_their_trials() {
             .iter()
             .filter(|w| w.contains("corrupt"))
             .count(),
-        3,
+        4,
         "each damaged file leaves a warning: {:?}",
         summary.warnings
     );
@@ -141,6 +144,10 @@ fn corrupt_state_files_rerun_only_their_trials() {
     let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.contains("corrupt"));
     assert!(manifest.contains("nesting"), "the bracket file's reason");
+    assert!(
+        manifest.contains("rabit.campaign.trial/v1"),
+        "the v1 file's reason"
+    );
     // Results are unchanged; only attempt counters moved.
     assert_eq!(runner.artifact().unwrap().to_pretty(), want);
     let after = runner.states();
@@ -153,6 +160,40 @@ fn corrupt_state_files_rerun_only_their_trials() {
         );
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `state` as v1 wrote it: the v1 schema tag, and the result's counters
+/// as six flat fields (v1 had no narrow checks and no recovery).
+fn as_v1(state: &TrialState) -> Json {
+    const V1: [&str; 6] = [
+        "faults_injected",
+        "cache_hits",
+        "cache_misses",
+        "samples_checked",
+        "samples_skipped",
+        "distance_queries",
+    ];
+    let mut json = state.to_json();
+    let Json::Obj(pairs) = &mut json else {
+        unreachable!("states serialise as objects")
+    };
+    for (key, value) in pairs.iter_mut() {
+        match (key.as_str(), value) {
+            ("schema", value) => *value = Json::Str("rabit.campaign.trial/v1".into()),
+            ("result", Json::Obj(fields)) => {
+                let at = fields.iter().position(|(k, _)| k == "counters").unwrap();
+                let (_, Json::Obj(counters)) = fields.remove(at) else {
+                    unreachable!("counters serialise as an object")
+                };
+                let flat = counters
+                    .into_iter()
+                    .filter(|(k, _)| V1.contains(&k.as_str()));
+                fields.splice(at..at, flat);
+            }
+            _ => {}
+        }
+    }
+    json
 }
 
 /// State with both wall-clock and attempt scrubbed (re-runs bump

@@ -2,14 +2,16 @@
 //! three substrates stay verdict-identical to the fault-free baseline
 //! and the per-stage detection counts are unchanged), while a seeded
 //! plan produces thread-count-invariant faulted fleets whose recovery
-//! counters actually move.
+//! counters actually move, and the engine's own run loop and the guarded
+//! tracer report the same counters under faults.
 
 use rabit::buginject::run_study_on;
 use rabit::core::{
-    FaultKind, FaultPlan, FaultSchedule, RabitConfig, RecoveryPolicy, RetryPolicy, Stage, Substrate,
+    FaultKind, FaultPlan, FaultSchedule, RabitConfig, RecoveryPolicy, RetryPolicy, RunCounters,
+    Stage, Substrate,
 };
 use rabit::testbed::{locations, workflows, Testbed, TestbedSubstrate};
-use rabit::tracer::{run_fleet_on, run_fleet_on_faulted, Workflow};
+use rabit::tracer::{run_fleet_on, run_fleet_on_faulted, Tracer, Workflow};
 
 /// With an empty fault plan armed, every substrate's verdict — alert,
 /// executed count, virtual lab time, damage — is identical to a plain
@@ -36,8 +38,8 @@ fn empty_fault_plan_is_verdict_identical_on_all_three_substrates() {
         assert_eq!(baseline.lab_time_s, report.lab_time_s);
         assert_eq!(baseline.rabit_overhead_s, report.rabit_overhead_s);
         assert_eq!(lab.damage_log().len(), lab2.damage_log().len());
-        assert_eq!(report.faults_injected, 0);
-        assert!(!report.recovery.any());
+        assert_eq!(report.counters.faults_injected, 0);
+        assert!(!report.counters.recovery.any());
         assert!(!lab2.has_fault_session(), "empty plans arm nothing");
     }
 }
@@ -97,11 +99,12 @@ fn seeded_fault_fleet_is_thread_count_invariant_with_recovery() {
     let four = run_fleet_on_faulted(&jobs, 4, &plan);
     let eight = run_fleet_on_faulted(&jobs, 8, &plan);
 
+    let totals = serial.totals();
     assert!(
-        serial.total_faults_injected() > 0,
+        totals.faults_injected > 0,
         "the seeded plan must actually inject"
     );
-    let recovery = serial.total_recovery();
+    let recovery = totals.recovery;
     assert!(
         recovery.recovered > 0,
         "the retry policy must recover dropped commands: {recovery:?}"
@@ -109,14 +112,10 @@ fn seeded_fault_fleet_is_thread_count_invariant_with_recovery() {
     assert!(recovery.retries >= recovery.recovered);
 
     for other in [&four, &eight] {
-        assert_eq!(
-            serial.total_faults_injected(),
-            other.total_faults_injected()
-        );
-        assert_eq!(recovery, other.total_recovery());
+        assert_eq!(totals, other.totals());
         for (a, b) in serial.runs.iter().zip(other.runs.iter()) {
             assert_eq!(a.index, b.index);
-            assert_eq!(a.faults_injected, b.faults_injected, "run {}", a.index);
+            assert_eq!(a.report.counters, b.report.counters, "run {}", a.index);
             assert_eq!(a.report.executed, b.report.executed, "run {}", a.index);
             assert_eq!(
                 a.report.alert.as_ref().map(ToString::to_string),
@@ -125,7 +124,6 @@ fn seeded_fault_fleet_is_thread_count_invariant_with_recovery() {
                 a.index
             );
             assert_eq!(a.report.lab_time_s, b.report.lab_time_s, "run {}", a.index);
-            assert_eq!(a.report.recovery, b.report.recovery, "run {}", a.index);
         }
     }
 }
@@ -139,7 +137,7 @@ fn faulted_fleet_with_empty_plan_matches_plain_fleet() {
     let jobs: Vec<(&dyn Substrate, &Workflow)> = vec![(&tb, &wf), (&tb, &wf)];
     let plain = run_fleet_on(&jobs, 2);
     let faulted = run_fleet_on_faulted(&jobs, 2, &FaultPlan::none());
-    assert_eq!(faulted.total_faults_injected(), 0);
+    assert_eq!(faulted.totals().faults_injected, 0);
     for (a, b) in plain.runs.iter().zip(faulted.runs.iter()) {
         assert_eq!(a.report.executed, b.report.executed);
         assert_eq!(a.report.lab_time_s, b.report.lab_time_s);
@@ -172,7 +170,7 @@ fn substrate_carried_plans_arm_on_instantiate() {
         !report.completed(),
         "dropping every command must trip the malfunction check"
     );
-    assert!(report.faults_injected > 0);
+    assert!(report.counters.faults_injected > 0);
 
     // The same substrate under quarantine, on a workflow that only
     // drives the hopeless device: it is isolated after the first
@@ -191,7 +189,76 @@ fn substrate_carried_plans_arm_on_instantiate() {
         "quarantine never alerts: {:?}",
         report.alert
     );
-    assert_eq!(report.recovery.quarantined, 1);
-    assert_eq!(report.recovery.skipped_quarantined, 1);
+    assert_eq!(report.counters.recovery.quarantined, 1);
+    assert_eq!(report.counters.recovery.skipped_quarantined, 1);
     assert!(rabit.is_quarantined(&"dosing_device".into()));
+}
+
+/// `Rabit::run` and the guarded tracer are two loops over one engine.
+/// Under seeded state faults — one of them injected into the initial
+/// state fetch — both report the same counters, alert and times, and
+/// both count every fault the lab injected. (`executed` is left out: the
+/// two loops define it differently on a malfunction alert.)
+#[test]
+fn engine_and_tracer_runs_report_the_same_counters_under_state_faults() {
+    let loc = locations();
+    let wfs = [
+        Workflow::new("open_door").set_door("dosing_device", true),
+        workflows::fig5_safe_workflow(&loc),
+        workflows::device_tour(&loc),
+    ];
+    let retry = RabitConfig {
+        recovery: RecoveryPolicy::Retry(RetryPolicy::default()),
+        ..RabitConfig::default()
+    };
+    let sim = Testbed::simulator_substrate().with_engine_config(retry);
+    let tb = TestbedSubstrate::for_stage(Stage::Testbed);
+    let substrates: [&dyn Substrate; 2] = [&sim, &tb];
+    let faults = [
+        (
+            FaultKind::NoisyState { sigma: 1e-9 },
+            FaultSchedule::AtSteps(vec![0]),
+        ),
+        (
+            FaultKind::StaleState,
+            FaultSchedule::Bernoulli { probability: 0.3 },
+        ),
+        (
+            FaultKind::NoisyState { sigma: 0.05 },
+            FaultSchedule::Bernoulli { probability: 0.2 },
+        ),
+    ];
+    let mut totals = RunCounters::default();
+    let mut alerts = 0;
+    for seed in 0..3 {
+        for (kind, schedule) in &faults {
+            let plan = FaultPlan::seeded(seed).with(*kind, schedule.clone());
+            for substrate in substrates {
+                for wf in &wfs {
+                    let at = format!("seed {seed} {kind:?} {} {}", substrate.name(), wf.name());
+                    let (mut lab, mut rabit) = substrate.instantiate_with(&plan);
+                    let engine = rabit.run(&mut lab, wf.commands());
+                    assert_eq!(
+                        engine.counters.faults_injected,
+                        lab.fault_stats().total_injected(),
+                        "{at}: every injected fault is counted"
+                    );
+                    let (mut lab, mut rabit) = substrate.instantiate_with(&plan);
+                    let traced = Tracer::guarded(&mut lab, &mut rabit).run(wf);
+                    assert_eq!(engine.counters, traced.counters, "{at}");
+                    assert_eq!(engine.alert, traced.alert, "{at}");
+                    assert_eq!(engine.lab_time_s, traced.lab_time_s, "{at}");
+                    assert_eq!(engine.rabit_overhead_s, traced.rabit_overhead_s, "{at}");
+                    totals.merge(&engine.counters);
+                    alerts += usize::from(engine.alert.is_some());
+                }
+            }
+        }
+    }
+    // The scenario is not vacuous: faults fire, some runs halt, the retry
+    // policy engages and the simulator stage sweeps.
+    assert!(totals.faults_injected > 0);
+    assert!(alerts > 0);
+    assert!(totals.recovery.retries > 0);
+    assert!(totals.cache_hit_rate().is_some());
 }

@@ -5,10 +5,11 @@
 //! thread scheduling may change wall-clock order, but never results.
 
 use rabit::buginject::RabitStage;
+use rabit::core::Substrate;
 use rabit::devices::{ActionKind, Command};
 use rabit::geometry::Vec3;
-use rabit::testbed::{workflows, Testbed};
-use rabit::tracer::{run_fleet, FleetReport, Workflow};
+use rabit::testbed::{workflows, Testbed, TestbedSubstrate};
+use rabit::tracer::{run_fleet_on, FleetReport, Workflow};
 use rabit::util::Rng;
 
 const FLEET_SIZE: usize = 32;
@@ -78,16 +79,17 @@ fn mutate(wf: &mut Workflow, rng: &mut Rng) {
 /// Extended Simulator so the broad-phase path is exercised under
 /// parallelism too.
 fn run_at(workflows: &[Workflow], threads: usize) -> FleetReport {
-    run_fleet(workflows, threads, |i| {
-        let tb = Testbed::new();
-        let stage = if i % 3 == 0 {
-            RabitStage::ModifiedWithSimulator
-        } else {
-            RabitStage::Modified
-        };
-        let rabit = tb.rabit(stage);
-        (tb.lab, Some(rabit))
-    })
+    let with_sim = TestbedSubstrate::study(RabitStage::ModifiedWithSimulator);
+    let modified = TestbedSubstrate::study(RabitStage::Modified);
+    let jobs: Vec<(&dyn Substrate, &Workflow)> = workflows
+        .iter()
+        .enumerate()
+        .map(|(i, wf)| {
+            let substrate: &dyn Substrate = if i % 3 == 0 { &with_sim } else { &modified };
+            (substrate, wf)
+        })
+        .collect();
+    run_fleet_on(&jobs, threads)
 }
 
 /// Everything observable about a run, as comparable strings:
