@@ -20,9 +20,9 @@
 
 use rabit_bench::report::render_table;
 use rabit_buginject::{catalog, run_study_on};
-use rabit_core::{PipelineReport, RunCounters, Stage, StagePipeline, Substrate};
+use rabit_core::{RunCounters, Stage, Substrate};
 use rabit_testbed::{locations, workflows, Testbed};
-use rabit_tracer::Workflow;
+use rabit_tracer::{FleetJob, PipelineReport, StagePipeline, Workflow};
 use rabit_util::Json;
 use std::time::Instant;
 
@@ -63,8 +63,15 @@ fn profile_stage(
         lab_time_s = 0.0;
         counters = RunCounters::default();
         for _ in 0..runs {
-            let (mut lab, mut rabit) = substrate.instantiate();
-            let report = rabit.run(&mut lab, wf.commands());
+            let (run, _lab) = FleetJob {
+                substrate,
+                workflow: wf,
+                fault: None,
+                guarded: true,
+                snapshot: None,
+            }
+            .execute();
+            let report = run.report;
             assert!(
                 report.completed(),
                 "safe workflow alerted at {}: {:?}",
@@ -96,7 +103,7 @@ fn timed_promotion(
 ) -> (PipelineReport, f64) {
     let mut report = None;
     let wall_s = measure(repeats, || {
-        report = Some(pipeline.promote(wf.name(), wf.commands()));
+        report = Some(pipeline.promote(wf));
     });
     (report.expect("at least one promotion ran"), wall_s)
 }

@@ -40,8 +40,8 @@ mod runner;
 pub use catalog::{catalog, Bug, BugCategory, DetectedFrom};
 pub use faults::{fault_families, run_fault_family_on, run_fault_study_on, FamilyResult};
 pub use runner::{
-    false_positives, false_positives_on, run_bug, run_bug_on, run_study, run_study_on,
-    run_study_parallel, run_study_parallel_on, BugOutcome, StudyResult,
+    false_positives, false_positives_on, run_bug, run_bug_on, run_study, run_study_on, BugOutcome,
+    StudyResult,
 };
 // Re-export the stage enum so harnesses need only this crate.
 pub use rabit_testbed::RabitStage;

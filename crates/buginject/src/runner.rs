@@ -10,7 +10,7 @@
 use crate::catalog::{catalog, Bug, BugCategory};
 use rabit_core::{DamageEvent, Severity, Stage, Substrate};
 use rabit_testbed::{locations, workflows, RabitStage, TestbedSubstrate};
-use rabit_tracer::{run_fleet_on, Tracer, Workflow};
+use rabit_tracer::{run_fleet_on, FleetJob, FleetRun, Workflow};
 
 /// Outcome of one bug under one configuration.
 #[derive(Debug)]
@@ -78,19 +78,29 @@ fn study_substrate(stage: RabitStage) -> TestbedSubstrate {
     TestbedSubstrate::study(stage)
 }
 
-fn outcome_of(bug: &Bug, alert: Option<&rabit_core::Alert>, damage: &[DamageEvent]) -> BugOutcome {
-    let (detected, device_fault) = match alert {
-        Some(alert) => (alert.is_rabit_detection(), !alert.is_rabit_detection()),
-        None => (false, false),
-    };
+/// One guarded run of `workflow` on a fresh lab from `substrate`.
+fn guarded_run(substrate: &dyn Substrate, workflow: &Workflow) -> FleetRun {
+    FleetJob {
+        substrate,
+        workflow,
+        fault: None,
+        guarded: true,
+        snapshot: None,
+    }
+    .execute()
+    .0
+}
+
+fn outcome_of(bug: &Bug, run: FleetRun) -> BugOutcome {
+    let alert = run.report.alert.as_ref();
     BugOutcome {
         id: bug.id,
         category: bug.category,
         severity: bug.severity,
-        detected,
+        detected: alert.is_some_and(|a| a.is_rabit_detection()),
         alert: alert.map(ToString::to_string),
-        device_fault,
-        damage: damage.to_vec(),
+        device_fault: alert.is_some_and(|a| !a.is_rabit_detection()),
+        damage: run.damage,
     }
 }
 
@@ -98,10 +108,10 @@ fn outcome_of(bug: &Bug, alert: Option<&rabit_core::Alert>, damage: &[DamageEven
 /// workflow targets the testbed deck topology, so the substrate must
 /// realise it (any stage or configuration profile works).
 pub fn run_bug_on(bug: &Bug, substrate: &dyn Substrate) -> BugOutcome {
-    let wf = bug.buggy_workflow(&locations());
-    let (mut lab, mut rabit) = substrate.instantiate();
-    let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
-    outcome_of(bug, report.alert.as_ref(), lab.damage_log())
+    outcome_of(
+        bug,
+        guarded_run(substrate, &bug.buggy_workflow(&locations())),
+    )
 }
 
 /// Runs one bug under one of the study's configurations.
@@ -109,11 +119,18 @@ pub fn run_bug(bug: &Bug, stage: RabitStage) -> BugOutcome {
     run_bug_on(bug, &study_substrate(stage))
 }
 
-/// Runs the whole 16-bug study against one substrate.
+/// Runs the whole 16-bug study against one substrate, as a one-thread
+/// guarded fleet: every bug runs on its own fresh lab.
 pub fn run_study_on(substrate: &dyn Substrate) -> StudyResult {
-    let outcomes = catalog()
+    let bugs = catalog();
+    let loc = locations();
+    let wfs: Vec<Workflow> = bugs.iter().map(|b| b.buggy_workflow(&loc)).collect();
+    let jobs: Vec<(&dyn Substrate, &Workflow)> = wfs.iter().map(|wf| (substrate, wf)).collect();
+    let fleet = run_fleet_on(&jobs, 1);
+    let outcomes = bugs
         .iter()
-        .map(|bug| run_bug_on(bug, substrate))
+        .zip(fleet.runs)
+        .map(|(bug, run)| outcome_of(bug, run))
         .collect();
     StudyResult {
         substrate: substrate.name().to_string(),
@@ -131,54 +148,15 @@ pub fn run_study(stage: RabitStage) -> StudyResult {
     }
 }
 
-/// Runs the study as a guarded fleet, every bug on its own worker (each
-/// run instantiates a fresh lab from the substrate, so the runs are
-/// fully independent). Results are identical to [`run_study_on`];
-/// wall-clock time is not — this is the regression-suite fast path a lab
-/// runs before each deployment.
-pub fn run_study_parallel_on(substrate: &dyn Substrate, threads: usize) -> StudyResult {
-    let bugs = catalog();
-    let loc = locations();
-    let wfs: Vec<Workflow> = bugs.iter().map(|b| b.buggy_workflow(&loc)).collect();
-    let jobs: Vec<(&dyn Substrate, &Workflow)> = wfs.iter().map(|wf| (substrate, wf)).collect();
-    let fleet = run_fleet_on(&jobs, threads);
-    let outcomes = bugs
-        .iter()
-        .zip(&fleet.runs)
-        .map(|(bug, run)| outcome_of(bug, run.report.alert.as_ref(), &run.damage))
-        .collect();
-    StudyResult {
-        substrate: substrate.name().to_string(),
-        stage: substrate.stage(),
-        config: None,
-        outcomes,
-    }
-}
-
-/// [`run_study_parallel_on`] for one of the study's configurations, one
-/// worker per bug.
-pub fn run_study_parallel(stage: RabitStage) -> StudyResult {
-    StudyResult {
-        config: Some(stage),
-        ..run_study_parallel_on(&study_substrate(stage), catalog().len())
-    }
-}
-
 /// Runs the safe workflows on `substrate` and returns the number of
 /// false positives (alerts raised on safe behaviour). The paper:
 /// "throughout testing, RABIT never produced any false positives."
 pub fn false_positives_on(substrate: &dyn Substrate) -> usize {
     let loc = locations();
-    let mut count = 0;
-    for builder in [workflows::fig5_safe_workflow, workflows::device_tour] {
-        let wf = builder(&loc);
-        let (mut lab, mut rabit) = substrate.instantiate();
-        let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
-        if report.alert.is_some() {
-            count += 1;
-        }
-    }
-    count
+    [workflows::fig5_safe_workflow, workflows::device_tour]
+        .into_iter()
+        .filter(|builder| !guarded_run(substrate, &builder(&loc)).report.completed())
+        .count()
 }
 
 /// [`false_positives_on`] for one of the study's configurations.
@@ -265,19 +243,6 @@ mod tests {
             .map(|s| run_study_on(s.as_ref()).detected())
             .collect();
         assert_eq!(counts, [13, 12, 12]);
-    }
-
-    #[test]
-    fn parallel_study_matches_serial() {
-        let serial = run_study(RabitStage::Modified);
-        let parallel = run_study_parallel(RabitStage::Modified);
-        assert_eq!(parallel.detected(), serial.detected());
-        for (a, b) in serial.outcomes.iter().zip(parallel.outcomes.iter()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.detected, b.detected);
-            assert_eq!(a.alert, b.alert);
-            assert_eq!(a.damage.len(), b.damage.len());
-        }
     }
 
     #[test]

@@ -572,7 +572,7 @@ fn execute_trial(trial: &Trial) -> TrialResult {
     TrialResult {
         workflow: trial.workflow.as_str(),
         substrate: run.substrate.unwrap_or_default(),
-        stage: run.stage.map(|s| s.name().to_string()).unwrap_or_default(),
+        stage: run.stage.name().to_string(),
         mode: trial.mode.as_str().to_string(),
         fault: trial.fault.as_str(),
         outcome: if run.report.completed() {

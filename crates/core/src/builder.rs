@@ -82,12 +82,6 @@ impl RabitBuilder {
         self
     }
 
-    /// Skips the post-execution malfunction check (ablation knob).
-    pub fn skip_malfunction_check(mut self, on: bool) -> Self {
-        self.config.skip_malfunction_check = on;
-        self
-    }
-
     /// Sets how the engine treats transient faults.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.config.recovery = policy;
@@ -159,7 +153,6 @@ mod tests {
             .catalog(DeviceCatalog::new())
             .state_tolerance(0.25)
             .stop_policy(StopPolicy::FailSafe)
-            .skip_malfunction_check(false)
             .recovery(RecoveryPolicy::Quarantine(RetryPolicy::default()))
             .validator(Box::new(ApproveAll))
             .fault_plan(plan.clone())

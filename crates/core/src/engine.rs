@@ -18,8 +18,6 @@ pub struct RabitConfig {
     pub state_tolerance: f64,
     /// What to do on alert.
     pub stop_policy: StopPolicy,
-    /// Skip the post-execution malfunction check (ablation knob).
-    pub skip_malfunction_check: bool,
     /// How the engine treats *transient* alerts (device faults and
     /// malfunctions): alert immediately (the paper's behaviour, and the
     /// default), retry with backoff, retry then safe-stop, or
@@ -33,7 +31,6 @@ impl Default for RabitConfig {
         RabitConfig {
             state_tolerance: 1e-6,
             stop_policy: StopPolicy::StopImmediately,
-            skip_malfunction_check: false,
             recovery: RecoveryPolicy::AlertImmediately,
         }
     }
@@ -61,38 +58,6 @@ impl StepOutcome {
     /// Whether the command actually executed on its device.
     pub fn executed(&self) -> bool {
         matches!(self, StepOutcome::Executed | StepOutcome::Recovered { .. })
-    }
-}
-
-/// Outcome of a full workflow run.
-#[derive(Debug)]
-pub struct RunReport {
-    /// Commands executed successfully before any stop.
-    pub executed: usize,
-    /// The alert that stopped the run, if any.
-    pub alert: Option<Alert>,
-    /// Total virtual lab time consumed (seconds), including RABIT's
-    /// overhead.
-    pub lab_time_s: f64,
-    /// The share of `lab_time_s` attributable to RABIT (status fetches +
-    /// simulator checks).
-    pub rabit_overhead_s: f64,
-    /// What the run cost and survived: verdict-cache, sweep and
-    /// narrow-phase work, faults injected and recovery activity. The
-    /// delta from a snapshot taken before [`Rabit::initialize`], so a
-    /// fault injected into the initial state fetch counts too.
-    pub counters: RunCounters,
-    /// The rulebase epoch this run validated against
-    /// ([`rabit_rulebase::STATIC_EPOCH`] for pinned rulebases and for
-    /// unchecked runs). With a live rule store, this records which
-    /// published snapshot governed the run.
-    pub rulebase_epoch: u64,
-}
-
-impl RunReport {
-    /// Whether the workflow ran to completion with no alert.
-    pub fn completed(&self) -> bool {
-        self.alert.is_none()
     }
 }
 
@@ -195,7 +160,8 @@ impl Rabit {
 
     /// A counters snapshot: the validator's tallies, this engine's
     /// recovery totals over every run, and the faults `lab` has injected
-    /// so far. Per-run deltas land in [`RunReport::counters`].
+    /// so far. A run's counters are the delta between two snapshots, the
+    /// first taken before [`Rabit::initialize`].
     pub fn counters(&self, lab: &Lab) -> RunCounters {
         let mut counters = RunCounters::of_lab(lab);
         counters.recovery = self.recovery_totals;
@@ -445,11 +411,7 @@ impl Rabit {
         let before = lab.clock().now_s();
         let actual = lab.fetch_state();
         self.overhead_s += lab.clock().now_s() - before;
-        let diffs = if self.config.skip_malfunction_check {
-            Vec::new()
-        } else {
-            expected.diff_reported(&actual, self.config.state_tolerance)
-        };
+        let diffs = expected.diff_reported(&actual, self.config.state_tolerance);
         self.current = expected;
         self.current.overlay(&actual);
         if !diffs.is_empty() {
@@ -459,67 +421,6 @@ impl Rabit {
             });
         }
         Ok(())
-    }
-
-    /// Runs a whole workflow, stopping at the first alert
-    /// (`alertAndStop`).
-    pub fn run(&mut self, lab: &mut Lab, commands: &[Command]) -> RunReport {
-        let t0 = lab.clock().now_s();
-        let overhead0 = self.overhead_s;
-        let counters0 = self.counters(lab);
-        self.initialize(lab);
-        let mut executed = 0;
-        let mut alert = None;
-        for command in commands {
-            match self.step(lab, command) {
-                Ok(outcome) => {
-                    if outcome.executed() {
-                        executed += 1;
-                    }
-                }
-                Err(a) => {
-                    alert = Some(a);
-                    break;
-                }
-            }
-        }
-        RunReport {
-            executed,
-            alert,
-            lab_time_s: lab.clock().now_s() - t0,
-            rabit_overhead_s: self.overhead_s - overhead0,
-            counters: self.counters(lab).since(&counters0),
-            rulebase_epoch: self.rulebase.epoch(),
-        }
-    }
-
-    /// Executes a workflow with NO safety checking — the baseline of the
-    /// latency-overhead experiment, and how damage happens.
-    pub fn run_unchecked(lab: &mut Lab, commands: &[Command]) -> RunReport {
-        let t0 = lab.clock().now_s();
-        let counters0 = RunCounters::of_lab(lab);
-        let mut executed = 0;
-        let mut alert = None;
-        for command in commands {
-            match lab.apply(command) {
-                Ok(()) => executed += 1,
-                Err(error) => {
-                    alert = Some(Alert::DeviceFault {
-                        command: command.clone(),
-                        error,
-                    });
-                    break;
-                }
-            }
-        }
-        RunReport {
-            executed,
-            alert,
-            lab_time_s: lab.clock().now_s() - t0,
-            rabit_overhead_s: 0.0,
-            counters: RunCounters::of_lab(lab).since(&counters0),
-            rulebase_epoch: rabit_rulebase::STATIC_EPOCH,
-        }
     }
 
     /// `alertAndStop`'s stop side: under [`StopPolicy::FailSafe`], park
@@ -601,34 +502,6 @@ mod tests {
         assert!(lab.damage_log().is_empty());
         let arm = lab.device(&"arm".into()).unwrap().as_arm().unwrap();
         assert!(arm.inside_of().is_none());
-    }
-
-    #[test]
-    fn safe_workflow_passes_and_updates_state() {
-        let mut lab = lab();
-        let mut r = rabit();
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new(
-                "arm",
-                ActionKind::MoveInsideDevice {
-                    device: "doser".into(),
-                },
-            ),
-            Command::new("arm", ActionKind::MoveOutOfDevice),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-        ];
-        let report = r.run(&mut lab, &commands);
-        assert!(report.completed(), "alert: {:?}", report.alert);
-        assert_eq!(report.executed, 4);
-        assert!(report.lab_time_s > 0.0);
-        assert!(report.rabit_overhead_s > 0.0);
-        assert!(report.rabit_overhead_s < report.lab_time_s);
-        assert_eq!(
-            r.current_state()
-                .get_bool(&"doser".into(), &StateKey::DoorOpen),
-            Some(false)
-        );
     }
 
     #[test]
@@ -722,61 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_run_lets_damage_happen() {
-        let mut lab = lab();
-        let commands = vec![Command::new(
-            "arm",
-            ActionKind::MoveInsideDevice {
-                device: "doser".into(),
-            },
-        )];
-        let report = Rabit::run_unchecked(&mut lab, &commands);
-        assert!(report.completed());
-        assert_eq!(lab.damage_log().len(), 1, "the door broke");
-        assert_eq!(report.rabit_overhead_s, 0.0);
-    }
-
-    #[test]
-    fn run_reports_partial_progress() {
-        let mut lab = lab();
-        let mut r = rabit();
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-            Command::new(
-                "arm",
-                ActionKind::MoveInsideDevice {
-                    device: "doser".into(),
-                },
-            ),
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-        ];
-        let report = r.run(&mut lab, &commands);
-        assert_eq!(report.executed, 2);
-        assert!(matches!(report.alert, Some(Alert::InvalidCommand { .. })));
-    }
-
-    #[test]
-    fn skip_malfunction_check_ablation() {
-        let mut lab = lab();
-        if let Some(crate::lab::LabDevice::Dosing(d)) = lab.device_mut(&"doser".into()) {
-            d.inject_malfunction(Some(Malfunction::SilentNoop));
-        }
-        let config = RabitConfig {
-            skip_malfunction_check: true,
-            ..RabitConfig::default()
-        };
-        let mut r = Rabit::new(Rulebase::standard(), catalog(), config);
-        r.initialize(&mut lab);
-        assert!(r
-            .step(
-                &mut lab,
-                &Command::new("doser", ActionKind::SetDoor { open: true })
-            )
-            .is_ok());
-    }
-
-    #[test]
     fn validator_detach_and_accessors() {
         let mut lab = lab();
         let mut r = rabit().with_validator(Box::new(crate::trajcheck::ApproveAll));
@@ -813,24 +631,6 @@ mod tests {
             r.current_state().get_number(&vial, &StateKey::SolidMg),
             Some(7.0)
         );
-    }
-
-    #[test]
-    fn run_report_time_accounting() {
-        let mut lab = lab();
-        let mut r = rabit();
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-        ];
-        let report = r.run(&mut lab, &commands);
-        assert!(report.completed());
-        // Overhead is part of total lab time, and both are positive.
-        assert!(report.rabit_overhead_s > 0.0);
-        assert!(report.lab_time_s > report.rabit_overhead_s);
-        // Device time ≈ 2 door motions × 2 s.
-        let device_time = report.lab_time_s - report.rabit_overhead_s;
-        assert!((device_time - 4.0).abs() < 1e-9, "{device_time}");
     }
 
     #[test]
@@ -907,30 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_runs_count_only_their_own_injected_faults() {
-        // Every doser command is dropped; each run sends one.
-        let plan = FaultPlan::seeded(11).with_on(
-            "doser",
-            FaultKind::DropCommand,
-            FaultSchedule::EveryNth {
-                period: 1,
-                offset: 0,
-            },
-        );
-        let mut lab = lab();
-        lab.arm_faults(plan.session());
-        let open = [Command::new("doser", ActionKind::SetDoor { open: true })];
-        let first = Rabit::run_unchecked(&mut lab, &open);
-        let second = Rabit::run_unchecked(&mut lab, &open);
-        assert_eq!(first.counters.faults_injected, 1);
-        assert_eq!(
-            second.counters.faults_injected, 1,
-            "the first run's fault is not recounted"
-        );
-        assert_eq!(lab.fault_stats().total_injected(), 2);
-    }
-
-    #[test]
     fn retry_policy_recovers_a_dropped_command() {
         let mut lab = lab();
         let mut r = Rabit::builder()
@@ -987,44 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_policy_continues_degraded() {
-        // Every doser command is dropped — the device is hopeless.
-        let plan = FaultPlan::seeded(7).with_on(
-            "doser",
-            FaultKind::DropCommand,
-            FaultSchedule::EveryNth {
-                period: 1,
-                offset: 0,
-            },
-        );
-        let mut lab = lab();
-        let mut r = Rabit::builder()
-            .catalog(catalog())
-            .recovery(RecoveryPolicy::Quarantine(RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            }))
-            .fault_plan(plan)
-            .build();
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-        ];
-        let report = r.run(&mut lab, &commands);
-        assert!(
-            report.completed(),
-            "quarantine never alerts: {:?}",
-            report.alert
-        );
-        assert_eq!(report.executed, 0, "nothing actually ran");
-        assert!(r.is_quarantined(&"doser".into()));
-        assert_eq!(r.quarantined_devices().count(), 1);
-        assert_eq!(report.counters.recovery.quarantined, 1);
-        assert_eq!(report.counters.recovery.skipped_quarantined, 1);
-        assert!(report.counters.faults_injected >= 2);
-    }
-
-    #[test]
     fn retry_then_safe_stop_parks_arms() {
         let plan = FaultPlan::seeded(9).with_on(
             "doser",
@@ -1062,12 +800,14 @@ mod tests {
         let mut r = rabit().with_fault_plan(FaultPlan::none());
         r.initialize(&mut lab);
         assert!(!lab.has_fault_session(), "empty plans arm nothing");
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-        ];
-        let report = r.run(&mut lab, &commands);
-        assert!(report.completed());
-        assert_eq!(report.counters, RunCounters::default());
+        for open in [true, false] {
+            assert!(r
+                .step(
+                    &mut lab,
+                    &Command::new("doser", ActionKind::SetDoor { open })
+                )
+                .is_ok());
+        }
+        assert_eq!(r.counters(&lab), RunCounters::default());
     }
 }

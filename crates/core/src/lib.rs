@@ -17,8 +17,11 @@
 //! * [`fleet`] — a deterministic worker pool for running many
 //!   independent labs in parallel;
 //! * [`substrate`] — the three-stage deployment pipeline as a typed API:
-//!   [`Substrate`] backends, the [`Stage`] enum, and the gating
-//!   [`StagePipeline`].
+//!   [`Substrate`] backends and the [`Stage`] enum.
+//!
+//! The engine processes one command at a time ([`Rabit::initialize`],
+//! then [`Rabit::step`] per command); the workflow loop that halts on
+//! the first alert lives in `rabit-tracer`.
 //!
 //! # Example
 //!
@@ -36,11 +39,8 @@
 //!     .with(DeviceMeta::new("doser", DeviceType::DosingSystem).with_door());
 //! let mut rabit = Rabit::new(Rulebase::standard(), catalog, RabitConfig::default());
 //! rabit.initialize(&mut lab);
-//! let report = rabit.run(
-//!     &mut lab,
-//!     &[Command::new("doser", ActionKind::SetDoor { open: true })],
-//! );
-//! assert!(report.completed());
+//! let open = Command::new("doser", ActionKind::SetDoor { open: true });
+//! assert!(rabit.step(&mut lab, &open).is_ok_and(|outcome| outcome.executed()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,13 +63,13 @@ pub use builder::RabitBuilder;
 pub use clock::SimClock;
 pub use counters::RunCounters;
 pub use damage::{DamageEvent, DamageKind, Severity};
-pub use engine::{Rabit, RabitConfig, RunReport, StepOutcome};
+pub use engine::{Rabit, RabitConfig, StepOutcome};
 pub use faults::{
     FaultKind, FaultPlan, FaultSchedule, FaultSession, FaultSpec, FaultStats, RecoveryCounters,
     RecoveryPolicy, RetryPolicy,
 };
 pub use lab::{ArmKinematics, Lab, LabDevice, LabError};
-pub use substrate::{PipelineReport, Stage, StagePipeline, StageReport, Substrate};
+pub use substrate::{Stage, Substrate};
 pub use trajcheck::{
     ApproveAll, CollisionReport, SweepStats, TrajectoryValidator, TrajectoryVerdict,
 };

@@ -9,18 +9,17 @@
 //!   cost, and setup profiles the Table I comparison quantifies;
 //! * [`Substrate`] — a pluggable backend for one stage: it names itself
 //!   and builds its [`Lab`], [`DeviceCatalog`], [`RulebaseSnapshot`], latency and
-//!   noise models, and (optionally) a [`TrajectoryValidator`];
-//! * [`StagePipeline`] — promotes a workflow through substrates in
-//!   deployment order with gating: a workflow that alerts in stage *N*
-//!   never reaches stage *N + 1*. Each stage yields a [`StageReport`];
-//!   the whole promotion a [`PipelineReport`].
+//!   noise models, and (optionally) a [`TrajectoryValidator`].
+//!
+//! The gated promotion through a sequence of substrates
+//! (`StagePipeline`) lives in `rabit-tracer`, next to the fleet job that
+//! runs each stage.
 
-use crate::damage::DamageEvent;
-use crate::engine::{Rabit, RabitConfig, RunReport};
+use crate::engine::{Rabit, RabitConfig};
 use crate::faults::FaultPlan;
 use crate::lab::Lab;
 use crate::trajcheck::TrajectoryValidator;
-use rabit_devices::{Command, LatencyModel};
+use rabit_devices::LatencyModel;
 use rabit_geometry::noise::PositionNoise;
 use rabit_rulebase::{DeviceCatalog, RulebaseSnapshot};
 use std::fmt;
@@ -217,178 +216,14 @@ pub trait Substrate: Send + Sync {
     }
 }
 
-/// The outcome of running a workflow on one pipeline stage.
-#[derive(Debug)]
-pub struct StageReport {
-    /// The deployment stage.
-    pub stage: Stage,
-    /// The substrate's name.
-    pub substrate: String,
-    /// The engine's run report (including validator cache statistics).
-    pub report: RunReport,
-    /// Ground-truth damage the stage's lab recorded.
-    pub damage: Vec<DamageEvent>,
-    /// Whether the workflow cleared this stage (no alert) and was
-    /// promoted to the next one (or, at the last stage, deployed).
-    pub promoted: bool,
-}
-
-impl StageReport {
-    /// Whether RABIT's own checks halted the workflow here (device
-    /// faults halt too but are not RABIT detections).
-    pub fn detected(&self) -> bool {
-        self.report
-            .alert
-            .as_ref()
-            .is_some_and(|a| a.is_rabit_detection())
-    }
-}
-
-/// The aggregate outcome of promoting one workflow through the pipeline.
-#[derive(Debug)]
-pub struct PipelineReport {
-    /// The workflow's name.
-    pub workflow: String,
-    /// Per-stage reports, in deployment order. Stages after the blocking
-    /// one are absent: the workflow never reached them.
-    pub stages: Vec<StageReport>,
-}
-
-impl PipelineReport {
-    /// Whether the workflow cleared every stage (deployment-ready).
-    pub fn deployed(&self) -> bool {
-        !self.stages.is_empty() && self.stages.iter().all(|s| s.promoted)
-    }
-
-    /// The stage that blocked the workflow, if any.
-    pub fn blocked_at(&self) -> Option<Stage> {
-        self.stages.iter().find(|s| !s.promoted).map(|s| s.stage)
-    }
-
-    /// The report for one stage, if the workflow reached it.
-    pub fn stage(&self, stage: Stage) -> Option<&StageReport> {
-        self.stages.iter().find(|s| s.stage == stage)
-    }
-
-    /// Total virtual lab time across the stages that ran (seconds),
-    /// including each stage's per-experiment setup cost.
-    pub fn total_cost_s(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.report.lab_time_s + s.stage.setup_cost_s())
-            .sum()
-    }
-
-    /// Total damage events across all stages that ran.
-    pub fn total_damage(&self) -> usize {
-        self.stages.iter().map(|s| s.damage.len()).sum()
-    }
-}
-
-/// A promotion pipeline: an ordered sequence of substrates a workflow
-/// must clear one by one.
-///
-/// Substrates must be pushed in non-decreasing [`Stage`] order (a
-/// pipeline may legitimately skip a stage — a deck with no physical
-/// testbed promotes straight from simulator to production — but never
-/// run one backwards).
-#[derive(Default)]
-pub struct StagePipeline {
-    substrates: Vec<Box<dyn Substrate>>,
-}
-
-impl StagePipeline {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        StagePipeline::default()
-    }
-
-    /// Appends a substrate (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the substrate's stage precedes the last one pushed:
-    /// pipelines run in deployment order only.
-    pub fn with_substrate(mut self, substrate: Box<dyn Substrate>) -> Self {
-        self.push(substrate);
-        self
-    }
-
-    /// Appends a substrate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the substrate's stage precedes the last one pushed.
-    pub fn push(&mut self, substrate: Box<dyn Substrate>) {
-        if let Some(last) = self.substrates.last() {
-            assert!(
-                last.stage() <= substrate.stage(),
-                "pipeline stages must be in deployment order: {} after {}",
-                substrate.stage(),
-                last.stage(),
-            );
-        }
-        self.substrates.push(substrate);
-    }
-
-    /// The substrates, in deployment order.
-    pub fn substrates(&self) -> &[Box<dyn Substrate>] {
-        &self.substrates
-    }
-
-    /// Number of stages in the pipeline.
-    pub fn len(&self) -> usize {
-        self.substrates.len()
-    }
-
-    /// Whether the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.substrates.is_empty()
-    }
-
-    /// Promotes a workflow through the stages in order. Each stage gets a
-    /// fresh lab and engine from its substrate; a stage that raises any
-    /// alert blocks the workflow — later stages never run.
-    pub fn promote(&self, workflow: &str, commands: &[Command]) -> PipelineReport {
-        let mut stages = Vec::new();
-        for substrate in &self.substrates {
-            let (mut lab, mut rabit) = substrate.instantiate();
-            let report = rabit.run(&mut lab, commands);
-            let promoted = report.completed();
-            stages.push(StageReport {
-                stage: substrate.stage(),
-                substrate: substrate.name().to_string(),
-                report,
-                damage: lab.damage_log().to_vec(),
-                promoted,
-            });
-            if !promoted {
-                break;
-            }
-        }
-        PipelineReport {
-            workflow: workflow.to_string(),
-            stages,
-        }
-    }
-}
-
-impl fmt::Debug for StagePipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.substrates.iter().map(|s| (s.stage(), s.name())))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rabit_devices::{ActionKind, DeviceType, DosingDevice, RobotArm};
+    use rabit_devices::{DeviceType, DosingDevice, RobotArm};
     use rabit_geometry::{Aabb, Vec3};
     use rabit_rulebase::DeviceMeta;
 
-    /// A minimal one-arm/one-doser substrate used by the pipeline tests.
+    /// A minimal one-arm/one-doser substrate.
     struct MiniSubstrate {
         stage: Stage,
     }
@@ -424,19 +259,6 @@ mod tests {
         }
     }
 
-    fn pipeline() -> StagePipeline {
-        StagePipeline::new()
-            .with_substrate(Box::new(MiniSubstrate {
-                stage: Stage::Simulator,
-            }))
-            .with_substrate(Box::new(MiniSubstrate {
-                stage: Stage::Testbed,
-            }))
-            .with_substrate(Box::new(MiniSubstrate {
-                stage: Stage::Production,
-            }))
-    }
-
     #[test]
     fn stage_order_and_profiles() {
         assert_eq!(Stage::all().len(), 3);
@@ -454,51 +276,6 @@ mod tests {
             s.position_noise().sigma(),
             Stage::Testbed.precision_sigma_m()
         );
-    }
-
-    #[test]
-    fn safe_workflow_is_deployed_through_all_stages() {
-        let commands = vec![
-            Command::new("doser", ActionKind::SetDoor { open: true }),
-            Command::new("doser", ActionKind::SetDoor { open: false }),
-        ];
-        let report = pipeline().promote("safe", &commands);
-        assert_eq!(report.stages.len(), 3);
-        assert!(report.deployed());
-        assert_eq!(report.blocked_at(), None);
-        assert_eq!(report.total_damage(), 0);
-        // Setup costs accumulate per stage that ran.
-        assert!(report.total_cost_s() >= 960.0);
-        assert!(report.stage(Stage::Production).is_some());
-    }
-
-    #[test]
-    fn alerting_workflow_never_reaches_the_next_stage() {
-        // Bug A shape: enter the doser with the door closed.
-        let commands = vec![Command::new(
-            "arm",
-            ActionKind::MoveInsideDevice {
-                device: "doser".into(),
-            },
-        )];
-        let report = pipeline().promote("bug_a", &commands);
-        assert_eq!(report.stages.len(), 1, "blocked at the first stage");
-        assert!(!report.deployed());
-        assert_eq!(report.blocked_at(), Some(Stage::Simulator));
-        assert!(report.stages[0].detected());
-        assert!(report.stage(Stage::Testbed).is_none(), "never ran");
-    }
-
-    #[test]
-    #[should_panic(expected = "deployment order")]
-    fn out_of_order_pipeline_panics() {
-        let _ = StagePipeline::new()
-            .with_substrate(Box::new(MiniSubstrate {
-                stage: Stage::Production,
-            }))
-            .with_substrate(Box::new(MiniSubstrate {
-                stage: Stage::Simulator,
-            }));
     }
 
     #[test]

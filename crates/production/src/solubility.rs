@@ -145,8 +145,7 @@ pub fn solubility_workflow(params: &SolubilityParams) -> Workflow {
 mod tests {
     use super::*;
     use crate::deck::ProductionDeck;
-    use rabit_core::Rabit;
-    use rabit_tracer::Tracer;
+    use rabit_tracer::{TraceOutcome, Tracer};
 
     #[test]
     fn workflow_structure() {
@@ -213,22 +212,17 @@ mod tests {
         let mut deck = ProductionDeck::new();
         let mut rabit = deck.rabit();
         let wf = solubility_workflow(&SolubilityParams::default());
-        let _ = Tracer::guarded(&mut deck.lab, &mut rabit).run(&wf);
-        // 1 initial + 3 iterations = 4 images. The camera is a custom
-        // device, so we reach through the LabDevice::Custom boxing via
-        // its behaviour: re-run unchecked and count.
-        let _ = rabit_core::Rabit::run_unchecked(
-            &mut deck.lab,
-            &[rabit_devices::Command::new(
-                "camera",
-                rabit_devices::ActionKind::Custom {
-                    name: crate::camera::RECORD_IMAGE.to_string(),
-                    params: vec![],
-                },
-            )],
-        );
-        // If the camera accepted another capture, it processed the first
-        // four; absence of faults across the run is the assertion here.
-        let _ = Rabit::run_unchecked(&mut deck.lab, &[]);
+        let report = Tracer::guarded(&mut deck.lab, &mut rabit).run(&wf);
+        assert!(report.completed(), "false positive: {:?}", report.alert);
+        // 1 initial + 3 iterations = 4 images, each forwarded to the
+        // camera and executed there.
+        let captures = report
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.command.actor.as_str() == "camera")
+            .filter(|e| e.outcome == TraceOutcome::Forwarded)
+            .count();
+        assert_eq!(captures, 4);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The Hein Lab deck has no cardboard intermediate: a workflow is vetted
 //! in the Extended Simulator and then runs on the real equipment. Its
-//! promotion pipeline therefore has two stages — the core pipeline
+//! promotion pipeline therefore has two stages — a [`StagePipeline`]
 //! explicitly permits skipping one (stages must only be non-decreasing):
 //!
 //! * [`ProductionDeck::simulator_substrate`] — the deck's recipes wired
@@ -13,9 +13,10 @@
 //!   [`StagePipeline`].
 
 use crate::deck::{production_rulebase, ProductionDeck};
-use rabit_core::{Lab, Stage, StagePipeline, Substrate};
+use rabit_core::{Lab, Stage, Substrate};
 use rabit_rulebase::{DeviceCatalog, RulebaseSnapshot};
 use rabit_sim::SimulatorSubstrate;
+use rabit_tracer::StagePipeline;
 
 /// The assembled deck is the stage-3 substrate: deployed rules,
 /// PRODUCTION latency, fresh labs per run, no virtual validator.
@@ -88,7 +89,7 @@ mod tests {
         let pipeline = ProductionDeck::pipeline();
         assert_eq!(pipeline.len(), 2, "sim + production, no testbed stage");
         let wf = solubility_workflow(&SolubilityParams::default());
-        let report = pipeline.promote(wf.name(), wf.commands());
+        let report = pipeline.promote(&wf);
         assert!(
             report.deployed(),
             "blocked at {:?}: {:?}",

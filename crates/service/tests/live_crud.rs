@@ -24,7 +24,7 @@ use rabit_service::{
     CreateRuleRequest, RuleCommand, RuleCommit, RuleOp, RuleStore, ServiceBroker, ServiceError,
     UpdateRuleRequest,
 };
-use rabit_tracer::{run_fleet_on, run_fleet_on_live, FleetReport, Workflow};
+use rabit_tracer::{run_fleet_on, run_fleet_on_live, FleetReport, Tracer, Workflow};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -115,17 +115,17 @@ fn inflight_epoch_n_validation_unaffected_by_commit_to_n_plus_1() {
 
     // The in-flight engine still enforces epoch 0: bug_a is caught.
     let bug = &workflows()[1];
-    let report = rabit.run(&mut lab, bug.commands());
+    let report = Tracer::guarded(&mut lab, &mut rabit).run(bug);
     assert!(!report.completed(), "epoch-0 engine must still alert");
-    assert_eq!(report.rulebase_epoch, 0);
+    assert_eq!(rabit.rulebase_epoch(), 0);
 
     // A fresh engine from the latest snapshot enforces epoch 1: the
     // disabled rule no longer fires (and nothing else catches bug_a).
     let (mut lab2, mut rabit2) =
         sub.instantiate_on(store.snapshot(&tenant), &rabit_core::FaultPlan::none());
-    let report2 = rabit2.run(&mut lab2, bug.commands());
+    let report2 = Tracer::guarded(&mut lab2, &mut rabit2).run(bug);
     assert!(report2.completed(), "disabled rule must stop firing");
-    assert_eq!(report2.rulebase_epoch, 1);
+    assert_eq!(rabit2.rulebase_epoch(), 1);
 }
 
 #[test]

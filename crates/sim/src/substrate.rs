@@ -206,11 +206,12 @@ mod tests {
         // The validator is attached: a reachable free-space move sweeps.
         let arm = presets::ur3e();
         let target = arm.tool_position(&arm.home_configuration()) + Vec3::new(0.05, 0.0, 0.05);
-        let report = rabit.run(
+        rabit.initialize(&mut lab);
+        let outcome = rabit.step(
             &mut lab,
-            &[Command::new("ur3e", ActionKind::MoveToLocation { target })],
+            &Command::new("ur3e", ActionKind::MoveToLocation { target }),
         );
-        assert!(report.completed(), "alert: {:?}", report.alert);
+        assert!(outcome.is_ok(), "alert: {outcome:?}");
         let counters = rabit.counters(&lab);
         assert!(counters.narrow_checks > 0 || counters.cache_misses > 0);
         // Each instantiate() is fresh — no state bleeds between runs.
@@ -227,12 +228,13 @@ mod tests {
             Aabb::from_center_half_extents(home.lerp(target, 0.5), Vec3::new(0.35, 0.04, 0.35));
         let s = substrate().with_world(SimWorld::new().with_obstacle("hotplate", wall));
         let (mut lab, mut rabit) = s.instantiate();
-        let report = rabit.run(
+        rabit.initialize(&mut lab);
+        let outcome = rabit.step(
             &mut lab,
-            &[Command::new("ur3e", ActionKind::MoveToLocation { target })],
+            &Command::new("ur3e", ActionKind::MoveToLocation { target }),
         );
-        match &report.alert {
-            Some(rabit_core::Alert::InvalidTrajectory { collision, .. }) => {
+        match &outcome {
+            Err(rabit_core::Alert::InvalidTrajectory { collision, .. }) => {
                 assert_eq!(collision.device.as_str(), "hotplate");
             }
             other => panic!("expected a trajectory alert, got {other:?}"),

@@ -13,8 +13,8 @@
 //!   and RABIT builders for the study's three configurations
 //!   ([`RabitStage`]);
 //! * [`TestbedSubstrate`] — the deck as a pluggable deployment substrate,
-//!   so `rabit_core`'s [`StagePipeline`](rabit_core::StagePipeline) can
-//!   promote workflows through it ([`Testbed::pipeline`]);
+//!   so `rabit_tracer`'s [`StagePipeline`](rabit_tracer::StagePipeline)
+//!   can promote workflows through it ([`Testbed::pipeline`]);
 //! * [`mod@locations`] — the Fig. 6 hard-coded coordinate table;
 //! * [`workflows`] — the Fig. 5 safe workflow and mutation anchor points;
 //! * [`calibration`] — the common-frame experiment reproducing the ~3 cm

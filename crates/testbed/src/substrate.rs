@@ -18,9 +18,10 @@
 //!   [`StagePipeline`].
 
 use crate::env::{rulebase_for, RabitStage, Testbed};
-use rabit_core::{FaultPlan, Lab, Stage, StagePipeline, Substrate, TrajectoryValidator};
+use rabit_core::{FaultPlan, Lab, Stage, Substrate, TrajectoryValidator};
 use rabit_rulebase::{DeviceCatalog, RulebaseSnapshot};
 use rabit_sim::SimulatorSubstrate;
+use rabit_tracer::StagePipeline;
 
 /// A stage/configuration profile of the testbed deck implementing
 /// [`Substrate`]: fresh labs at the stage's latency, the configuration's
@@ -168,6 +169,7 @@ mod tests {
     use super::*;
     use crate::workflows;
     use rabit_devices::LatencyModel;
+    use rabit_tracer::Tracer;
 
     #[test]
     fn study_profiles_match_the_paper_configurations() {
@@ -205,7 +207,7 @@ mod tests {
         assert_eq!(Substrate::rulebase(&tb).len(), 18);
         let (mut lab, mut rabit) = tb.instantiate();
         let wf = workflows::fig5_safe_workflow(&tb.locations);
-        let report = rabit.run(&mut lab, wf.commands());
+        let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
         assert!(report.completed(), "false positive: {:?}", report.alert);
         assert!(lab.damage_log().is_empty());
     }
@@ -216,7 +218,7 @@ mod tests {
         assert_eq!(pipeline.len(), 3);
         let loc = crate::locations::locations();
         let wf = workflows::fig5_safe_workflow(&loc);
-        let report = pipeline.promote(wf.name(), wf.commands());
+        let report = pipeline.promote(&wf);
         assert!(
             report.deployed(),
             "blocked at {:?}: {:?}",

@@ -11,7 +11,8 @@
 //! the serialised time (every command end to end) is what time
 //! multiplexing would cost.
 
-use crate::trace::{Trace, TraceEvent, TraceOutcome};
+use crate::trace::{Trace, TraceEvent};
+use crate::tracer::trace_outcome;
 use crate::workflow::Workflow;
 use rabit_core::{Alert, Lab, Rabit};
 
@@ -92,31 +93,10 @@ pub fn run_concurrent(lab: &mut Lab, rabit: &mut Rabit, streams: &[Workflow]) ->
         clocks[i] += dt;
         serialized += dt;
 
-        let outcome = match &result {
-            Ok(outcome) if outcome.executed() => {
-                executed[i] += 1;
-                TraceOutcome::Forwarded
-            }
-            Ok(_) => TraceOutcome::Skipped {
-                reason: format!("{} quarantined", command.actor),
-            },
-            Err(Alert::DeviceFault { error, .. }) => TraceOutcome::Faulted {
-                error: error.to_string(),
-            },
-            Err(Alert::DeviceMalfunction { diffs, .. }) => {
-                executed[i] += 1;
-                TraceOutcome::MalfunctionDetected {
-                    detail: diffs
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                }
-            }
-            Err(a) => TraceOutcome::Blocked {
-                alert: a.headline().to_string(),
-            },
-        };
+        let outcome = trace_outcome(command, &result);
+        if outcome.executed() {
+            executed[i] += 1;
+        }
         trace.record(TraceEvent {
             seq,
             time_s: issue_time,

@@ -9,12 +9,13 @@
 //! job index and every run builds its lab inside its own job, so the
 //! per-run alerts and damage logs are identical for any thread count —
 //! the property the fleet integration test pins down. Every run goes
-//! through [`FleetJob::execute`], the one place a [`FleetRun`] is built.
+//! through [`FleetJob::execute`], the one place a [`FleetRun`] is built;
+//! [`StagePipeline::promote`] runs one job per deployment stage.
 
 use crate::tracer::{TraceReport, Tracer};
 use crate::workflow::Workflow;
 use rabit_core::fleet::run_indexed;
-use rabit_core::{DamageEvent, FaultPlan, Lab, RunCounters, Stage, Substrate};
+use rabit_core::{DamageEvent, FaultPlan, Lab, Rabit, RunCounters, Stage, Substrate};
 use rabit_rulebase::{RulebaseSnapshot, SnapshotCache, SnapshotSource, TenantId};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -29,9 +30,8 @@ pub struct FleetRun {
     pub index: usize,
     /// The workflow's name.
     pub workflow: String,
-    /// The deployment stage this run executed at (always set by
-    /// [`FleetJob::execute`]).
-    pub stage: Option<Stage>,
+    /// The deployment stage this run executed at.
+    pub stage: Stage,
     /// The substrate's name (always set by [`FleetJob::execute`]).
     pub substrate: Option<String>,
     /// The tracer's report for this run.
@@ -78,7 +78,7 @@ impl FleetReport {
 
     /// The runs that executed at one deployment stage.
     pub fn runs_at(&self, stage: Stage) -> impl Iterator<Item = &FleetRun> {
-        self.runs.iter().filter(move |r| r.stage == Some(stage))
+        self.runs.iter().filter(move |r| r.stage == stage)
     }
 
     /// The fleet's counters: every run's [`TraceReport::counters`],
@@ -179,17 +179,19 @@ fn fleet_on_with(
 
 /// One self-contained trial: a substrate, a workflow, an optional fault
 /// plan, and an execution mode. [`execute`](FleetJob::execute) is the
-/// single code path behind [`run_fleet_on`]/[`run_fleet_on_faulted`],
-/// exposed so external runners (the campaign crate) can execute exactly
-/// the same trial semantics one job at a time and still inspect the
-/// finished lab afterwards.
+/// single code path behind [`run_fleet_on`]/[`run_fleet_on_faulted`]
+/// and [`StagePipeline::promote`], exposed so external runners (the
+/// campaign crate, the bug study) can execute exactly the same trial
+/// semantics one job at a time and still inspect the finished lab
+/// afterwards.
 pub struct FleetJob<'a> {
     /// The deployment substrate the trial instantiates from.
     pub substrate: &'a dyn Substrate,
     /// The workflow to replay.
     pub workflow: &'a Workflow,
     /// An already-derived per-run fault plan (callers do their own
-    /// `for_run` seed mixing; the plan is armed as-is).
+    /// `for_run` seed mixing; the plan is armed as-is). `None` arms the
+    /// substrate's own [`Substrate::fault_plan`], in either mode.
     pub fault: Option<FaultPlan>,
     /// `true` = guarded (check-then-forward through a fresh RABIT
     /// engine); `false` = pass-through baseline.
@@ -206,33 +208,37 @@ impl FleetJob<'_> {
     /// so post-run ground truth (device poses, damage detail) stays
     /// inspectable.
     pub fn execute(&self) -> (FleetRun, Lab) {
-        let (lab, report, rulebase_epoch) = if self.guarded {
-            // No explicit per-run plan → the substrate's own, exactly
-            // what `Substrate::instantiate` would arm.
-            let fault = match &self.fault {
-                Some(plan) => plan.clone(),
-                None => self.substrate.fault_plan(),
-            };
-            let (mut lab, mut rabit) = match &self.snapshot {
+        // No explicit per-run plan → the substrate's own, exactly what
+        // `Substrate::instantiate` would arm, in either mode.
+        let fault = match &self.fault {
+            Some(plan) => plan.clone(),
+            None => self.substrate.fault_plan(),
+        };
+        let (mut lab, mut rabit) = if self.guarded {
+            let (lab, rabit) = match &self.snapshot {
                 Some(snapshot) => self.substrate.instantiate_on(snapshot.clone(), &fault),
                 None => self.substrate.instantiate_with(&fault),
             };
-            let report = Tracer::guarded(&mut lab, &mut rabit).run(self.workflow);
-            (lab, report, rabit.rulebase_epoch())
+            (lab, Some(rabit))
         } else {
             let mut lab = self.substrate.build_lab();
-            if let Some(plan) = &self.fault {
-                if !plan.is_empty() {
-                    lab.arm_faults(plan.session());
-                }
+            if !fault.is_empty() {
+                lab.arm_faults(fault.session());
             }
-            let report = Tracer::pass_through(&mut lab).run(self.workflow);
-            (lab, report, rabit_rulebase::STATIC_EPOCH)
+            (lab, None)
         };
+        let report = match rabit.as_mut() {
+            Some(rabit) => Tracer::guarded(&mut lab, rabit),
+            None => Tracer::pass_through(&mut lab),
+        }
+        .run(self.workflow);
+        let rulebase_epoch = rabit
+            .as_ref()
+            .map_or(rabit_rulebase::STATIC_EPOCH, Rabit::rulebase_epoch);
         let run = FleetRun {
             index: 0,
             workflow: self.workflow.name().to_string(),
-            stage: Some(self.substrate.stage()),
+            stage: self.substrate.stage(),
             substrate: Some(self.substrate.name().to_string()),
             report,
             damage: lab.damage_log().to_vec(),
@@ -241,6 +247,146 @@ impl FleetJob<'_> {
         // The damage log is already captured; hand the lab back for
         // post-run ground-truth reads.
         (run, lab)
+    }
+}
+
+/// The outcome of promoting one workflow through a [`StagePipeline`].
+#[derive(Debug)]
+pub struct PipelineReport {
+    /// The workflow's name.
+    pub workflow: String,
+    /// One run per stage, in deployment order. Stages after the blocking
+    /// one are absent: the workflow never reached them.
+    pub stages: Vec<FleetRun>,
+}
+
+impl PipelineReport {
+    /// Whether the workflow cleared every stage (deployment-ready).
+    pub fn deployed(&self) -> bool {
+        !self.stages.is_empty() && self.stages.iter().all(|s| s.report.completed())
+    }
+
+    /// The stage that blocked the workflow, if any.
+    pub fn blocked_at(&self) -> Option<Stage> {
+        self.stages
+            .iter()
+            .find(|s| !s.report.completed())
+            .map(|s| s.stage)
+    }
+
+    /// The run at one stage, if the workflow reached it.
+    pub fn stage(&self, stage: Stage) -> Option<&FleetRun> {
+        self.stages.iter().find(|s| s.stage == stage)
+    }
+
+    /// Total virtual lab time across the stages that ran (seconds),
+    /// including each stage's per-experiment setup cost.
+    pub fn total_cost_s(&self) -> f64 {
+        self.stages
+            .iter()
+            .map(|s| s.report.lab_time_s + s.stage.setup_cost_s())
+            .sum()
+    }
+
+    /// Total damage events across all stages that ran.
+    pub fn total_damage(&self) -> usize {
+        self.stages.iter().map(|s| s.damage.len()).sum()
+    }
+}
+
+/// A promotion pipeline: an ordered sequence of substrates a workflow
+/// must clear one by one.
+///
+/// Substrates must be pushed in non-decreasing [`Stage`] order (a
+/// pipeline may legitimately skip a stage — a deck with no physical
+/// testbed promotes straight from simulator to production — but never
+/// run one backwards).
+#[derive(Default)]
+pub struct StagePipeline {
+    substrates: Vec<Box<dyn Substrate>>,
+}
+
+impl StagePipeline {
+    /// An empty pipeline.
+    pub fn new() -> Self {
+        StagePipeline::default()
+    }
+
+    /// Appends a substrate (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the substrate's stage precedes the last one pushed:
+    /// pipelines run in deployment order only.
+    pub fn with_substrate(mut self, substrate: Box<dyn Substrate>) -> Self {
+        self.push(substrate);
+        self
+    }
+
+    /// Appends a substrate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the substrate's stage precedes the last one pushed.
+    pub fn push(&mut self, substrate: Box<dyn Substrate>) {
+        if let Some(last) = self.substrates.last() {
+            assert!(
+                last.stage() <= substrate.stage(),
+                "pipeline stages must be in deployment order: {} after {}",
+                substrate.stage(),
+                last.stage(),
+            );
+        }
+        self.substrates.push(substrate);
+    }
+
+    /// The substrates, in deployment order.
+    pub fn substrates(&self) -> &[Box<dyn Substrate>] {
+        &self.substrates
+    }
+
+    /// Number of stages in the pipeline.
+    pub fn len(&self) -> usize {
+        self.substrates.len()
+    }
+
+    /// Whether the pipeline has no stages.
+    pub fn is_empty(&self) -> bool {
+        self.substrates.is_empty()
+    }
+
+    /// Promotes a workflow through the stages in order, one guarded
+    /// [`FleetJob`] per stage. A stage that raises any alert blocks the
+    /// workflow — later stages never run.
+    pub fn promote(&self, workflow: &Workflow) -> PipelineReport {
+        let mut stages = Vec::new();
+        for substrate in &self.substrates {
+            let (run, _lab) = FleetJob {
+                substrate: substrate.as_ref(),
+                workflow,
+                fault: None,
+                guarded: true,
+                snapshot: None,
+            }
+            .execute();
+            let promoted = run.report.completed();
+            stages.push(run);
+            if !promoted {
+                break;
+            }
+        }
+        PipelineReport {
+            workflow: workflow.name().to_string(),
+            stages,
+        }
+    }
+}
+
+impl std::fmt::Debug for StagePipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.substrates.iter().map(|s| (s.stage(), s.name())))
+            .finish()
     }
 }
 
@@ -382,7 +528,7 @@ mod tests {
         assert_eq!(fleet.runs_at(Stage::Production).count(), 2);
         assert_eq!(fleet.completed_runs(), 3, "bug_a alerts at its stage");
         let blocked = &fleet.runs[2];
-        assert_eq!(blocked.stage, Some(Stage::Simulator));
+        assert_eq!(blocked.stage, Stage::Simulator);
         assert_eq!(blocked.substrate.as_deref(), Some("mini"));
         assert!(!blocked.report.completed());
         assert_eq!(fleet.total_damage(), 0, "guarded fleet takes no damage");
@@ -483,5 +629,49 @@ mod tests {
             assert_eq!(run.index, i);
             assert_eq!(run.workflow, wfs[i].name());
         }
+    }
+
+    fn pipeline() -> StagePipeline {
+        [Stage::Simulator, Stage::Testbed, Stage::Production]
+            .into_iter()
+            .fold(StagePipeline::new(), |p, stage| {
+                p.with_substrate(Box::new(mini(stage)))
+            })
+    }
+
+    #[test]
+    fn safe_workflow_is_deployed_through_all_stages() {
+        let wf = Workflow::new("safe")
+            .set_door("doser", true)
+            .set_door("doser", false);
+        let report = pipeline().promote(&wf);
+        assert_eq!(report.workflow, "safe");
+        assert_eq!(report.stages.len(), 3);
+        assert!(report.deployed());
+        assert_eq!(report.blocked_at(), None);
+        assert_eq!(report.total_damage(), 0);
+        // Setup costs accumulate per stage that ran.
+        assert!(report.total_cost_s() >= 960.0);
+        assert!(report.stage(Stage::Production).is_some());
+    }
+
+    #[test]
+    fn alerting_workflow_never_reaches_the_next_stage() {
+        let wfs = workflows();
+        let report = pipeline().promote(&wfs[1]); // bug_a
+        assert_eq!(report.stages.len(), 1, "blocked at the first stage");
+        assert!(!report.deployed());
+        assert_eq!(report.blocked_at(), Some(Stage::Simulator));
+        let alert = report.stages[0].report.alert.as_ref();
+        assert!(alert.is_some_and(Alert::is_rabit_detection), "{alert:?}");
+        assert!(report.stage(Stage::Testbed).is_none(), "never ran");
+    }
+
+    #[test]
+    #[should_panic(expected = "deployment order")]
+    fn out_of_order_pipeline_panics() {
+        let _ = StagePipeline::new()
+            .with_substrate(Box::new(mini(Stage::Production)))
+            .with_substrate(Box::new(mini(Stage::Simulator)));
     }
 }

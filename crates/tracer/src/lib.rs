@@ -8,12 +8,15 @@
 //! * [`Workflow`] — the command sequences experiment scripts produce,
 //!   with builder methods mirroring the lab's Python wrappers and the
 //!   mutation operators of the uncontrolled bug study;
-//! * [`Tracer`] — guarded (check-then-forward) and pass-through modes;
+//! * [`Tracer`] — the one loop that drives a workflow through a lab:
+//!   guarded (check-then-forward) when it holds an engine, pass-through
+//!   otherwise;
 //! * [`Trace`] / [`TraceEvent`] — the serializable command log (the RAD
 //!   on-disk format);
 //! * [`fleet`] — parallel execution of many independent
 //!   `(substrate, workflow)` runs with deterministic,
-//!   thread-count-independent results.
+//!   thread-count-independent results, and the gated
+//!   [`StagePipeline`] that promotes a workflow stage by stage.
 //!
 //! # Example
 //!
@@ -38,8 +41,9 @@ mod workflow;
 pub use concurrent::{run_concurrent, ConcurrentReport, StreamReport};
 pub use fleet::{
     run_fleet_on, run_fleet_on_faulted, run_fleet_on_live, FleetJob, FleetReport, FleetRun,
+    PipelineReport, StagePipeline,
 };
 pub use script::{parse_script, AliasTable, ScriptError};
 pub use trace::{Trace, TraceEvent, TraceOutcome};
-pub use tracer::{TraceMode, TraceReport, Tracer};
+pub use tracer::{TraceReport, Tracer};
 pub use workflow::Workflow;

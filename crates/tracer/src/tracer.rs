@@ -8,19 +8,7 @@
 use crate::trace::{Trace, TraceEvent, TraceOutcome};
 use crate::workflow::Workflow;
 use rabit_core::{Alert, Lab, Rabit, RunCounters, StepOutcome};
-
-/// How the tracer treats each intercepted command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Check with RABIT before forwarding; halt on alert (the deployed
-    /// configuration).
-    #[default]
-    Guarded,
-    /// Forward everything and just record — the original RATracer
-    /// behaviour, used to produce RAD-style traces and as the unguarded
-    /// baseline of the latency experiment.
-    PassThrough,
-}
+use rabit_devices::Command;
 
 /// The result of tracing one workflow.
 #[derive(Debug)]
@@ -29,13 +17,18 @@ pub struct TraceReport {
     pub trace: Trace,
     /// The alert that halted the run, if any.
     pub alert: Option<Alert>,
-    /// Commands that executed on devices.
+    /// Commands that ran on their device: the trace events whose
+    /// [`TraceOutcome::executed`] holds. A command that ran and then
+    /// failed the malfunction check counts.
     pub executed: usize,
     /// Total virtual lab time for the run (seconds).
     pub lab_time_s: f64,
     /// RABIT's share of that time (zero in pass-through mode).
     pub rabit_overhead_s: f64,
-    /// The run's counters, as in [`rabit_core::RunReport::counters`]. In
+    /// What the run cost and survived: verdict-cache, sweep and
+    /// narrow-phase work, faults injected and recovery activity. The
+    /// delta from a snapshot taken before [`Rabit::initialize`], so a
+    /// fault injected into the initial state fetch counts too. In
     /// pass-through mode only `faults_injected` can be non-zero.
     pub counters: RunCounters,
 }
@@ -47,12 +40,11 @@ impl TraceReport {
     }
 }
 
-/// The tracer: drives a [`Workflow`] through a [`Lab`], optionally
-/// guarded by a [`Rabit`] engine.
+/// The tracer: drives a [`Workflow`] through a [`Lab`], guarded exactly
+/// when it holds a [`Rabit`] engine.
 pub struct Tracer<'a> {
     lab: &'a mut Lab,
     rabit: Option<&'a mut Rabit>,
-    mode: TraceMode,
 }
 
 impl<'a> Tracer<'a> {
@@ -61,120 +53,107 @@ impl<'a> Tracer<'a> {
         Tracer {
             lab,
             rabit: Some(rabit),
-            mode: TraceMode::Guarded,
         }
     }
 
-    /// A pass-through tracer: commands are executed and recorded only.
+    /// A pass-through tracer: commands are executed and recorded only —
+    /// the original RATracer behaviour, used to produce RAD-style traces
+    /// and as the unguarded baseline of the latency experiment.
     pub fn pass_through(lab: &'a mut Lab) -> Self {
-        Tracer {
-            lab,
-            rabit: None,
-            mode: TraceMode::PassThrough,
-        }
+        Tracer { lab, rabit: None }
     }
 
-    /// Runs the workflow, producing a trace. In guarded mode the run
-    /// halts at the first alert (the paper's `alertAndStop`); in
-    /// pass-through mode only hard device faults stop it.
-    pub fn run(mut self, workflow: &Workflow) -> TraceReport {
-        let mut trace = Trace::new(workflow.name());
-        let t0 = self.lab.clock().now_s();
-        let mut executed = 0;
-        let mut halt_alert = None;
-
-        let overhead0 = self.rabit.as_ref().map_or(0.0, |r| r.overhead_s());
+    /// Runs the workflow, producing a trace. A guarded run halts at the
+    /// first alert (the paper's `alertAndStop`); a pass-through run
+    /// stops only on a hard device fault.
+    pub fn run(self, workflow: &Workflow) -> TraceReport {
+        let Tracer { lab, mut rabit } = self;
+        let t0 = lab.clock().now_s();
+        let overhead0 = rabit.as_ref().map_or(0.0, |r| r.overhead_s());
         // Without an engine only the lab's own counters can move.
         let snapshot = |rabit: Option<&Rabit>, lab: &Lab| {
             rabit.map_or_else(|| RunCounters::of_lab(lab), |r| r.counters(lab))
         };
-        let counters0 = snapshot(self.rabit.as_deref(), self.lab);
-        if let Some(rabit) = self.rabit.as_deref_mut() {
-            rabit.initialize(self.lab);
+        let counters0 = snapshot(rabit.as_deref(), lab);
+        if let Some(rabit) = rabit.as_deref_mut() {
+            rabit.initialize(lab);
         }
 
+        let mut trace = Trace::new(workflow.name());
+        let mut alert = None;
         for (seq, command) in workflow.commands().iter().enumerate() {
-            let time_s = self.lab.clock().now_s();
-            let outcome = match (self.mode, self.rabit.as_deref_mut()) {
-                (TraceMode::Guarded, Some(rabit)) => match rabit.step(self.lab, command) {
-                    Ok(StepOutcome::SkippedQuarantined) => TraceOutcome::Skipped {
-                        reason: format!("{} quarantined", command.actor),
-                    },
-                    Ok(StepOutcome::Quarantined) => TraceOutcome::Skipped {
-                        reason: format!("{} quarantined after repeated faults", command.actor),
-                    },
-                    Ok(_) => {
-                        executed += 1;
-                        TraceOutcome::Forwarded
-                    }
-                    Err(alert) => {
-                        let outcome = match &alert {
-                            Alert::DeviceFault { error, .. } => TraceOutcome::Faulted {
-                                error: error.to_string(),
-                            },
-                            Alert::DeviceMalfunction { diffs, .. } => {
-                                executed += 1;
-                                TraceOutcome::MalfunctionDetected {
-                                    detail: diffs
-                                        .iter()
-                                        .map(ToString::to_string)
-                                        .collect::<Vec<_>>()
-                                        .join("; "),
-                                }
-                            }
-                            _ => TraceOutcome::Blocked {
-                                alert: alert.headline().to_string(),
-                            },
-                        };
-                        halt_alert = Some(alert);
-                        outcome
-                    }
-                },
-                _ => match self.lab.apply(command) {
-                    Ok(()) => {
-                        executed += 1;
-                        TraceOutcome::Forwarded
-                    }
-                    Err(error) => {
-                        let outcome = TraceOutcome::Faulted {
-                            error: error.to_string(),
-                        };
-                        halt_alert = Some(Alert::DeviceFault {
-                            command: command.clone(),
-                            error,
-                        });
-                        outcome
-                    }
-                },
+            let time_s = lab.clock().now_s();
+            let result = match rabit.as_deref_mut() {
+                Some(rabit) => rabit.step(lab, command),
+                // Pass-through forwards as-is: only a device refusal halts.
+                None => lab
+                    .apply(command)
+                    .map(|()| StepOutcome::Executed)
+                    .map_err(|error| Alert::DeviceFault {
+                        command: command.clone(),
+                        error,
+                    }),
             };
             trace.record(TraceEvent {
                 seq,
                 time_s,
                 command: command.clone(),
-                outcome,
+                outcome: trace_outcome(command, &result),
             });
-            if halt_alert.is_some() {
+            if let Err(halt) = result {
+                alert = Some(halt);
                 break;
             }
         }
 
-        let rabit_overhead_s = self.rabit.as_ref().map_or(0.0, |r| r.overhead_s()) - overhead0;
         TraceReport {
+            executed: trace.executed_commands().count(),
             trace,
-            alert: halt_alert,
-            executed,
-            lab_time_s: self.lab.clock().now_s() - t0,
-            rabit_overhead_s,
-            counters: snapshot(self.rabit.as_deref(), self.lab).since(&counters0),
+            alert,
+            lab_time_s: lab.clock().now_s() - t0,
+            rabit_overhead_s: rabit.as_ref().map_or(0.0, |r| r.overhead_s()) - overhead0,
+            counters: snapshot(rabit.as_deref(), lab).since(&counters0),
         }
+    }
+}
+
+/// How one [`Rabit::step`] result is traced. A malfunction alert fires
+/// after the command ran on its device, so it traces as executed.
+pub(crate) fn trace_outcome(
+    command: &Command,
+    result: &Result<StepOutcome, Alert>,
+) -> TraceOutcome {
+    match result {
+        Ok(StepOutcome::Executed | StepOutcome::Recovered { .. }) => TraceOutcome::Forwarded,
+        Ok(StepOutcome::SkippedQuarantined) => TraceOutcome::Skipped {
+            reason: format!("{} quarantined", command.actor),
+        },
+        Ok(StepOutcome::Quarantined) => TraceOutcome::Skipped {
+            reason: format!("{} quarantined after repeated faults", command.actor),
+        },
+        Err(Alert::DeviceFault { error, .. }) => TraceOutcome::Faulted {
+            error: error.to_string(),
+        },
+        Err(Alert::DeviceMalfunction { diffs, .. }) => TraceOutcome::MalfunctionDetected {
+            detail: diffs
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("; "),
+        },
+        Err(alert) => TraceOutcome::Blocked {
+            alert: alert.headline().to_string(),
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rabit_core::RabitConfig;
-    use rabit_devices::{DeviceType, DosingDevice, RobotArm, Vial};
+    use rabit_core::{
+        FaultKind, FaultPlan, FaultSchedule, RabitConfig, RecoveryPolicy, RetryPolicy,
+    };
+    use rabit_devices::{DeviceType, DosingDevice, RobotArm, StateKey, Vial};
     use rabit_geometry::{Aabb, Vec3};
     use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rulebase};
 
@@ -192,15 +171,18 @@ mod tests {
             .with_device(Vial::new("vial", Vec3::new(0.537, 0.018, 0.12)))
     }
 
-    fn rabit() -> Rabit {
-        let catalog = DeviceCatalog::new()
+    fn catalog() -> DeviceCatalog {
+        DeviceCatalog::new()
             .with(
                 DeviceMeta::new("viperx", DeviceType::RobotArm)
                     .with_arm_positions(Vec3::new(0.3, 0.0, 0.3), Vec3::new(0.1, -0.3, 0.2)),
             )
             .with(DeviceMeta::new("doser", DeviceType::DosingSystem).with_door())
-            .with(DeviceMeta::new("vial", DeviceType::Container));
-        Rabit::new(Rulebase::standard(), catalog, RabitConfig::default())
+            .with(DeviceMeta::new("vial", DeviceType::Container))
+    }
+
+    fn rabit() -> Rabit {
+        Rabit::new(Rulebase::standard(), catalog(), RabitConfig::default())
     }
 
     fn safe_workflow() -> Workflow {
@@ -218,34 +200,80 @@ mod tests {
             .move_out("viperx")
     }
 
+    fn doors_only() -> Workflow {
+        Workflow::new("doors")
+            .set_door("doser", true)
+            .set_door("doser", false)
+    }
+
+    /// Every doser command is dropped: the device is hopeless.
+    fn drop_every_doser_command(seed: u64) -> FaultPlan {
+        FaultPlan::seeded(seed).with_on(
+            "doser",
+            FaultKind::DropCommand,
+            FaultSchedule::EveryNth {
+                period: 1,
+                offset: 0,
+            },
+        )
+    }
+
     #[test]
     fn guarded_safe_run_completes() {
         let mut lab = lab();
         let mut rabit = rabit();
         let report = Tracer::guarded(&mut lab, &mut rabit).run(&safe_workflow());
-        assert!(report.completed());
+        assert!(report.completed(), "alert: {:?}", report.alert);
         assert_eq!(report.executed, 4);
         assert_eq!(report.trace.len(), 4);
         assert!(report.rabit_overhead_s > 0.0);
+        assert!(report.rabit_overhead_s < report.lab_time_s);
         assert!(lab.damage_log().is_empty());
+        assert_eq!(
+            rabit
+                .current_state()
+                .get_bool(&"doser".into(), &StateKey::DoorOpen),
+            Some(false),
+            "the engine's belief follows the run"
+        );
     }
 
     #[test]
     fn guarded_buggy_run_halts_without_damage() {
-        let mut lab = lab();
-        let mut rabit = rabit();
-        let report = Tracer::guarded(&mut lab, &mut rabit).run(&buggy_workflow());
-        assert!(!report.completed());
-        assert_eq!(report.executed, 0);
-        assert_eq!(report.trace.len(), 1, "halted at the first command");
-        assert!(matches!(
-            report.trace.events[0].outcome,
-            TraceOutcome::Blocked { .. }
-        ));
-        assert!(
-            lab.damage_log().is_empty(),
-            "RABIT prevented the door break"
-        );
+        // (workflow, commands executed before the block)
+        let cases = [
+            (buggy_workflow(), 0),
+            // The door closes again before the arm enters.
+            (
+                Workflow::new("closed_again")
+                    .set_door("doser", true)
+                    .set_door("doser", false)
+                    .move_inside("viperx", "doser")
+                    .set_door("doser", true),
+                2,
+            ),
+        ];
+        for (wf, executed) in cases {
+            let mut lab = lab();
+            let mut rabit = rabit();
+            let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
+            let name = wf.name();
+            assert!(
+                matches!(report.alert, Some(Alert::InvalidCommand { .. })),
+                "{name}: {:?}",
+                report.alert
+            );
+            assert_eq!(report.executed, executed, "{name}");
+            assert_eq!(report.trace.len(), executed + 1, "{name}: halted");
+            assert!(matches!(
+                report.trace.events[executed].outcome,
+                TraceOutcome::Blocked { .. }
+            ));
+            assert!(
+                lab.damage_log().is_empty(),
+                "{name}: RABIT prevented the door break"
+            );
+        }
     }
 
     #[test]
@@ -274,6 +302,21 @@ mod tests {
     }
 
     #[test]
+    fn pass_through_runs_count_only_their_own_injected_faults() {
+        let mut lab = lab();
+        lab.arm_faults(drop_every_doser_command(11).session());
+        let open = Workflow::new("open").set_door("doser", true);
+        let first = Tracer::pass_through(&mut lab).run(&open);
+        let second = Tracer::pass_through(&mut lab).run(&open);
+        assert_eq!(first.counters.faults_injected, 1);
+        assert_eq!(
+            second.counters.faults_injected, 1,
+            "the first run's fault is not recounted"
+        );
+        assert_eq!(lab.fault_stats().total_injected(), 2);
+    }
+
+    #[test]
     fn trace_times_are_monotone() {
         let mut lab = lab();
         let mut rabit = rabit();
@@ -283,5 +326,48 @@ mod tests {
             assert!(w[1] >= w[0]);
         }
         assert!(report.lab_time_s >= *times.last().unwrap());
+    }
+
+    #[test]
+    fn overhead_is_part_of_lab_time() {
+        let mut lab = lab();
+        let mut rabit = rabit();
+        let report = Tracer::guarded(&mut lab, &mut rabit).run(&doors_only());
+        assert!(report.completed());
+        assert!(report.rabit_overhead_s > 0.0);
+        assert!(report.lab_time_s > report.rabit_overhead_s);
+        // Device time ≈ 2 door motions × 2 s.
+        let device_time = report.lab_time_s - report.rabit_overhead_s;
+        assert!((device_time - 4.0).abs() < 1e-9, "{device_time}");
+    }
+
+    #[test]
+    fn quarantine_policy_continues_degraded() {
+        let mut lab = lab();
+        let mut rabit = Rabit::builder()
+            .catalog(catalog())
+            .recovery(RecoveryPolicy::Quarantine(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            }))
+            .fault_plan(drop_every_doser_command(7))
+            .build();
+        let report = Tracer::guarded(&mut lab, &mut rabit).run(&doors_only());
+        assert!(
+            report.completed(),
+            "quarantine never alerts: {:?}",
+            report.alert
+        );
+        assert_eq!(report.executed, 0, "nothing actually ran");
+        assert!(report
+            .trace
+            .events
+            .iter()
+            .all(|e| matches!(e.outcome, TraceOutcome::Skipped { .. })));
+        assert!(rabit.is_quarantined(&"doser".into()));
+        assert_eq!(rabit.quarantined_devices().count(), 1);
+        assert_eq!(report.counters.recovery.quarantined, 1);
+        assert_eq!(report.counters.recovery.skipped_quarantined, 1);
+        assert!(report.counters.faults_injected >= 2);
     }
 }

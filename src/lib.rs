@@ -12,6 +12,11 @@
 
 #![forbid(unsafe_code)]
 
+/// Every Rust snippet in the README, compiled and run as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use rabit_geometry as geometry;
 
 /// Re-export of the bug-injection framework.

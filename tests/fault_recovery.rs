@@ -2,16 +2,17 @@
 //! three substrates stay verdict-identical to the fault-free baseline
 //! and the per-stage detection counts are unchanged), while a seeded
 //! plan produces thread-count-invariant faulted fleets whose recovery
-//! counters actually move, and the engine's own run loop and the guarded
-//! tracer report the same counters under faults.
+//! counters actually move, a substrate's own plan arms in both fleet-job
+//! modes, and the tracer agrees with a reference loop over the engine's
+//! `initialize`/`step` under faults.
 
 use rabit::buginject::run_study_on;
 use rabit::core::{
-    FaultKind, FaultPlan, FaultSchedule, RabitConfig, RecoveryPolicy, RetryPolicy, RunCounters,
-    Stage, Substrate,
+    Alert, FaultKind, FaultPlan, FaultSchedule, Lab, Rabit, RabitConfig, RecoveryPolicy,
+    RetryPolicy, RunCounters, Stage, Substrate,
 };
 use rabit::testbed::{locations, workflows, Testbed, TestbedSubstrate};
-use rabit::tracer::{run_fleet_on, run_fleet_on_faulted, Tracer, Workflow};
+use rabit::tracer::{run_fleet_on, run_fleet_on_faulted, FleetJob, Tracer, Workflow};
 
 /// With an empty fault plan armed, every substrate's verdict — alert,
 /// executed count, virtual lab time, damage — is identical to a plain
@@ -25,9 +26,9 @@ fn empty_fault_plan_is_verdict_identical_on_all_three_substrates() {
     let substrates: Vec<&dyn Substrate> = vec![&sim, &testbed, &prod];
     for substrate in substrates {
         let (mut lab, mut rabit) = substrate.instantiate();
-        let baseline = rabit.run(&mut lab, wf.commands());
+        let baseline = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
         let (mut lab2, mut rabit2) = substrate.instantiate_with(&FaultPlan::none());
-        let report = rabit2.run(&mut lab2, wf.commands());
+        let report = Tracer::guarded(&mut lab2, &mut rabit2).run(&wf);
         assert_eq!(
             baseline.alert,
             report.alert,
@@ -165,7 +166,7 @@ fn substrate_carried_plans_arm_on_instantiate() {
     let substrate = TestbedSubstrate::for_stage(Stage::Testbed).with_fault_plan(plan);
     let (mut lab, mut rabit) = substrate.instantiate();
     assert!(lab.has_fault_session(), "the carried plan must arm");
-    let report = rabit.run(&mut lab, wf.commands());
+    let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
     assert!(
         !report.completed(),
         "dropping every command must trip the malfunction check"
@@ -183,7 +184,7 @@ fn substrate_carried_plans_arm_on_instantiate() {
         .set_door("dosing_device", false);
     let (mut lab, mut rabit) = substrate.instantiate();
     rabit.config_mut().recovery = RecoveryPolicy::Quarantine(RetryPolicy::default());
-    let report = rabit.run(&mut lab, doors_only.commands());
+    let report = Tracer::guarded(&mut lab, &mut rabit).run(&doors_only);
     assert!(
         report.completed(),
         "quarantine never alerts: {:?}",
@@ -194,11 +195,92 @@ fn substrate_carried_plans_arm_on_instantiate() {
     assert!(rabit.is_quarantined(&"dosing_device".into()));
 }
 
-/// `Rabit::run` and the guarded tracer are two loops over one engine.
-/// Under seeded state faults — one of them injected into the initial
-/// state fetch — both report the same counters, alert and times, and
-/// both count every fault the lab injected. (`executed` is left out: the
-/// two loops define it differently on a malfunction alert.)
+/// A fleet job that names no fault plan arms the substrate's own, in
+/// both modes: the run is the one an explicit copy of that plan gives.
+#[test]
+fn substrate_carried_plans_arm_in_pass_through_jobs() {
+    let wf = workflows::fig5_safe_workflow(&locations());
+    let plan = FaultPlan::seeded(3).with(
+        FaultKind::LatencySpike { seconds: 1.0 },
+        FaultSchedule::Bernoulli { probability: 1.0 },
+    );
+    let substrate = TestbedSubstrate::for_stage(Stage::Testbed).with_fault_plan(plan.clone());
+    for guarded in [true, false] {
+        let run = |fault| {
+            FleetJob {
+                substrate: &substrate,
+                workflow: &wf,
+                fault,
+                guarded,
+                snapshot: None,
+            }
+            .execute()
+            .0
+        };
+        let carried = run(None);
+        let explicit = run(Some(plan.clone()));
+        assert!(
+            carried.report.counters.faults_injected > 0,
+            "guarded {guarded}: the carried plan must arm"
+        );
+        assert_eq!(
+            carried.report.counters, explicit.report.counters,
+            "guarded {guarded}"
+        );
+        assert_eq!(
+            carried.report.lab_time_s, explicit.report.lab_time_s,
+            "guarded {guarded}"
+        );
+    }
+}
+
+/// What the reference loop in
+/// [`engine_and_tracer_runs_report_the_same_counters_under_state_faults`]
+/// reports.
+struct ReferenceRun {
+    executed: usize,
+    alert: Option<Alert>,
+    lab_time_s: f64,
+    rabit_overhead_s: f64,
+    counters: RunCounters,
+}
+
+/// Fig. 2 written out over `initialize`/`step`: halt on the first alert,
+/// snapshot the counters before `initialize`, and count a command as
+/// executed when it ran on its device (a malfunction alert fires after
+/// the command ran).
+fn reference_run(lab: &mut Lab, rabit: &mut Rabit, wf: &Workflow) -> ReferenceRun {
+    let t0 = lab.clock().now_s();
+    let overhead0 = rabit.overhead_s();
+    let counters0 = rabit.counters(lab);
+    rabit.initialize(lab);
+    let mut executed = 0;
+    let mut alert = None;
+    for command in wf.commands() {
+        match rabit.step(lab, command) {
+            Ok(outcome) => executed += usize::from(outcome.executed()),
+            Err(halt) => {
+                executed += usize::from(matches!(halt, Alert::DeviceMalfunction { .. }));
+                alert = Some(halt);
+                break;
+            }
+        }
+    }
+    ReferenceRun {
+        executed,
+        alert,
+        lab_time_s: lab.clock().now_s() - t0,
+        rabit_overhead_s: rabit.overhead_s() - overhead0,
+        counters: rabit.counters(lab).since(&counters0),
+    }
+}
+
+/// The tracer is the one loop over the engine. Under seeded state and
+/// command faults — one of them injected into the initial state fetch,
+/// one dropping the first command so the run halts on a malfunction —
+/// it reports the same executed count, counters, alert and times as a
+/// reference loop over `initialize`/`step`, counts every fault the lab
+/// injected, and its executed count is its trace's.
 #[test]
 fn engine_and_tracer_runs_report_the_same_counters_under_state_faults() {
     let loc = locations();
@@ -227,9 +309,11 @@ fn engine_and_tracer_runs_report_the_same_counters_under_state_faults() {
             FaultKind::NoisyState { sigma: 0.05 },
             FaultSchedule::Bernoulli { probability: 0.2 },
         ),
+        (FaultKind::DropCommand, FaultSchedule::AtSteps(vec![0])),
     ];
     let mut totals = RunCounters::default();
     let mut alerts = 0;
+    let mut malfunctions = 0;
     for seed in 0..3 {
         for (kind, schedule) in &faults {
             let plan = FaultPlan::seeded(seed).with(*kind, schedule.clone());
@@ -237,28 +321,40 @@ fn engine_and_tracer_runs_report_the_same_counters_under_state_faults() {
                 for wf in &wfs {
                     let at = format!("seed {seed} {kind:?} {} {}", substrate.name(), wf.name());
                     let (mut lab, mut rabit) = substrate.instantiate_with(&plan);
-                    let engine = rabit.run(&mut lab, wf.commands());
+                    let reference = reference_run(&mut lab, &mut rabit, wf);
                     assert_eq!(
-                        engine.counters.faults_injected,
+                        reference.counters.faults_injected,
                         lab.fault_stats().total_injected(),
                         "{at}: every injected fault is counted"
                     );
                     let (mut lab, mut rabit) = substrate.instantiate_with(&plan);
                     let traced = Tracer::guarded(&mut lab, &mut rabit).run(wf);
-                    assert_eq!(engine.counters, traced.counters, "{at}");
-                    assert_eq!(engine.alert, traced.alert, "{at}");
-                    assert_eq!(engine.lab_time_s, traced.lab_time_s, "{at}");
-                    assert_eq!(engine.rabit_overhead_s, traced.rabit_overhead_s, "{at}");
-                    totals.merge(&engine.counters);
-                    alerts += usize::from(engine.alert.is_some());
+                    assert_eq!(reference.executed, traced.executed, "{at}");
+                    assert_eq!(
+                        traced.executed,
+                        traced.trace.executed_commands().count(),
+                        "{at}"
+                    );
+                    assert_eq!(reference.counters, traced.counters, "{at}");
+                    assert_eq!(reference.alert, traced.alert, "{at}");
+                    assert_eq!(reference.lab_time_s, traced.lab_time_s, "{at}");
+                    assert_eq!(reference.rabit_overhead_s, traced.rabit_overhead_s, "{at}");
+                    totals.merge(&traced.counters);
+                    alerts += usize::from(traced.alert.is_some());
+                    malfunctions += usize::from(matches!(
+                        traced.alert,
+                        Some(Alert::DeviceMalfunction { .. })
+                    ));
                 }
             }
         }
     }
-    // The scenario is not vacuous: faults fire, some runs halt, the retry
-    // policy engages and the simulator stage sweeps.
+    // The scenario is not vacuous: faults fire, some runs halt (some on
+    // a malfunction, where the two `executed` definitions used to
+    // differ), the retry policy engages and the simulator stage sweeps.
     assert!(totals.faults_injected > 0);
     assert!(alerts > 0);
+    assert!(malfunctions > 0);
     assert!(totals.recovery.retries > 0);
     assert!(totals.cache_hit_rate().is_some());
 }

@@ -1,10 +1,12 @@
-//! Fleet determinism: a 32-workflow fleet must yield identical
-//! per-workflow alerts, traces, and damage logs at 1, 4, and 8 threads.
+//! Fleet determinism: a 48-workflow fleet (32 seeded mutations of the
+//! Fig. 5 workflow plus the 16 catalogued bugs of the study) must yield
+//! identical per-workflow alerts, traces, and damage logs at 1, 4, and 8
+//! threads.
 //!
 //! This is the reproducibility contract of `rabit_core::fleet` —
 //! thread scheduling may change wall-clock order, but never results.
 
-use rabit::buginject::RabitStage;
+use rabit::buginject::{catalog, RabitStage};
 use rabit::core::Substrate;
 use rabit::devices::{ActionKind, Command};
 use rabit::geometry::Vec3;
@@ -12,15 +14,17 @@ use rabit::testbed::{workflows, Testbed, TestbedSubstrate};
 use rabit::tracer::{run_fleet_on, FleetReport, Workflow};
 use rabit::util::Rng;
 
-const FLEET_SIZE: usize = 32;
+/// Seeded mutations of the Fig. 5 workflow in the fleet.
+const MUTATED: usize = 32;
 
-/// Deterministically mutated variants of the Fig. 5 workflow: a few are
+/// Deterministically mutated variants of the Fig. 5 workflow — a few are
 /// left safe, the rest get seeded naive-programmer edits so the fleet
-/// exercises completed runs, blocked runs, and damaging runs alike.
+/// exercises completed runs, blocked runs, and damaging runs alike —
+/// followed by the study's 16 buggy workflows.
 fn fleet_workflows() -> Vec<Workflow> {
     let template = Testbed::new();
     let mut rng = Rng::seed_from_u64(0xF1EE7);
-    (0..FLEET_SIZE)
+    let mutated: Vec<Workflow> = (0..MUTATED)
         .map(|i| {
             let mut wf = workflows::fig5_safe_workflow(&template.locations);
             if i % 4 != 0 {
@@ -31,7 +35,11 @@ fn fleet_workflows() -> Vec<Workflow> {
             }
             wf
         })
-        .collect()
+        .collect();
+    let bugs = catalog()
+        .into_iter()
+        .map(|bug| bug.buggy_workflow(&template.locations));
+    mutated.into_iter().chain(bugs).collect()
 }
 
 fn mutate(wf: &mut Workflow, rng: &mut Rng) {
@@ -115,7 +123,7 @@ fn fingerprint(report: &FleetReport) -> Vec<RunFingerprint> {
 #[test]
 fn fleet_results_identical_across_thread_counts() {
     let wfs = fleet_workflows();
-    assert_eq!(wfs.len(), FLEET_SIZE);
+    assert_eq!(wfs.len(), MUTATED + catalog().len());
 
     let serial = run_at(&wfs, 1);
     let reference = fingerprint(&serial);
@@ -123,7 +131,7 @@ fn fleet_results_identical_across_thread_counts() {
     // The scenario must be non-trivial: some runs complete, some halt.
     assert!(serial.completed_runs() > 0, "no run completed");
     assert!(
-        serial.completed_runs() < FLEET_SIZE,
+        serial.completed_runs() < wfs.len(),
         "every run completed — mutations too tame"
     );
 

@@ -7,7 +7,7 @@ use rabit::buginject::{catalog, run_study_on};
 use rabit::core::{Stage, Substrate};
 use rabit::production::ProductionDeck;
 use rabit::testbed::{locations, workflows, Testbed, TestbedSubstrate};
-use rabit::tracer::{run_fleet_on, Workflow};
+use rabit::tracer::{run_fleet_on, Tracer, Workflow};
 
 /// The safe Fig. 5 workflow must complete — same verdict, same executed
 /// command count, zero damage — on all three substrate implementations:
@@ -22,7 +22,7 @@ fn safe_workflow_is_verdict_identical_on_all_three_substrates() {
     let mut executed = Vec::new();
     for substrate in substrates {
         let (mut lab, mut rabit) = substrate.instantiate();
-        let report = rabit.run(&mut lab, wf.commands());
+        let report = Tracer::guarded(&mut lab, &mut rabit).run(&wf);
         assert!(
             report.completed(),
             "false positive on {}: {:?}",
@@ -72,11 +72,12 @@ fn gated_promotion_blocks_bugs_before_physical_stages() {
     let loc = locations();
     let bug = &catalog()[0]; // Bug A: the door is never reopened.
     let wf = bug.buggy_workflow(&loc);
-    let report = pipeline.promote(wf.name(), wf.commands());
+    let report = pipeline.promote(&wf);
     assert!(!report.deployed());
     assert_eq!(report.blocked_at(), Some(Stage::Simulator));
     assert_eq!(report.stages.len(), 1);
-    assert!(report.stages[0].detected());
+    let alert = report.stages[0].report.alert.as_ref();
+    assert!(alert.is_some_and(|a| a.is_rabit_detection()), "{alert:?}");
     assert_eq!(report.total_damage(), 0);
     assert!(report.stage(Stage::Testbed).is_none(), "gated out");
     assert!(report.stage(Stage::Production).is_none(), "gated out");
@@ -121,7 +122,7 @@ fn production_pipeline_skips_the_testbed_stage() {
     use rabit::production::solubility;
     let pipeline = ProductionDeck::pipeline();
     let wf = solubility::solubility_workflow(&solubility::SolubilityParams::default());
-    let report = pipeline.promote(wf.name(), wf.commands());
+    let report = pipeline.promote(&wf);
     assert!(report.deployed(), "blocked at {:?}", report.blocked_at());
     assert_eq!(report.stages.len(), 2);
     assert!(report.stage(Stage::Testbed).is_none());
