@@ -97,13 +97,13 @@ fn bench_rule_dispatch(iters: usize) -> DispatchResult {
     let linear_ns = time(&mut || {
         commands
             .iter()
-            .map(|c| rulebase.check_linear(c, &state, catalog).len())
+            .map(|c| rulebase.check_linear(c, state, catalog).len())
             .sum()
     });
     let indexed_ns = time(&mut || {
         commands
             .iter()
-            .map(|c| rulebase.check(c, &state, catalog).len())
+            .map(|c| rulebase.check(c, state, catalog).len())
             .sum()
     });
     assert!(sink < usize::MAX, "keep the work observable");

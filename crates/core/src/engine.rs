@@ -250,11 +250,14 @@ impl Rabit {
             lab.arm_faults(self.fault_plan.session());
         }
         let before = lab.clock().now_s();
-        let reported = lab.fetch_state();
-        self.overhead_s += lab.clock().now_s() - before;
         // Sensed variables overwrite beliefs; configured beliefs (see
-        // [`Rabit::believe`]) survive initialization.
-        self.current.overlay(&reported);
+        // [`Rabit::believe`]) survive initialization. Nothing has
+        // executed yet, so a sensed value that contradicts a belief is
+        // not a malfunction and the findings are dropped.
+        let _ = self
+            .current
+            .commit_reported(lab.fetch_state(), self.config.state_tolerance);
+        self.overhead_s += lab.clock().now_s() - before;
         &self.current
     }
 
@@ -394,26 +397,28 @@ impl Rabit {
     /// safe-stop, quarantine) is the caller's job.
     #[allow(clippy::result_large_err)]
     fn execute_and_verify(&mut self, lab: &mut Lab, command: &Command) -> Result<(), Alert> {
-        // Line 11: S_expected.
-        let expected = transition::expected_state(&self.catalog, &self.current, command);
+        // Line 11: S_expected, as the postconditions' writes to S_current.
+        let writes = transition::expected_state(&self.catalog, &self.current, command);
 
-        // Line 12: execute.
+        // Line 12: execute. A refused command leaves S_current untouched.
         if let Err(error) = lab.apply(command) {
             return Err(Alert::DeviceFault {
                 command: command.clone(),
                 error,
             });
         }
+        self.current.extend(writes);
 
-        // Lines 13-16: fetch S_actual, compare, commit. Devices only
-        // report the variables they can sense; believed variables (vial
-        // contents, containment) are rolled forward from the expectation.
+        // Lines 13-16: fetch S_actual, compare, commit, in one pass over
+        // the lab's snapshot. Devices only report the variables they can
+        // sense; believed variables (vial contents, containment) keep
+        // the expectation. The commit happens whether or not the compare
+        // finds a malfunction, so a retry starts from what was sensed.
         let before = lab.clock().now_s();
-        let actual = lab.fetch_state();
+        let diffs = self
+            .current
+            .commit_reported(lab.fetch_state(), self.config.state_tolerance);
         self.overhead_s += lab.clock().now_s() - before;
-        let diffs = expected.diff_reported(&actual, self.config.state_tolerance);
-        self.current = expected;
-        self.current.overlay(&actual);
         if !diffs.is_empty() {
             return Err(Alert::DeviceMalfunction {
                 command: command.clone(),

@@ -15,8 +15,8 @@ use rabit_devices::physical::{
     ARM_CLEARANCE_M, ARM_COLLISION_RADIUS_M, GRASP_RADIUS_M, HELD_OBJECT_CLEARANCE_M,
 };
 use rabit_devices::{
-    ActionKind, Centrifuge, Command, Device, DeviceError, DeviceId, DosingDevice, Grid, Hotplate,
-    LabState, RobotArm, StateKey, SyringePump, Thermoshaker, Vial,
+    ActionKind, Centrifuge, Command, Device, DeviceError, DeviceId, DeviceState, DosingDevice,
+    Grid, Hotplate, LabState, RobotArm, StateKey, SyringePump, Thermoshaker, Vial,
 };
 use rabit_geometry::noise::PositionNoise;
 use rabit_geometry::Vec3;
@@ -202,6 +202,8 @@ pub struct Lab {
     /// An armed fault-injection session, if any (see
     /// [`crate::FaultPlan`]). `None` costs nothing on the hot path.
     faults: Option<FaultSession>,
+    /// The last `FetchState()` result, refilled in place by the next one.
+    snapshot: LabState,
 }
 
 impl Lab {
@@ -215,6 +217,7 @@ impl Lab {
             arm_kinematics: BTreeMap::new(),
             arm_noise: BTreeMap::new(),
             faults: None,
+            snapshot: LabState::new(),
         }
     }
 
@@ -301,19 +304,33 @@ impl Lab {
     /// `FetchState()`: snapshots every device via its status command,
     /// advancing the clock by each status latency. This is the dominant
     /// cost of RABIT's ~0.03 s per-command overhead.
-    pub fn fetch_state(&mut self) -> LabState {
-        let mut state = LabState::new();
+    ///
+    /// The lab owns the snapshot and lends it out; each fetch refills it
+    /// in place, so a warm fetch allocates nothing. With a fault session
+    /// armed, the session may serve an older or perturbed snapshot
+    /// instead.
+    pub fn fetch_state(&mut self) -> &LabState {
+        // The first fetch, a device added since, or an older snapshot a
+        // fault session served: rebuild the entries from the device list.
+        if !self.snapshot.device_ids().eq(self.devices.keys()) {
+            self.snapshot = self
+                .devices
+                .keys()
+                .map(|id| (id.clone(), DeviceState::new()))
+                .collect();
+        }
         let mut status_time = 0.0;
-        for (id, device) in &self.devices {
+        for (device, (_, state)) in self.devices.values().zip(self.snapshot.iter_mut()) {
             let d = device.as_device();
             status_time += d.latency().status_s;
-            state.insert(id.clone(), d.fetch_state());
+            d.write_status(state);
         }
         self.clock.advance(status_time);
-        match &mut self.faults {
-            Some(session) => session.intercept_state(state),
-            None => state,
+        if let Some(session) = &mut self.faults {
+            let fresh = std::mem::take(&mut self.snapshot);
+            self.snapshot = session.intercept_state(fresh);
         }
+        &self.snapshot
     }
 
     /// Executes a command with full physical semantics: firmware checks,
@@ -869,6 +886,14 @@ mod tests {
         assert!(lab.clock().now_s() > t1, "status queries take time");
     }
 
+    /// A snapshot built from every device's owned status command.
+    fn owned_snapshot(lab: &Lab) -> LabState {
+        lab.devices
+            .iter()
+            .map(|(id, d)| (id.clone(), d.as_device().fetch_state()))
+            .collect()
+    }
+
     #[test]
     fn fetch_state_covers_all_devices() {
         let mut lab = small_lab();
@@ -876,6 +901,42 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert!(s.device(&"viperx".into()).is_some());
         assert!(s.device(&"grid".into()).is_some());
+
+        // Each refill in place equals a snapshot built afresh.
+        let commands = [
+            Command::new("doser", ActionKind::SetDoor { open: true }),
+            mv(Vec3::new(0.537, 0.018, 0.12)),
+            Command::new(
+                "viperx",
+                ActionKind::PickObject {
+                    object: "vial".into(),
+                },
+            ),
+            mv(Vec3::new(0.2, 0.45, 0.35)),
+            Command::new("viperx", ActionKind::MoveToSleep),
+            Command::new("doser", ActionKind::SetDoor { open: false }),
+        ];
+        for cmd in &commands {
+            lab.apply(cmd).unwrap();
+            let fresh = owned_snapshot(&lab);
+            assert_eq!(lab.fetch_state(), &fresh, "after {cmd}");
+        }
+        assert_eq!(
+            lab.fetch_state()
+                .get_id(&"viperx".into(), &StateKey::Holding),
+            Some(Some(&DeviceId::new("vial")))
+        );
+
+        // A device added later shows up in the next fetch.
+        lab.add_device(Hotplate::new(
+            "hotplate",
+            Aabb::new(Vec3::new(-0.4, -0.4, 0.0), Vec3::new(-0.2, -0.2, 0.1)),
+        ));
+        let s = lab.fetch_state();
+        assert_eq!(s.len(), 5);
+        assert!(s.device(&"hotplate".into()).is_some());
+        let fresh = owned_snapshot(&lab);
+        assert_eq!(lab.fetch_state(), &fresh);
     }
 
     #[test]

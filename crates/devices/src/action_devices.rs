@@ -44,23 +44,20 @@ impl ActionCore {
         }
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // Controller-sensed variables only; the contained container is a
         // believed variable (no sensor in the chamber).
-        // Room for the door and the centrifuge's red dot, so no status
-        // fetch regrows the vector.
-        let mut s = DeviceState::with_capacity(6)
-            .with(StateKey::ActionActive, self.active)
-            .with(
-                StateKey::ActionValue,
-                offset_reading(self.value, self.malfunction),
-            )
-            .with(StateKey::ActionThreshold, self.firmware_limit)
-            .with(StateKey::Footprint, self.footprint);
+        state.clear();
+        state.set(StateKey::ActionActive, self.active);
+        state.set(
+            StateKey::ActionValue,
+            offset_reading(self.value, self.malfunction),
+        );
+        state.set(StateKey::ActionThreshold, self.firmware_limit);
+        state.set(StateKey::Footprint, self.footprint);
         if self.has_door {
-            s.set(StateKey::DoorOpen, self.door_open);
+            state.set(StateKey::DoorOpen, self.door_open);
         }
-        s
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {
@@ -170,8 +167,8 @@ macro_rules! action_device {
                 DeviceType::ActionDevice
             }
 
-            fn fetch_state(&self) -> DeviceState {
-                self.core.fetch_state()
+            fn write_status(&self, state: &mut DeviceState) {
+                self.core.write_status(state);
             }
 
             fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {
@@ -291,10 +288,9 @@ impl Device for Centrifuge {
         DeviceType::ActionDevice
     }
 
-    fn fetch_state(&self) -> DeviceState {
-        self.core
-            .fetch_state()
-            .with(StateKey::RedDotNorth, self.red_dot_north)
+    fn write_status(&self, state: &mut DeviceState) {
+        self.core.write_status(state);
+        state.set(StateKey::RedDotNorth, self.red_dot_north);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

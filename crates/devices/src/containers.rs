@@ -131,15 +131,15 @@ impl Device for Vial {
         DeviceType::Container
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // A vial has no sensors: its status "command" can only report the
         // static facts from its datasheet. Location, contents, and
         // stopper state are *believed* variables that RABIT rolls forward
         // through postconditions — which is why a workflow that lost its
         // vial (Bug C) looks indistinguishable from a healthy one.
-        DeviceState::new()
-            .with(StateKey::CapacityMg, self.capacity_mg)
-            .with(StateKey::CapacityMl, self.capacity_ml)
+        state.clear();
+        state.set(StateKey::CapacityMg, self.capacity_mg);
+        state.set(StateKey::CapacityMl, self.capacity_ml);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {
@@ -286,12 +286,13 @@ impl Device for Grid {
         DeviceType::Custom("grid".to_string())
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // A cardboard grid has no sensors: its status command reports
         // only the static cuboid. Slot occupancy is physical ground truth
         // (used by the damage oracle), invisible to RABIT — which is why
         // vial-less experiments (Bug C) go undetected.
-        DeviceState::new().with(StateKey::Footprint, self.footprint)
+        state.clear();
+        state.set(StateKey::Footprint, self.footprint);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

@@ -169,9 +169,18 @@ pub trait Device: Send + Sync {
     /// Which of the four taxonomy types (or a custom type) this device is.
     fn device_type(&self) -> DeviceType;
 
-    /// Status command: a full snapshot of the device's state variables.
-    /// This is the per-device building block of `FetchState()` in Fig. 2.
-    fn fetch_state(&self) -> DeviceState;
+    /// Status command: writes the device's state variables into `state`,
+    /// clearing it first. This is the per-device building block of
+    /// `FetchState()` in Fig. 2; the lab refills one snapshot in place
+    /// with it, so a warm fetch allocates nothing.
+    fn write_status(&self, state: &mut DeviceState);
+
+    /// The status command's result as an owned snapshot.
+    fn fetch_state(&self) -> DeviceState {
+        let mut state = DeviceState::new();
+        self.write_status(&mut state);
+        state
+    }
 
     /// Executes an action, updating internal state.
     ///

@@ -97,14 +97,14 @@ impl Device for DosingDevice {
         DeviceType::DosingSystem
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // The door actuator and the dosing controller report their own
         // state; whether a vial sits in the chamber is NOT sensed — RABIT
         // believes it via pick/place postconditions.
-        DeviceState::new()
-            .with(StateKey::DoorOpen, self.door_open)
-            .with(StateKey::ActionActive, self.dosing)
-            .with(StateKey::Footprint, self.footprint)
+        state.clear();
+        state.set(StateKey::DoorOpen, self.door_open);
+        state.set(StateKey::ActionActive, self.dosing);
+        state.set(StateKey::Footprint, self.footprint);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {
@@ -229,10 +229,10 @@ impl Device for SyringePump {
         DeviceType::DosingSystem
     }
 
-    fn fetch_state(&self) -> DeviceState {
-        DeviceState::new()
-            .with(StateKey::ActionActive, self.dispensing)
-            .with(StateKey::Footprint, self.footprint)
+    fn write_status(&self, state: &mut DeviceState) {
+        state.clear();
+        state.set(StateKey::ActionActive, self.dispensing);
+        state.set(StateKey::Footprint, self.footprint);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

@@ -131,14 +131,13 @@ impl Device for MultiDoorDevice {
         DeviceType::Custom("multi_door_chamber".to_string())
     }
 
-    fn fetch_state(&self) -> DeviceState {
-        let mut s = DeviceState::new()
-            .with(StateKey::ActionActive, self.active)
-            .with(StateKey::Footprint, self.footprint);
+    fn write_status(&self, state: &mut DeviceState) {
+        state.clear();
+        state.set(StateKey::ActionActive, self.active);
+        state.set(StateKey::Footprint, self.footprint);
         for (door, open) in &self.doors {
-            s.set(door_key(door), *open);
+            state.set(door_key(door), *open);
         }
-        s
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

@@ -127,17 +127,17 @@ impl Device for RobotArm {
         DeviceType::RobotArm
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // The controller reports its *command-level* state: gripper jaws,
         // what it believes it holds, which device it entered, whether it
         // parked. It does NOT report a Cartesian tool position — RABIT
         // compares command-level states, which is why a silently skipped
         // move (the ViperX behaviour in §IV, category 4) goes unnoticed.
-        DeviceState::new()
-            .with(StateKey::GripperOpen, self.gripper_open)
-            .with(StateKey::Holding, self.holding.clone())
-            .with(StateKey::InsideOf, self.inside_of.clone())
-            .with(StateKey::AtSleep, self.at_sleep)
+        state.clear();
+        state.set(StateKey::GripperOpen, self.gripper_open);
+        state.set(StateKey::Holding, self.holding.clone());
+        state.set(StateKey::InsideOf, self.inside_of.clone());
+        state.set(StateKey::AtSleep, self.at_sleep);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

@@ -70,7 +70,7 @@ impl Device for ProximitySensor {
         DeviceType::Custom("proximity_sensor".to_string())
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // A stuck sensor reads clear regardless of reality — the
         // malfunction class that made the Berlinguette Lab abandon
         // hard-wired sensors.
@@ -78,7 +78,8 @@ impl Device for ProximitySensor {
             Some(Malfunction::SilentNoop) => false,
             _ => self.occupied,
         };
-        DeviceState::new().with(StateKey::Custom(OCCUPIED_KEY.to_string()), reading)
+        state.clear();
+        state.set(StateKey::Custom(OCCUPIED_KEY.to_string()), reading);
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

@@ -1,14 +1,14 @@
 //! Lab state snapshots: `S_current`, `S_expected`, `S_actual`.
 //!
-//! A guarded step builds `S_expected`, fetches `S_actual`, diffs the two
-//! and overlays one on the other (Fig. 2, Lines 11-16), so this layout is
-//! on every command's path. Device ids are shared (`Arc<str>`), a device's
-//! variables sit in one key-sorted vector, and the diff and overlay walk
-//! both snapshots in a single ordered pass.
+//! A guarded step writes the command's postconditions into `S_current`,
+//! refills the lab's `S_actual` in place, and compares and commits the
+//! two (Fig. 2, Lines 11-16), so this layout is on every command's path.
+//! Device ids are shared (`Arc<str>`), a device's variables sit in one
+//! key-sorted vector, and [`LabState::commit_reported`] compares and
+//! commits in a single ordered pass.
 
 use crate::id::DeviceId;
 use crate::value::{StateKey, Value};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -93,17 +93,41 @@ impl DeviceState {
         self.vars.is_empty()
     }
 
-    /// Writes every variable of `reported` into `self` in one merged
-    /// walk of the two sorted vectors. A key already present keeps its
-    /// slot and only takes the new value; only new keys are cloned.
-    fn overlay(&mut self, reported: &DeviceState) {
+    /// Removes every variable, keeping the vector's capacity, so a status
+    /// command can refill the state without allocating.
+    pub fn clear(&mut self) {
+        self.vars.clear();
+    }
+
+    /// This device's share of [`LabState::commit_reported`]: one merged
+    /// walk of the two sorted vectors. A reported value that contradicts
+    /// the held one beyond `tol` is recorded in `findings`; every
+    /// reported value is then written, in the held key's slot or as a new
+    /// key.
+    fn commit_reported(
+        &mut self,
+        device: &DeviceId,
+        reported: &DeviceState,
+        tol: f64,
+        findings: &mut Vec<StateDiff>,
+    ) {
         let mut i = 0;
         for (key, value) in &reported.vars {
             while self.vars.get(i).is_some_and(|(k, _)| k < key) {
                 i += 1;
             }
             match self.vars.get_mut(i) {
-                Some((k, v)) if k == key => v.clone_from(value),
+                Some((k, held)) if k == key => {
+                    if !held.approx_eq(value, tol) {
+                        findings.push(StateDiff {
+                            device: device.clone(),
+                            key: key.clone(),
+                            left: Some(held.clone()),
+                            right: Some(value.clone()),
+                        });
+                    }
+                    held.clone_from(value);
+                }
                 _ => self.vars.insert(i, (key.clone(), value.clone())),
             }
             i += 1;
@@ -141,40 +165,6 @@ impl Extend<(StateKey, Value)> for DeviceState {
             self.set(key, value);
         }
     }
-}
-
-/// Walks two key-sorted sequences in one pass, yielding every key of
-/// either side in order with its value on each side (`None` where that
-/// side lacks the key).
-fn outer_join<'a, K: Ord + 'a, A: 'a, B: 'a>(
-    left: impl IntoIterator<Item = (&'a K, &'a A)>,
-    right: impl IntoIterator<Item = (&'a K, &'a B)>,
-) -> impl Iterator<Item = (&'a K, Option<&'a A>, Option<&'a B>)> {
-    let mut left = left.into_iter().peekable();
-    let mut right = right.into_iter().peekable();
-    std::iter::from_fn(move || {
-        let order = match (left.peek(), right.peek()) {
-            (Some((a, _)), Some((b, _))) => a.cmp(b),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => return None,
-        };
-        Some(match order {
-            Ordering::Less => {
-                let (k, a) = left.next()?;
-                (k, Some(a), None)
-            }
-            Ordering::Greater => {
-                let (k, b) = right.next()?;
-                (k, None, Some(b))
-            }
-            Ordering::Equal => {
-                let (k, a) = left.next()?;
-                let (_, b) = right.next()?;
-                (k, Some(a), Some(b))
-            }
-        })
-    })
 }
 
 /// A full lab snapshot: the state of every device. This is the `S` of the
@@ -250,6 +240,12 @@ impl LabState {
         self.devices.iter()
     }
 
+    /// Iterates over `(device, state)` pairs with mutable states, for
+    /// refilling a snapshot in place.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&DeviceId, &mut DeviceState)> {
+        self.devices.iter_mut()
+    }
+
     /// Number of devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -260,22 +256,42 @@ impl LabState {
         self.devices.is_empty()
     }
 
-    /// Overlays `reported` on top of this snapshot: every variable a
-    /// device actually reports overwrites the believed value; believed
-    /// variables the devices cannot sense (vial contents, containment,
-    /// held objects) are retained. This is how `S_current` is rolled
-    /// forward on Line 16 of the Fig. 2 algorithm in a lab where not
-    /// every state variable has a sensor.
+    /// Compares the reported snapshot `S_actual` with this one and
+    /// commits it, in one ordered pass (Fig. 2, Lines 13-16).
     ///
-    /// One ordered walk over both snapshots; a device missing here is
-    /// copied over afterwards, the only case that clones an id.
-    pub fn overlay(&mut self, reported: &LabState) {
+    /// Returns every variable a device reports whose value contradicts
+    /// the one held here beyond `tol`, in device-then-key order, with
+    /// `left` the held value and `right` the reported one. A non-empty
+    /// result is what raises the "Device malfunction!" alert (Lines
+    /// 14-15). Numeric and position values compare within `tol`.
+    ///
+    /// Every reported variable then overwrites the held value; reported
+    /// variables and devices missing here are added. Believed variables
+    /// that no device reports (vial contents, containment, held objects)
+    /// are neither compared nor touched: an unsensed variable can never
+    /// contradict anything — the blind spot behind the paper's undetected
+    /// Bug-C class. This is how `S_current` rolls forward on Line 16 in a
+    /// lab where not every state variable has a sensor.
+    ///
+    /// A device missing here is copied over after the walk, the only case
+    /// that clones an id.
+    pub fn commit_reported(&mut self, reported: &LabState, tol: f64) -> Vec<StateDiff> {
+        let mut findings = Vec::new();
         let mut missing = false;
         let mut mine = self.devices.iter_mut().peekable();
         for (id, theirs) in &reported.devices {
-            while mine.next_if(|(k, _)| *k < id).is_some() {}
-            match mine.next_if(|(k, _)| *k == id) {
-                Some((_, state)) => state.overlay(theirs),
+            // Equality first: both sides usually hold the same devices
+            // under the same shared ids, which compare by pointer.
+            let held = loop {
+                if let Some((_, state)) = mine.next_if(|(k, _)| *k == id) {
+                    break Some(state);
+                }
+                if mine.next_if(|(k, _)| *k < id).is_none() {
+                    break None;
+                }
+            };
+            match held {
+                Some(state) => state.commit_reported(id, theirs, tol, &mut findings),
                 None => missing = true,
             }
         }
@@ -286,63 +302,18 @@ impl LabState {
                 }
             }
         }
+        findings
     }
+}
 
-    /// Compares expected (`self`) against the *reported* snapshot,
-    /// returning a difference for every variable the devices actually
-    /// report that contradicts the expectation. Believed-only variables
-    /// (present in `self` but absent from `reported`) are NOT mismatches:
-    /// an unsensed variable can never contradict anything — the blind
-    /// spot behind the paper's undetected Bug-C class.
-    pub fn diff_reported(&self, reported: &LabState, tol: f64) -> Vec<StateDiff> {
-        let mut out = Vec::new();
-        for (device, expected, actual) in outer_join(&self.devices, &reported.devices) {
-            let (Some(expected), Some(actual)) = (expected, actual) else {
-                continue;
-            };
-            for (key, e, a) in outer_join(expected.iter(), actual.iter()) {
-                if let (Some(e), Some(a)) = (e, a) {
-                    if !e.approx_eq(a, tol) {
-                        out.push(StateDiff {
-                            device: device.clone(),
-                            key: key.clone(),
-                            left: Some(e.clone()),
-                            right: Some(a.clone()),
-                        });
-                    }
-                }
-            }
+/// Writes `(device, key, value)` triples in order, adding devices and
+/// variables that are missing; a later write to the same variable wins.
+/// Each write searches the device map once, taking the id it is given.
+impl Extend<(DeviceId, StateKey, Value)> for LabState {
+    fn extend<I: IntoIterator<Item = (DeviceId, StateKey, Value)>>(&mut self, iter: I) {
+        for (id, key, value) in iter {
+            self.devices.entry(id).or_default().set(key, value);
         }
-        out
-    }
-
-    /// Compares two snapshots variable-by-variable, returning every
-    /// difference. An empty diff means `S_actual = S_expected`; a
-    /// non-empty diff is what triggers the "Device malfunction!" alert
-    /// (Fig. 2, Lines 14-15).
-    ///
-    /// Numeric and position values compare within `tol`; variables present
-    /// on only one side are reported with `None` for the missing side.
-    pub fn diff(&self, other: &LabState, tol: f64) -> Vec<StateDiff> {
-        let mut out = Vec::new();
-        for (device, a, b) in outer_join(&self.devices, &other.devices) {
-            let vars = outer_join(
-                a.into_iter().flat_map(DeviceState::iter),
-                b.into_iter().flat_map(DeviceState::iter),
-            );
-            for (key, va, vb) in vars {
-                let equal = matches!((va, vb), (Some(x), Some(y)) if x.approx_eq(y, tol));
-                if !equal {
-                    out.push(StateDiff {
-                        device: device.clone(),
-                        key: key.clone(),
-                        left: va.cloned(),
-                        right: vb.cloned(),
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -397,13 +368,17 @@ impl rabit_util::FromJson for LabState {
         })?;
         let mut devices = BTreeMap::new();
         for (id, d) in pairs {
-            devices.insert(DeviceId::new(id), DeviceState::from_json(d)?);
+            // Through `DeviceId::from_json`, so an empty name is an error.
+            let id = DeviceId::from_json(&rabit_util::Json::Str(id.clone()))?;
+            devices.insert(id, DeviceState::from_json(d)?);
         }
         Ok(LabState { devices })
     }
 }
 
-/// One differing state variable between two lab snapshots.
+/// One differing state variable between two lab snapshots. In a
+/// finding of [`LabState::commit_reported`], the left-hand snapshot is
+/// `S_expected` and the right-hand one `S_actual`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateDiff {
     /// The device whose variable differs.
@@ -479,61 +454,87 @@ mod tests {
     }
 
     #[test]
-    fn identical_states_have_empty_diff() {
-        let lab = LabState::new().with_device("d", door_state(true));
-        assert!(lab.diff(&lab.clone(), 0.0).is_empty());
+    fn commit_of_an_identical_report_finds_nothing() {
+        let mut lab = LabState::new().with_device("d", door_state(true));
+        let reported = lab.clone();
+        assert!(lab.commit_reported(&reported, 0.0).is_empty());
+        assert_eq!(lab, reported);
     }
 
     #[test]
-    fn diff_detects_changed_value() {
-        let a = LabState::new().with_device("doser", door_state(true));
-        let b = LabState::new().with_device("doser", door_state(false));
-        let d = a.diff(&b, 0.0);
+    fn commit_reports_and_overwrites_a_changed_value() {
+        let mut held = LabState::new().with_device("doser", door_state(true));
+        let reported = LabState::new().with_device("doser", door_state(false));
+        let d = held.commit_reported(&reported, 0.0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].device.as_str(), "doser");
         assert_eq!(d[0].key, StateKey::DoorOpen);
+        // `left` is the held value, `right` the reported one.
         assert_eq!(d[0].left, Some(Value::Bool(true)));
         assert_eq!(d[0].right, Some(Value::Bool(false)));
         assert!(d[0].to_string().contains("doser.deviceDoorStatus"));
+        assert_eq!(d[0].to_string(), "doser.deviceDoorStatus: true vs false");
+        // The report is committed.
+        assert_eq!(held, reported);
     }
 
     #[test]
-    fn diff_detects_missing_device_and_variable() {
-        let a = LabState::new().with_device("doser", door_state(true));
-        let b = LabState::new();
-        let d = a.diff(&b, 0.0);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].right, None);
-        // Variable missing on one side only.
-        let c = LabState::new().with_device(
-            "doser",
-            door_state(true).with(StateKey::ActionActive, false),
+    fn commit_adds_missing_devices_and_variables_without_findings() {
+        let hp = DeviceId::new("hotplate");
+        let doser = DeviceId::new("doser");
+        let vial = DeviceId::new("vial");
+        let mut held = LabState::new()
+            .with_device(
+                "doser",
+                door_state(true).with(StateKey::ContainedObject, Some(vial.clone())),
+            )
+            .with_device("vial", DeviceState::new().with(StateKey::SolidMg, 3.0));
+        // The hotplate is new, the doser reports one variable the held
+        // side lacks, and the vial reports nothing.
+        let reported = LabState::new()
+            .with_device(
+                "doser",
+                door_state(true).with(StateKey::ActionActive, false),
+            )
+            .with_device("hotplate", door_state(false));
+        assert!(held.commit_reported(&reported, 0.0).is_empty());
+        assert_eq!(held.len(), 3);
+        assert_eq!(held.get_bool(&hp, &StateKey::DoorOpen), Some(false));
+        assert_eq!(held.get_bool(&doser, &StateKey::ActionActive), Some(false));
+        // Believed-only variables and unreported devices survive.
+        assert_eq!(
+            held.get_id(&doser, &StateKey::ContainedObject),
+            Some(Some(&vial))
         );
-        let d = a.diff(&c, 0.0);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].key, StateKey::ActionActive);
-        assert_eq!(d[0].left, None);
+        assert_eq!(held.get_number(&vial, &StateKey::SolidMg), Some(3.0));
     }
 
     #[test]
-    fn diff_tolerates_numeric_jitter() {
-        let a =
+    fn commit_tolerates_numeric_jitter() {
+        let hp = DeviceId::new("hp");
+        let held =
             LabState::new().with_device("hp", DeviceState::new().with(StateKey::ActionValue, 60.0));
-        let b = LabState::new()
+        let reported = LabState::new()
             .with_device("hp", DeviceState::new().with(StateKey::ActionValue, 60.004));
-        assert!(a.diff(&b, 0.01).is_empty());
-        assert_eq!(a.diff(&b, 0.001).len(), 1);
+        let mut loose = held.clone();
+        assert!(loose.commit_reported(&reported, 0.01).is_empty());
+        // Jitter within tolerance is still committed.
+        assert_eq!(loose.get_number(&hp, &StateKey::ActionValue), Some(60.004));
+        let mut strict = held.clone();
+        assert_eq!(strict.commit_reported(&reported, 0.001).len(), 1);
+        assert_eq!(strict, reported);
     }
 
     #[test]
-    fn diff_is_antisymmetric_in_sides() {
-        let a = LabState::new().with_device("d", door_state(true));
-        let b = LabState::new().with_device("d", door_state(false));
-        let ab = a.diff(&b, 0.0);
-        let ba = b.diff(&a, 0.0);
-        assert_eq!(ab.len(), ba.len());
-        assert_eq!(ab[0].left, ba[0].right);
-        assert_eq!(ab[0].right, ba[0].left);
+    fn lab_state_from_json_rejects_an_empty_device_name() {
+        use rabit_util::{FromJson, Json, ToJson};
+        // The id is decoded before the device's variables, so this is
+        // rejected for its name alone.
+        let json = Json::parse(r#"{"": {"deviceDoorStatus": true}}"#).unwrap();
+        let error = LabState::from_json(&json).unwrap_err();
+        assert!(error.to_string().contains("device id"), "{error}");
+        let lab = LabState::new().with_device("doser", door_state(true));
+        assert_eq!(LabState::from_json(&lab.to_json()), Ok(lab));
     }
 
     #[test]

@@ -60,16 +60,16 @@ fn lab_state(rng: &mut Rng) -> LabState {
         .collect()
 }
 
-/// Overlay semantics: every reported variable wins; everything else is
+/// Commit semantics: every reported variable wins; everything else is
 /// retained.
 #[test]
-fn overlay_reported_wins_and_rest_is_retained() {
+fn committed_report_wins_and_rest_is_retained() {
     let mut rng = Rng::seed_from_u64(101);
     for _ in 0..CASES {
         let believed = lab_state(&mut rng);
         let reported = lab_state(&mut rng);
         let mut merged = believed.clone();
-        merged.overlay(&reported);
+        merged.commit_reported(&reported, 0.0);
         // Reported values are present verbatim.
         for (dev, st) in reported.iter() {
             for (key, val) in st.iter() {
@@ -94,41 +94,42 @@ fn self_diff_is_empty() {
     for _ in 0..CASES {
         let state = lab_state(&mut rng);
         let tol = rng.random_range(0.0..1.0);
-        assert!(state.diff_reported(&state, tol).is_empty());
-        assert!(state.diff(&state, tol).is_empty());
+        let mut merged = state.clone();
+        assert!(merged.commit_reported(&state, tol).is_empty());
+        assert_eq!(merged, state);
     }
 }
 
-/// `diff_reported` only ever cites variables the reported side has, and
-/// loosening the tolerance never creates new findings.
+/// A commit only ever cites variables both sides have, and loosening the
+/// tolerance never creates new findings.
 #[test]
-fn diff_reported_is_sound_and_monotone() {
+fn commit_findings_are_sound_and_monotone() {
     let mut rng = Rng::seed_from_u64(103);
     for _ in 0..CASES {
         let expected = lab_state(&mut rng);
         let reported = lab_state(&mut rng);
         let tol = rng.random_range(0.0..0.5);
-        let strict = expected.diff_reported(&reported, tol);
+        let strict = expected.clone().commit_reported(&reported, tol);
         for d in &strict {
             assert!(reported.get(&d.device, &d.key).is_some());
             assert!(expected.get(&d.device, &d.key).is_some());
         }
-        let loose = expected.diff_reported(&reported, tol + 0.5);
+        let loose = expected.clone().commit_reported(&reported, tol + 0.5);
         assert!(loose.len() <= strict.len());
     }
 }
 
-/// Overlaying the reported snapshot resolves every reported discrepancy:
+/// Committing the reported snapshot resolves every reported discrepancy:
 /// the merged state agrees with the report.
 #[test]
-fn overlay_resolves_all_reported_diffs() {
+fn commit_resolves_all_reported_diffs() {
     let mut rng = Rng::seed_from_u64(104);
     for _ in 0..CASES {
         let expected = lab_state(&mut rng);
         let reported = lab_state(&mut rng);
         let mut merged = expected.clone();
-        merged.overlay(&reported);
-        assert!(merged.diff_reported(&reported, 0.0).is_empty());
+        merged.commit_reported(&reported, 0.5);
+        assert!(merged.clone().commit_reported(&reported, 0.0).is_empty());
     }
 }
 
@@ -141,7 +142,14 @@ fn lab_state_json_roundtrip() {
         let state = lab_state(&mut rng);
         let json = state.to_json().to_compact();
         let back = LabState::from_json(&Json::parse(&json).unwrap()).unwrap();
-        let diffs = back.diff(&state, 1e-9);
+        // Same devices and variables, and no value drifts beyond 1e-9.
+        let keys = |lab: &LabState| -> Vec<(DeviceId, Vec<StateKey>)> {
+            lab.iter()
+                .map(|(id, d)| (id.clone(), d.iter().map(|(k, _)| k.clone()).collect()))
+                .collect()
+        };
+        assert_eq!(keys(&back), keys(&state));
+        let diffs = back.clone().commit_reported(&state, 1e-9);
         assert!(diffs.is_empty(), "roundtrip drift: {diffs:?}");
     }
 }
@@ -179,13 +187,15 @@ fn vial_contents_are_conserved() {
 // ---------------------------------------------------------------------
 
 /// A `BTreeMap`-of-`BTreeMap` model of `LabState` and `DeviceState`,
-/// with map-based overlay and diffs written the straightforward way.
+/// with a map-based diff and overlay written the straightforward way.
+/// The one-pass `LabState::commit_reported` must equal the model's
+/// `diff_reported` followed by its `overlay`.
 /// Type and field names match the real types, so the derived `Debug`
 /// text is the map-style text the real types must print.
 mod reference {
     use rabit_devices::{DeviceId, StateDiff, StateKey, Value};
     use rabit_util::{Json, ToJson};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct DeviceState {
@@ -228,36 +238,6 @@ mod reference {
                                 right: Some(actual.clone()),
                             });
                         }
-                    }
-                }
-            }
-            out
-        }
-
-        pub fn diff(&self, other: &LabState, tol: f64) -> Vec<StateDiff> {
-            let mut out = Vec::new();
-            let ids: BTreeSet<&DeviceId> =
-                self.devices.keys().chain(other.devices.keys()).collect();
-            for id in ids {
-                let a = self.devices.get(id);
-                let b = other.devices.get(id);
-                let keys: BTreeSet<&StateKey> =
-                    a.into_iter().chain(b).flat_map(|d| d.vars.keys()).collect();
-                for key in keys {
-                    let va = a.and_then(|d| d.vars.get(key));
-                    let vb = b.and_then(|d| d.vars.get(key));
-                    let equal = match (va, vb) {
-                        (Some(x), Some(y)) => x.approx_eq(y, tol),
-                        (None, None) => true,
-                        _ => false,
-                    };
-                    if !equal {
-                        out.push(StateDiff {
-                            device: id.clone(),
-                            key: key.clone(),
-                            left: va.cloned(),
-                            right: vb.cloned(),
-                        });
                     }
                 }
             }
@@ -449,27 +429,44 @@ fn snapshots_match_the_map_model() {
     }
 }
 
-/// The one-pass overlay gives the model's result.
+/// The one-pass commit of `reported` into `held` gives the findings of the
+/// model's `diff_reported`, in the model's order, and the state of the
+/// model's `overlay` after it.
+fn assert_commit_matches(
+    (held, held_model): (&LabState, &reference::LabState),
+    (reported, reported_model): (&LabState, &reference::LabState),
+    tol: f64,
+) {
+    let mut merged = held.clone();
+    let findings = merged.commit_reported(reported, tol);
+    let mut merged_model = held_model.clone();
+    let model_findings = merged_model.diff_reported(reported_model, tol);
+    merged_model.overlay(reported_model);
+    assert_eq!(findings, model_findings);
+    assert_matches(&merged, &merged_model);
+}
+
+/// On unrelated snapshots, the commit gives the model's findings and
+/// merged state.
 #[test]
-fn overlay_matches_the_map_model() {
+fn commit_matches_the_map_model() {
     let mut rng = Rng::seed_from_u64(108);
     for _ in 0..CASES {
-        let (mut lab, mut model) = any_lab(&mut rng);
+        let (lab, model) = any_lab(&mut rng);
         let (reported, reported_model) = any_lab(&mut rng);
-        lab.overlay(&reported);
-        model.overlay(&reported_model);
-        assert_matches(&lab, &model);
+        assert_commit_matches((&lab, &model), (&reported, &reported_model), 0.0);
     }
 }
 
-/// Both diffs give the model's findings, in the model's order.
+/// On near and far pairs, at several tolerances, the commit gives the
+/// model's findings and merged state.
 #[test]
-fn diffs_match_the_map_model() {
+fn commit_findings_match_the_map_model() {
     let mut rng = Rng::seed_from_u64(109);
     for _ in 0..CASES {
         let (expected, expected_model) = any_lab(&mut rng);
         // Half the time the other side is a lightly edited copy, so
-        // diffs are short as well as long.
+        // finding lists are short as well as long.
         let (actual, actual_model) = if rng.random_bool(0.5) {
             let (mut lab, mut model) = (expected.clone(), expected_model.clone());
             for _ in 0..rng.random_range(0..3usize) {
@@ -480,14 +477,7 @@ fn diffs_match_the_map_model() {
             any_lab(&mut rng)
         };
         for tol in [0.0, 0.01, 1.0] {
-            assert_eq!(
-                expected.diff_reported(&actual, tol),
-                expected_model.diff_reported(&actual_model, tol)
-            );
-            assert_eq!(
-                expected.diff(&actual, tol),
-                expected_model.diff(&actual_model, tol)
-            );
+            assert_commit_matches((&expected, &expected_model), (&actual, &actual_model), tol);
         }
     }
 }

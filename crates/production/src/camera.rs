@@ -44,11 +44,11 @@ impl Device for Camera {
         DeviceType::Custom("camera".to_string())
     }
 
-    fn fetch_state(&self) -> DeviceState {
+    fn write_status(&self, state: &mut DeviceState) {
         // The image counter is deliberately not a state variable: custom
         // actions have no generic postconditions (§V-C), so exposing it
         // would trip the malfunction check on every capture.
-        DeviceState::new()
+        state.clear();
     }
 
     fn execute(&mut self, action: &ActionKind) -> Result<(), DeviceError> {

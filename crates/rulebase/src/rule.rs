@@ -3,6 +3,7 @@
 
 use crate::catalog::DeviceCatalog;
 use rabit_devices::{ActionClass, Command, DeviceType, LabState};
+use rabit_util::InlineVec;
 use std::fmt;
 use std::sync::Arc;
 
@@ -178,124 +179,13 @@ impl RuleSignature {
 /// centrifuge misuse, breaks three).
 const VIOLATIONS_INLINE: usize = 4;
 
-/// A small-vec of [`Violation`]s: the first four live inline, the rest
-/// spill to the heap. [`Rulebase::check`] returns this, so the hot path
-/// (no violations, or up to four) performs no allocation at all.
+/// The violations one command raised, in evaluation order: the first
+/// four live inline, the rest spill to the heap. [`Rulebase::check`]
+/// returns this, so the hot path (no violations, or up to four)
+/// performs no allocation at all.
 ///
 /// [`Rulebase::check`]: crate::Rulebase::check
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Violations {
-    inline: [Option<Violation>; VIOLATIONS_INLINE],
-    spill: Vec<Violation>,
-    len: usize,
-}
-
-impl Violations {
-    /// An empty buffer. Performs no allocation.
-    pub fn new() -> Self {
-        Violations::default()
-    }
-
-    /// Number of recorded violations.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether any violation was recorded — `false` is the algorithm's
-    /// `Valid(S_current, a_next)`.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends a violation.
-    pub fn push(&mut self, v: Violation) {
-        if self.len < VIOLATIONS_INLINE {
-            self.inline[self.len] = Some(v);
-        } else {
-            self.spill.push(v);
-        }
-        self.len += 1;
-    }
-
-    /// Clears the buffer, keeping any spilled heap capacity for reuse.
-    pub fn clear(&mut self) {
-        for slot in &mut self.inline {
-            *slot = None;
-        }
-        self.spill.clear();
-        self.len = 0;
-    }
-
-    /// The violation at `index`, if any.
-    pub fn get(&self, index: usize) -> Option<&Violation> {
-        if index >= self.len {
-            None
-        } else if index < VIOLATIONS_INLINE {
-            self.inline[index].as_ref()
-        } else {
-            self.spill.get(index - VIOLATIONS_INLINE)
-        }
-    }
-
-    /// The first violation, if any.
-    pub fn first(&self) -> Option<&Violation> {
-        self.get(0)
-    }
-
-    /// Iterates the violations in evaluation order.
-    pub fn iter(&self) -> impl Iterator<Item = &Violation> {
-        self.inline
-            .iter()
-            .take(self.len.min(VIOLATIONS_INLINE))
-            .filter_map(Option::as_ref)
-            .chain(self.spill.iter())
-    }
-
-    /// Moves the violations into a plain `Vec` (allocates — the cold,
-    /// alert-raising path).
-    pub fn into_vec(mut self) -> Vec<Violation> {
-        let mut out = Vec::with_capacity(self.len);
-        for slot in &mut self.inline {
-            if let Some(v) = slot.take() {
-                out.push(v);
-            }
-        }
-        out.append(&mut self.spill);
-        out
-    }
-}
-
-impl std::ops::Index<usize> for Violations {
-    type Output = Violation;
-    fn index(&self, index: usize) -> &Violation {
-        self.get(index)
-            .unwrap_or_else(|| panic!("violation index {index} out of bounds (len {})", self.len))
-    }
-}
-
-impl<'a> IntoIterator for &'a Violations {
-    type Item = &'a Violation;
-    type IntoIter = Box<dyn Iterator<Item = &'a Violation> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
-impl From<Violations> for Vec<Violation> {
-    fn from(v: Violations) -> Vec<Violation> {
-        v.into_vec()
-    }
-}
-
-impl FromIterator<Violation> for Violations {
-    fn from_iter<I: IntoIterator<Item = Violation>>(iter: I) -> Self {
-        let mut out = Violations::new();
-        for v in iter {
-            out.push(v);
-        }
-        out
-    }
-}
+pub type Violations = InlineVec<Violation, VIOLATIONS_INLINE>;
 
 /// The context every rule check receives.
 #[derive(Debug, Clone, Copy)]

@@ -1,21 +1,51 @@
 //! The state-transition function: postconditions.
 //!
 //! `UpdateState(S_current, a_next)` from the Fig. 2 algorithm (Line 11):
-//! given the current lab snapshot and a command, compute the snapshot the
-//! lab *should* be in after the command executes. Comparing this
-//! `S_expected` against the fetched `S_actual` detects device
-//! malfunctions (Lines 13-15).
+//! given the current lab snapshot and a command, compute what the lab
+//! *should* look like after the command executes. A command's
+//! postconditions touch one or two devices (Table II), so
+//! [`expected_state`] returns them as [`StateWrites`] — the variables
+//! that change, in order — rather than a whole snapshot. The engine
+//! writes them into `S_current` once the command has executed, which
+//! makes it `S_expected`, and then compares it with the fetched
+//! `S_actual` to detect device malfunctions (Lines 13-15).
 
 use crate::catalog::DeviceCatalog;
-use rabit_devices::{ActionKind, Command, DeviceId, LabState, StateKey, Substance};
+use rabit_devices::{ActionKind, Command, DeviceId, LabState, StateKey, Substance, Value};
+use rabit_util::InlineVec;
 
-/// Computes the expected lab state after `command` executes in `current`.
+/// Inline capacity of [`StateWrites`]. A command writes at most four
+/// variables — a move with a held object, a start that doses — unless a
+/// pick empties several devices at once.
+const WRITES_INLINE: usize = 4;
+
+/// One postcondition: `device.key` becomes `value`.
+pub type StateWrite = (DeviceId, StateKey, Value);
+
+/// The postconditions of one command as ordered writes: the first four
+/// live inline, the rest spill to the heap, so [`expected_state`]
+/// performs no allocation on the hot path. A later write to the same
+/// variable wins; `S_current.extend(writes)` applies them.
+pub type StateWrites = InlineVec<StateWrite, WRITES_INLINE>;
+
+/// Computes the postconditions of `command` executed in `current`: the
+/// writes that turn `current` into the expected lab state.
 ///
 /// The function is total: commands that would be rule violations still
 /// produce a prediction (RABIT would have stopped them earlier; the
-/// transition function itself is not a safety check).
-pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Command) -> LabState {
-    let mut next = current.clone();
+/// transition function itself is not a safety check). Reads see
+/// `current` as the command found it, except container levels, which
+/// see the command's earlier writes (a transfer from a vial into itself
+/// removes, then adds back).
+pub fn expected_state(
+    catalog: &DeviceCatalog,
+    current: &LabState,
+    command: &Command,
+) -> StateWrites {
+    let mut next = Postconditions {
+        current,
+        writes: StateWrites::new(),
+    };
     let actor = &command.actor;
     match &command.action {
         ActionKind::MoveToLocation { target } => {
@@ -23,8 +53,8 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
             next.set(actor, StateKey::InsideOf, None::<DeviceId>);
             next.set(actor, StateKey::AtSleep, false);
             // A held object travels with the gripper.
-            if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten().cloned() {
-                next.set(&held, StateKey::Location, *target);
+            if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten() {
+                next.set(held, StateKey::Location, *target);
             }
         }
         ActionKind::MoveInsideDevice { device } => {
@@ -37,8 +67,8 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
         ActionKind::MoveHome => {
             if let Some(home) = catalog.get(actor).and_then(|m| m.home_location) {
                 next.set(actor, StateKey::Location, home);
-                if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten().cloned() {
-                    next.set(&held, StateKey::Location, home);
+                if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten() {
+                    next.set(held, StateKey::Location, home);
                 }
             }
             next.set(actor, StateKey::InsideOf, None::<DeviceId>);
@@ -47,8 +77,8 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
         ActionKind::MoveToSleep => {
             if let Some(sleep) = catalog.get(actor).and_then(|m| m.sleep_location) {
                 next.set(actor, StateKey::Location, sleep);
-                if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten().cloned() {
-                    next.set(&held, StateKey::Location, sleep);
+                if let Some(held) = current.get_id(actor, &StateKey::Holding).flatten() {
+                    next.set(held, StateKey::Location, sleep);
                 }
             }
             next.set(actor, StateKey::InsideOf, None::<DeviceId>);
@@ -153,7 +183,7 @@ pub fn expected_state(catalog: &DeviceCatalog, current: &LabState, command: &Com
             // rely on malfunction checks of the variables they declare.
         }
     }
-    next
+    next.writes
 }
 
 fn substance_keys(substance: Substance) -> (StateKey, StateKey) {
@@ -163,7 +193,38 @@ fn substance_keys(substance: Substance) -> (StateKey, StateKey) {
     }
 }
 
-fn add_substance(state: &mut LabState, container: &DeviceId, substance: Substance, amount: f64) {
+/// The writes under construction, over the snapshot they apply to.
+struct Postconditions<'a> {
+    current: &'a LabState,
+    writes: StateWrites,
+}
+
+impl Postconditions<'_> {
+    fn set(&mut self, device: &DeviceId, key: StateKey, value: impl Into<Value>) {
+        self.writes.push((device.clone(), key, value.into()));
+    }
+
+    /// A numeric variable as this command's last write to it left it,
+    /// else as the command found it.
+    fn get_number(&self, device: &DeviceId, key: &StateKey) -> Option<f64> {
+        let written = self
+            .writes
+            .iter()
+            .rev()
+            .find(|(d, k, _)| d == device && k == key);
+        written
+            .map(|(_, _, v)| v)
+            .or_else(|| self.current.get(device, key))
+            .and_then(Value::as_number)
+    }
+}
+
+fn add_substance(
+    state: &mut Postconditions,
+    container: &DeviceId,
+    substance: Substance,
+    amount: f64,
+) {
     let (level_key, capacity_key) = substance_keys(substance);
     let level = state.get_number(container, &level_key).unwrap_or(0.0);
     let capacity = state
@@ -173,7 +234,12 @@ fn add_substance(state: &mut LabState, container: &DeviceId, substance: Substanc
     state.set(container, level_key, (level + amount).min(capacity));
 }
 
-fn remove_substance(state: &mut LabState, container: &DeviceId, substance: Substance, amount: f64) {
+fn remove_substance(
+    state: &mut Postconditions,
+    container: &DeviceId,
+    substance: Substance,
+    amount: f64,
+) {
     let (level_key, _) = substance_keys(substance);
     let level = state.get_number(container, &level_key).unwrap_or(0.0);
     state.set(container, level_key, (level - amount).max(0.0));
@@ -185,6 +251,13 @@ mod tests {
     use crate::catalog::DeviceMeta;
     use rabit_devices::{DeviceState, DeviceType};
     use rabit_geometry::Vec3;
+
+    /// `current` with the command's writes applied: `S_expected`.
+    fn after(catalog: &DeviceCatalog, current: &LabState, command: &Command) -> LabState {
+        let mut next = current.clone();
+        next.extend(expected_state(catalog, current, command));
+        next
+    }
 
     fn catalog() -> DeviceCatalog {
         DeviceCatalog::new()
@@ -243,7 +316,7 @@ mod tests {
             Some(DeviceId::new("vial")),
         );
         let target = Vec3::new(0.5, 0.1, 0.2);
-        let next = expected_state(
+        let next = after(
             &cat,
             &s,
             &Command::new("arm", ActionKind::MoveToLocation { target }),
@@ -269,7 +342,7 @@ mod tests {
     fn home_and_sleep_use_catalog_positions() {
         let cat = catalog();
         let s = base();
-        let next = expected_state(&cat, &s, &Command::new("arm", ActionKind::MoveToSleep));
+        let next = after(&cat, &s, &Command::new("arm", ActionKind::MoveToSleep));
         assert_eq!(next.get_bool(&"arm".into(), &StateKey::AtSleep), Some(true));
         assert_eq!(
             next.get(&"arm".into(), &StateKey::Location)
@@ -278,7 +351,7 @@ mod tests {
                 .unwrap(),
             Vec3::new(0.1, 0.0, 0.1)
         );
-        let back = expected_state(&cat, &next, &Command::new("arm", ActionKind::MoveHome));
+        let back = after(&cat, &next, &Command::new("arm", ActionKind::MoveHome));
         assert_eq!(
             back.get_bool(&"arm".into(), &StateKey::AtSleep),
             Some(false)
@@ -302,7 +375,7 @@ mod tests {
             Some(DeviceId::new("vial")),
         );
         // Picking the vial out of the doser clears the doser's containment.
-        let picked = expected_state(
+        let picked = after(
             &cat,
             &s,
             &Command::new(
@@ -329,7 +402,7 @@ mod tests {
             Some(None)
         );
         // Placing into the centrifuge sets its containment.
-        let placed = expected_state(
+        let placed = after(
             &cat,
             &picked,
             &Command::new(
@@ -355,7 +428,7 @@ mod tests {
     fn doors_and_grippers() {
         let cat = catalog();
         let s = base();
-        let open = expected_state(
+        let open = after(
             &cat,
             &s,
             &Command::new("doser", ActionKind::SetDoor { open: true }),
@@ -370,7 +443,7 @@ mod tests {
             StateKey::Holding,
             Some(DeviceId::new("vial")),
         );
-        let dropped = expected_state(&cat, &held, &Command::new("arm", ActionKind::OpenGripper));
+        let dropped = after(&cat, &held, &Command::new("arm", ActionKind::OpenGripper));
         assert_eq!(
             dropped.get_id(&"arm".into(), &StateKey::Holding),
             Some(None)
@@ -379,7 +452,7 @@ mod tests {
             dropped.get_bool(&"arm".into(), &StateKey::GripperOpen),
             Some(true)
         );
-        let closed = expected_state(&cat, &s, &Command::new("arm", ActionKind::CloseGripper));
+        let closed = after(&cat, &s, &Command::new("arm", ActionKind::CloseGripper));
         assert_eq!(
             closed.get_bool(&"arm".into(), &StateKey::GripperOpen),
             Some(false)
@@ -390,7 +463,7 @@ mod tests {
     fn dosing_saturates_at_capacity() {
         let cat = catalog();
         let s = base();
-        let next = expected_state(
+        let next = after(
             &cat,
             &s,
             &Command::new(
@@ -406,7 +479,7 @@ mod tests {
             Some(6.0)
         );
         // Overdose: expected physical outcome is saturation (spill).
-        let over = expected_state(
+        let over = after(
             &cat,
             &next,
             &Command::new(
@@ -434,7 +507,7 @@ mod tests {
                 .with(StateKey::LiquidMl, 0.0)
                 .with(StateKey::CapacityMl, 20.0),
         );
-        let next = expected_state(
+        let next = after(
             &cat,
             &s,
             &Command::new(
@@ -456,7 +529,7 @@ mod tests {
             Some(4.0)
         );
         // Removal floors at zero.
-        let drained = expected_state(
+        let drained = after(
             &cat,
             &next,
             &Command::new(
@@ -480,10 +553,34 @@ mod tests {
     }
 
     #[test]
+    fn transfer_into_itself_reads_its_own_removal() {
+        let cat = catalog();
+        let mut s = base();
+        s.set(&"vial".into(), StateKey::LiquidMl, 10.0);
+        let cmd = Command::new(
+            "arm",
+            ActionKind::Transfer {
+                from: "vial".into(),
+                to: "vial".into(),
+                substance: Substance::Liquid,
+                amount: 4.0,
+            },
+        );
+        // The add reads the level the removal left (6), not the 10 the
+        // command found, so nothing changes.
+        let next = after(&cat, &s, &cmd);
+        assert_eq!(
+            next.get_number(&"vial".into(), &StateKey::LiquidMl),
+            Some(10.0)
+        );
+        assert_eq!(expected_state(&cat, &s, &cmd).len(), 2);
+    }
+
+    #[test]
     fn start_stop_action_and_red_dot() {
         let cat = catalog();
         let s = base();
-        let spun = expected_state(
+        let spun = after(
             &cat,
             &s,
             &Command::new("centrifuge", ActionKind::StartAction { value: 4000.0 }),
@@ -501,7 +598,7 @@ mod tests {
             Some(false),
             "expected postcondition: a spin leaves the dot askew"
         );
-        let stopped = expected_state(
+        let stopped = after(
             &cat,
             &spun,
             &Command::new("centrifuge", ActionKind::StopAction),
@@ -520,12 +617,12 @@ mod tests {
     fn cap_decap() {
         let cat = catalog();
         let s = base();
-        let capped = expected_state(&cat, &s, &Command::new("vial", ActionKind::Cap));
+        let capped = after(&cat, &s, &Command::new("vial", ActionKind::Cap));
         assert_eq!(
             capped.get_bool(&"vial".into(), &StateKey::HasStopper),
             Some(true)
         );
-        let decapped = expected_state(&cat, &capped, &Command::new("vial", ActionKind::Decap));
+        let decapped = after(&cat, &capped, &Command::new("vial", ActionKind::Decap));
         assert_eq!(
             decapped.get_bool(&"vial".into(), &StateKey::HasStopper),
             Some(false)
@@ -536,17 +633,15 @@ mod tests {
     fn custom_actions_are_identity() {
         let cat = catalog();
         let s = base();
-        let next = expected_state(
-            &cat,
-            &s,
-            &Command::new(
-                "doser",
-                ActionKind::Custom {
-                    name: "blink".into(),
-                    params: vec![],
-                },
-            ),
+        let blink = Command::new(
+            "doser",
+            ActionKind::Custom {
+                name: "blink".into(),
+                params: vec![],
+            },
         );
+        assert!(expected_state(&cat, &s, &blink).is_empty());
+        let next = after(&cat, &s, &blink);
         assert_eq!(next, s);
     }
 

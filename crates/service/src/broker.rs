@@ -606,16 +606,12 @@ fn process(
         // epochs and receipts come back in lane (= submission) order.
         let results = inner.store.apply_ops(&lane.tenant, ops);
         inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let mut committed = 0u64;
-        let mut rejected = 0u64;
-        for ((state, slot), result) in meta.drain(..).zip(results) {
-            if result.is_ok() {
-                committed += 1;
-            } else {
-                rejected += 1;
-            }
-            complete(&state, slot, result);
-        }
+        // Count before completing. `complete` releases through the
+        // `AcqRel` decrement of `remaining`, and a waiter returns only
+        // after its `Acquire` load reads the final decrement, so these
+        // adds happen before the waiter's return: a caller holding its
+        // receipts never reads stats that lag them.
+        let committed = results.iter().filter(|r| r.is_ok()).count() as u64;
         inner
             .counters
             .committed
@@ -623,7 +619,10 @@ fn process(
         inner
             .counters
             .rejected
-            .fetch_add(rejected, Ordering::Relaxed);
+            .fetch_add(results.len() as u64 - committed, Ordering::Relaxed);
+        for ((state, slot), result) in meta.drain(..).zip(results) {
+            complete(&state, slot, result);
+        }
         // Space freed: wake producers parked on this lane.
         lane.producers.unpark_all();
         retire(inner, drained);

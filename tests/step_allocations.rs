@@ -3,10 +3,12 @@
 //! A warm Modified+Simulator testbed engine runs Fig. 5; every
 //! allocation the calling thread makes inside `Rabit::step` is counted
 //! by a pass-through global allocator. A warm step on the 9-device
-//! testbed makes about 20: `S_expected` clones `S_current` and
-//! `FetchState` builds `S_actual`, each one B-tree leaf plus one
-//! variable vector per device. Copying ids, diffing, overlaying and the
-//! lab's cross effects allocate nothing.
+//! testbed allocates nothing: the postconditions come back as inline
+//! writes to `S_current`, `FetchState` refills the lab's own snapshot in
+//! place, and the compare-and-commit pass writes values into existing
+//! slots. The one allocation in a Fig. 5 lap (mean 0.03 per step) is the
+//! lab's held-object map allocating its leaf on the fresh lab's first
+//! pick.
 
 use rabit::core::StepOutcome;
 use rabit::devices::LatencyModel;
@@ -15,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Mean allocations per warm `Rabit::step` that the test allows.
-const BUDGET_PER_STEP: f64 = 21.0;
+const BUDGET_PER_STEP: f64 = 0.1;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
