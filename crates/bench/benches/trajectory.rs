@@ -3,7 +3,7 @@
 
 use rabit_bench::timing::{bench, group};
 use rabit_geometry::Vec3;
-use rabit_kinematics::ik::{solve_position, IkParams};
+use rabit_kinematics::ik::solve_position;
 use rabit_kinematics::presets;
 use rabit_kinematics::trajectory::Trajectory;
 use std::hint::black_box;
@@ -20,7 +20,7 @@ fn main() {
     bench("link_capsules", || arm.link_capsules(black_box(&q0), None));
     let target = arm.tool_position(&q0) + Vec3::new(0.05, 0.03, -0.04);
     bench("ik_solve_nearby", || {
-        solve_position(&arm, &q0, black_box(target), &IkParams::default())
+        solve_position(&arm, &q0, black_box(target))
     });
 
     let traj = Trajectory::linear(q0, q1);

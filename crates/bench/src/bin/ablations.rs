@@ -24,13 +24,7 @@ fn polling_rate() {
     let q0 = arm.home_configuration();
     let home_tool = arm.tool_position(&q0);
     let target = home_tool + Vec3::new(0.0, 0.22, 0.0);
-    let q1 = rabit_kinematics::ik::solve_position(
-        &arm,
-        &q0,
-        target,
-        &rabit_kinematics::ik::IkParams::default(),
-    )
-    .expect("reachable");
+    let q1 = rabit_kinematics::ik::solve_position(&arm, &q0, target).expect("reachable");
     let traj = rabit_kinematics::trajectory::Trajectory::linear(q0, q1);
 
     // A small box exactly where the tool passes at 50% of the motion.

@@ -3,7 +3,7 @@
 
 use crate::chain::{DhChain, JointConfig, JointLimits};
 use crate::sweep::MotionBound;
-use rabit_geometry::{Capsule, Vec3};
+use rabit_geometry::{Capsule, Pose, Vec3};
 
 /// Gripper open/closed state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,7 +126,7 @@ impl ArmModel {
     }
 
     /// Remounts the arm at a different base pose.
-    pub fn with_base(mut self, base: rabit_geometry::Pose) -> Self {
+    pub fn with_base(mut self, base: Pose) -> Self {
         self.chain = self.chain.with_base(base);
         self
     }
@@ -163,7 +163,11 @@ impl ArmModel {
 
     /// World-space tool-center-point (gripper tip) for a configuration.
     pub fn tool_position(&self, config: &JointConfig) -> Vec3 {
-        let ee = self.chain.end_effector_pose(config.angles());
+        self.tool_point(&self.chain.end_effector_pose(config.angles()))
+    }
+
+    /// The gripper tip of the world-space end-effector pose `ee`.
+    pub(crate) fn tool_point(&self, ee: &Pose) -> Vec3 {
         ee.transform_point(Vec3::new(0.0, 0.0, self.gripper_length))
     }
 
@@ -197,7 +201,7 @@ impl ArmModel {
     /// `capsules_from_poses(&chain.joint_poses(q), …)`.
     pub fn capsules_from_poses(
         &self,
-        poses: &[rabit_geometry::Pose; 7],
+        poses: &[Pose; 7],
         held: Option<&HeldObject>,
         out: &mut Vec<Capsule>,
     ) {
@@ -264,7 +268,6 @@ impl ArmModel {
 mod tests {
     use super::*;
     use crate::chain::DhParam;
-    use rabit_geometry::Pose;
 
     fn test_arm() -> ArmModel {
         let chain = DhChain::new(

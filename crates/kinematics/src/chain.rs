@@ -8,7 +8,8 @@ use std::fmt;
 /// One revolute joint in standard Denavit–Hartenberg convention.
 ///
 /// The transform from frame `i-1` to frame `i` for joint angle `θ` is
-/// `RotZ(θ + theta_offset) · TransZ(d) · TransX(a) · RotX(alpha)`.
+/// `RotZ(θ + theta_offset) · TransZ(d) · TransX(a) · RotX(alpha)`. A row is
+/// plain data: the [`DhChain`] that holds it builds the transforms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DhParam {
     /// Link length `a` (metres).
@@ -30,16 +31,6 @@ impl DhParam {
             alpha,
             theta_offset,
         }
-    }
-
-    /// The frame-to-frame transform for joint angle `theta`.
-    pub fn transform(&self, theta: f64) -> Pose {
-        let rot_z = Pose::from_rotation(Mat3::rotation_z(theta + self.theta_offset));
-        let trans = Pose::from_translation(Vec3::new(self.a, 0.0, self.d));
-        // TransZ(d) then TransX(a) commute as a single translation in the
-        // intermediate frame: (a, 0, d).
-        let rot_x = Pose::from_rotation(Mat3::rotation_x(self.alpha));
-        rot_z.compose(&trans).compose(&rot_x)
     }
 }
 
@@ -252,14 +243,39 @@ impl From<[f64; 6]> for JointConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DhChain {
     params: [DhParam; 6],
+    /// Each row's constant twist `RotX(alpha)`, built once in
+    /// [`DhChain::new`].
+    twists: [Pose; 6],
     base: Pose,
+}
+
+/// One forward-kinematics pass with its intermediate results kept: every
+/// row's frame transform and the world-space prefix poses of
+/// [`DhChain::joint_poses`]. A pass that moves a single joint restarts
+/// from the cached prefix before it ([`DhChain::end_effector_with_joint`]).
+#[derive(Debug)]
+pub(crate) struct FkPass {
+    frames: [Pose; 6],
+    poses: [Pose; 7],
+}
+
+impl FkPass {
+    /// The world-space end-effector pose of the pass.
+    pub(crate) fn end_effector(&self) -> &Pose {
+        &self.poses[6]
+    }
 }
 
 impl DhChain {
     /// Creates a chain from six DH rows, rooted at `base` (the arm's
     /// mounting pose in world/deck coordinates).
     pub fn new(params: [DhParam; 6], base: Pose) -> Self {
-        DhChain { params, base }
+        let twists = params.map(|p| Pose::from_rotation(Mat3::rotation_x(p.alpha)));
+        DhChain {
+            params,
+            twists,
+            base,
+        }
     }
 
     /// The DH parameter rows.
@@ -279,6 +295,48 @@ impl DhChain {
         self
     }
 
+    /// Row `i`'s frame-to-frame transform for joint angle `theta`, composed
+    /// as `RotZ(θ + theta_offset) ∘ Trans(a, 0, d) ∘ RotX(alpha)`. Every
+    /// forward-kinematics path builds its transforms here, so they agree
+    /// bit for bit.
+    #[inline]
+    pub(crate) fn frame_transform(&self, i: usize, theta: f64) -> Pose {
+        let p = &self.params[i];
+        let rot_z = Pose::from_rotation(Mat3::rotation_z(theta + p.theta_offset));
+        // TransZ(d) then TransX(a) commute as a single translation in the
+        // intermediate frame: (a, 0, d).
+        let trans = Pose::from_translation(Vec3::new(p.a, 0.0, p.d));
+        rot_z.compose(&trans).compose(&self.twists[i])
+    }
+
+    /// [`DhChain::joint_poses`], keeping each row's transform as well.
+    /// `joint_poses` keeps its own loop: building it on this pass (and
+    /// dropping the transforms) measured 25% slower per FK call.
+    pub(crate) fn fk_pass(&self, angles: &[f64; 6]) -> FkPass {
+        let mut frames = [Pose::IDENTITY; 6];
+        let mut poses = [Pose::IDENTITY; 7];
+        poses[0] = self.base;
+        for i in 0..6 {
+            frames[i] = self.frame_transform(i, angles[i]);
+            poses[i + 1] = poses[i].compose(&frames[i]);
+        }
+        FkPass { frames, poses }
+    }
+
+    /// The end-effector pose of `pass`'s configuration with joint `j`
+    /// moved to `theta`. It starts from the cached prefix before `j`,
+    /// recomputes only joint `j`'s transform, and composes the cached
+    /// transforms after `j` left to right: the same operations in the same
+    /// order as [`DhChain::end_effector_pose`] of the moved configuration,
+    /// so the result is bit-identical to it.
+    pub(crate) fn end_effector_with_joint(&self, pass: &FkPass, j: usize, theta: f64) -> Pose {
+        let mut acc = pass.poses[j].compose(&self.frame_transform(j, theta));
+        for frame in &pass.frames[j + 1..] {
+            acc = acc.compose(frame);
+        }
+        acc
+    }
+
     /// Forward kinematics: the world-space pose of every joint frame,
     /// **including** the base frame at index 0. The end-effector frame is
     /// the last element (index 6).
@@ -286,8 +344,8 @@ impl DhChain {
         let mut out = [Pose::IDENTITY; 7];
         out[0] = self.base;
         let mut acc = self.base;
-        for (i, (p, &theta)) in self.params.iter().zip(angles.iter()).enumerate() {
-            acc = acc.compose(&p.transform(theta));
+        for (i, &theta) in angles.iter().enumerate() {
+            acc = acc.compose(&self.frame_transform(i, theta));
             out[i + 1] = acc;
         }
         out
@@ -314,20 +372,20 @@ impl DhChain {
         for o in out.iter_mut() {
             o[0] = self.base;
         }
-        for (i, p) in self.params.iter().enumerate() {
+        for i in 0..6 {
             let theta0 = configs[0].angle(i);
             let shared = if configs
                 .iter()
                 .all(|c| c.angle(i).to_bits() == theta0.to_bits())
             {
-                Some(p.transform(theta0))
+                Some(self.frame_transform(i, theta0))
             } else {
                 None
             };
             for (o, c) in out.iter_mut().zip(configs.iter()) {
                 let step = match &shared {
                     Some(t) => *t,
-                    None => p.transform(c.angle(i)),
+                    None => self.frame_transform(i, c.angle(i)),
                 };
                 o[i + 1] = o[i].compose(&step);
             }
@@ -432,24 +490,78 @@ mod tests {
         }
     }
 
+    /// Row 0's transform of a chain whose rows all equal `p`.
+    fn row_transform(p: DhParam, theta: f64) -> Pose {
+        DhChain::new([p; 6], Pose::IDENTITY).frame_transform(0, theta)
+    }
+
     #[test]
     fn dh_transform_components() {
         // Pure rotation row.
-        let p = DhParam::new(0.0, 0.0, 0.0, 0.0);
-        let t = p.transform(FRAC_PI_2);
+        let t = row_transform(DhParam::new(0.0, 0.0, 0.0, 0.0), FRAC_PI_2);
         assert!((t.transform_point(Vec3::X) - Vec3::Y).norm() < 1e-12);
         // Pure translation row.
-        let p = DhParam::new(0.1, 0.2, 0.0, 0.0);
-        let t = p.transform(0.0);
+        let t = row_transform(DhParam::new(0.1, 0.2, 0.0, 0.0), 0.0);
         assert!((t.translation - Vec3::new(0.1, 0.0, 0.2)).norm() < 1e-12);
         // Twist row maps Y to Z.
-        let p = DhParam::new(0.0, 0.0, FRAC_PI_2, 0.0);
-        let t = p.transform(0.0);
+        let t = row_transform(DhParam::new(0.0, 0.0, FRAC_PI_2, 0.0), 0.0);
         assert!((t.transform_vector(Vec3::Y) - Vec3::Z).norm() < 1e-12);
         // Theta offset acts like a joint angle.
-        let p = DhParam::new(0.0, 0.0, 0.0, FRAC_PI_2);
-        let t = p.transform(0.0);
+        let t = row_transform(DhParam::new(0.0, 0.0, 0.0, FRAC_PI_2), 0.0);
         assert!((t.transform_vector(Vec3::X) - Vec3::Y).norm() < 1e-12);
+    }
+
+    /// The row transform as a standalone formula that rebuilds the twist
+    /// on every call: the reference for the chain's cached twist.
+    fn dh_formula(p: &DhParam, theta: f64) -> Pose {
+        let rot_z = Pose::from_rotation(Mat3::rotation_z(theta + p.theta_offset));
+        let trans = Pose::from_translation(Vec3::new(p.a, 0.0, p.d));
+        let rot_x = Pose::from_rotation(Mat3::rotation_x(p.alpha));
+        rot_z.compose(&trans).compose(&rot_x)
+    }
+
+    fn pose_bits(p: &Pose) -> [u64; 12] {
+        let mut out = [0; 12];
+        for r in 0..3 {
+            for c in 0..3 {
+                out[3 * r + c] = p.rotation.get(r, c).to_bits();
+            }
+        }
+        out[9] = p.translation.x.to_bits();
+        out[10] = p.translation.y.to_bits();
+        out[11] = p.translation.z.to_bits();
+        out
+    }
+
+    #[test]
+    fn frame_transform_is_bit_identical_to_the_dh_formula() {
+        use crate::presets;
+        let mut rng = rabit_util::Rng::seed_from_u64(0xD4);
+        for arm in [
+            presets::ur3e(),
+            presets::ur5e(),
+            presets::viperx300(),
+            presets::ned2(),
+        ] {
+            let chain = arm.chain();
+            for (i, p) in chain.params().iter().enumerate() {
+                let l = arm.limits()[i];
+                for k in 0..500 {
+                    let theta = match k {
+                        0 => 0.0,
+                        1 => l.min,
+                        2 => l.max,
+                        _ => rng.random_range(l.min..l.max),
+                    };
+                    assert_eq!(
+                        pose_bits(&chain.frame_transform(i, theta)),
+                        pose_bits(&dh_formula(p, theta)),
+                        "{} row {i} at {theta}",
+                        arm.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

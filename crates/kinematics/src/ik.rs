@@ -15,7 +15,7 @@
 #![allow(clippy::needless_range_loop)] // index-paired math over fixed-size arrays
 
 use crate::arm::ArmModel;
-use crate::chain::JointConfig;
+use crate::chain::{FkPass, JointConfig};
 use rabit_geometry::Vec3;
 
 /// Why inverse kinematics failed.
@@ -58,29 +58,14 @@ impl std::fmt::Display for IkError {
 
 impl std::error::Error for IkError {}
 
-/// Tuning parameters for [`solve_position`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IkParams {
-    /// Maximum Newton-style iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on position error (metres).
-    pub tolerance: f64,
-    /// Damping factor λ for the damped-least-squares step.
-    pub damping: f64,
-    /// Finite-difference step for the numeric Jacobian (radians).
-    pub fd_step: f64,
-}
-
-impl Default for IkParams {
-    fn default() -> Self {
-        IkParams {
-            max_iters: 200,
-            tolerance: 1e-4,
-            damping: 0.05,
-            fd_step: 1e-6,
-        }
-    }
-}
+/// Maximum DLS iterations per descent.
+const MAX_ITERS: usize = 200;
+/// Convergence tolerance on position error (metres).
+const TOLERANCE: f64 = 1e-4;
+/// Damping factor λ for the damped-least-squares step.
+const DAMPING: f64 = 0.05;
+/// Finite-difference step for the numeric Jacobian (radians).
+const FD_STEP: f64 = 1e-6;
 
 /// Solves position-only IK: find joint angles whose tool position reaches
 /// `target`, starting the iteration from `seed`.
@@ -98,7 +83,6 @@ pub fn solve_position(
     arm: &ArmModel,
     seed: &JointConfig,
     target: Vec3,
-    params: &IkParams,
 ) -> Result<JointConfig, IkError> {
     if !target.is_finite() {
         return Err(IkError::InvalidTarget);
@@ -132,7 +116,7 @@ pub fn solve_position(
                 start = start.with_angle(i, arm.limits()[i].clamp(start.angle(i) + sign * mag));
             }
         }
-        match solve_from(arm, &start, target, params) {
+        match solve_from(arm, &start, target) {
             Ok(q) => return Ok(q),
             Err(e) => {
                 let keep = match (&best, &e) {
@@ -154,32 +138,28 @@ pub fn solve_position(
 }
 
 /// A single DLS descent from one seed.
-fn solve_from(
-    arm: &ArmModel,
-    seed: &JointConfig,
-    target: Vec3,
-    params: &IkParams,
-) -> Result<JointConfig, IkError> {
+fn solve_from(arm: &ArmModel, seed: &JointConfig, target: Vec3) -> Result<JointConfig, IkError> {
     let mut q = *seed;
     let mut best_q = q;
     let mut best_err = f64::INFINITY;
 
-    for _ in 0..params.max_iters {
-        let current = arm.tool_position(&q);
+    for _ in 0..MAX_ITERS {
+        let pass = arm.chain().fk_pass(q.angles());
+        let current = arm.tool_point(pass.end_effector());
         let e = target - current;
         let err = e.norm();
         if err < best_err {
             best_err = err;
             best_q = q;
         }
-        if err <= params.tolerance {
+        if err <= TOLERANCE {
             return Ok(q);
         }
 
-        let jac = position_jacobian(arm, &q, params.fd_step);
+        let jac = position_jacobian(arm, &pass, &q);
         // Error-adaptive damping: heavy far from the target (stability),
         // light near it (fast convergence instead of stalling).
-        let lambda = (params.damping * err / (err + 0.02)).max(1e-4);
+        let lambda = (DAMPING * err / (err + 0.02)).max(1e-4);
         let dq = dls_step(&jac, e, lambda);
 
         let mut next = q;
@@ -194,21 +174,25 @@ fn solve_from(
         q = next;
     }
 
-    if best_err <= params.tolerance {
+    if best_err <= TOLERANCE {
         Ok(best_q)
     } else {
         Err(IkError::NotConverged { residual: best_err })
     }
 }
 
-/// Numeric 3×6 position Jacobian via central differences.
-fn position_jacobian(arm: &ArmModel, q: &JointConfig, h: f64) -> [[f64; 6]; 3] {
+/// Numeric 3×6 position Jacobian via central differences, at the
+/// configuration `q` that `pass` evaluated. Each of the 12 perturbed tool
+/// positions recomputes one joint between `pass`'s cached prefix and
+/// suffix (`DhChain::end_effector_with_joint`), so every entry is
+/// bit-identical to differencing two full [`ArmModel::tool_position`]
+/// calls.
+fn position_jacobian(arm: &ArmModel, pass: &FkPass, q: &JointConfig) -> [[f64; 6]; 3] {
+    let h = FD_STEP;
     let mut jac = [[0.0; 6]; 3];
     for j in 0..6 {
-        let qp = q.with_angle(j, q.angle(j) + h);
-        let qm = q.with_angle(j, q.angle(j) - h);
-        let dp = arm.tool_position(&qp);
-        let dm = arm.tool_position(&qm);
+        let dp = arm.tool_point(&arm.chain().end_effector_with_joint(pass, j, q.angle(j) + h));
+        let dm = arm.tool_point(&arm.chain().end_effector_with_joint(pass, j, q.angle(j) - h));
         let grad = (dp - dm) / (2.0 * h);
         jac[0][j] = grad.x;
         jac[1][j] = grad.y;
@@ -286,7 +270,7 @@ mod tests {
         let seed = arm.home_configuration();
         let start = arm.tool_position(&seed);
         let target = start + Vec3::new(0.05, -0.04, 0.03);
-        let q = solve_position(&arm, &seed, target, &IkParams::default()).unwrap();
+        let q = solve_position(&arm, &seed, target).unwrap();
         assert!(arm.tool_position(&q).distance(target) < 1e-3);
         assert!(arm.within_limits(&q));
     }
@@ -297,7 +281,7 @@ mod tests {
         let seed = arm.home_configuration();
         // The Fig. 6 ViperX grid pickup location.
         let target = Vec3::new(0.537, 0.018, 0.12);
-        let q = solve_position(&arm, &seed, target, &IkParams::default()).unwrap();
+        let q = solve_position(&arm, &seed, target).unwrap();
         assert!(arm.tool_position(&q).distance(target) < 1e-3);
     }
 
@@ -305,13 +289,7 @@ mod tests {
     fn out_of_reach_is_reported_before_iterating() {
         let arm = presets::ned2();
         let target = Vec3::new(5.0, 5.0, 5.0); // "very high, clearly infeasible"
-        let err = solve_position(
-            &arm,
-            &arm.home_configuration(),
-            target,
-            &IkParams::default(),
-        )
-        .unwrap_err();
+        let err = solve_position(&arm, &arm.home_configuration(), target).unwrap_err();
         match err {
             IkError::OutOfReach {
                 distance,
@@ -331,7 +309,6 @@ mod tests {
             &arm,
             &arm.home_configuration(),
             Vec3::new(f64::NAN, 0.0, 0.0),
-            &IkParams::default(),
         )
         .unwrap_err();
         assert_eq!(err, IkError::InvalidTarget);
@@ -345,12 +322,7 @@ mod tests {
         // kinematics; expect a NotConverged (or a solve, depending on
         // geometry) — assert it never returns a config that misses.
         let target = arm.chain().base().translation + Vec3::new(0.0, 0.0, -0.5);
-        match solve_position(
-            &arm,
-            &arm.home_configuration(),
-            target,
-            &IkParams::default(),
-        ) {
+        match solve_position(&arm, &arm.home_configuration(), target) {
             Ok(q) => assert!(arm.tool_position(&q).distance(target) < 1e-3),
             Err(IkError::NotConverged { residual }) => assert!(residual > 0.0),
             Err(IkError::OutOfReach { .. }) => {}
@@ -373,12 +345,67 @@ mod tests {
     fn jacobian_matches_finite_difference_of_tool_position() {
         let arm = presets::ur3e();
         let q = arm.home_configuration();
-        let jac = position_jacobian(&arm, &q, 1e-6);
+        let jac = position_jacobian(&arm, &arm.chain().fk_pass(q.angles()), &q);
         // Column 0 should predict the motion caused by a small joint-0 turn.
         let dq = 1e-4;
         let q2 = q.with_angle(0, q.angle(0) + dq);
         let moved = arm.tool_position(&q2) - arm.tool_position(&q);
         let predicted = Vec3::new(jac[0][0], jac[1][0], jac[2][0]) * dq;
         assert!((moved - predicted).norm() < 1e-6);
+    }
+
+    /// The Jacobian as twelve full forward-kinematics passes: the
+    /// reference the cached-pass Jacobian must match bit for bit.
+    fn reference_position_jacobian(arm: &ArmModel, q: &JointConfig) -> [[f64; 6]; 3] {
+        let h = FD_STEP;
+        let mut jac = [[0.0; 6]; 3];
+        for j in 0..6 {
+            let qp = q.with_angle(j, q.angle(j) + h);
+            let qm = q.with_angle(j, q.angle(j) - h);
+            let dp = arm.tool_position(&qp);
+            let dm = arm.tool_position(&qm);
+            let grad = (dp - dm) / (2.0 * h);
+            jac[0][j] = grad.x;
+            jac[1][j] = grad.y;
+            jac[2][j] = grad.z;
+        }
+        jac
+    }
+
+    #[test]
+    fn cached_pass_is_bit_identical_to_full_forward_kinematics() {
+        let mut rng = rabit_util::Rng::seed_from_u64(0x1C_0DE);
+        for arm in [
+            presets::ur3e(),
+            presets::ur5e(),
+            presets::viperx300(),
+            presets::ned2(),
+        ] {
+            for _ in 0..5_000 {
+                // A configuration drawn uniformly within the joint limits.
+                let mut q = JointConfig::ZERO;
+                for i in 0..6 {
+                    let l = arm.limits()[i];
+                    q = q.with_angle(i, rng.random_range(l.min..l.max));
+                }
+                let pass = arm.chain().fk_pass(q.angles());
+                let tool = arm.tool_point(pass.end_effector());
+                let expected = arm.tool_position(&q);
+                assert_eq!(
+                    [tool.x, tool.y, tool.z].map(f64::to_bits),
+                    [expected.x, expected.y, expected.z].map(f64::to_bits),
+                    "{} tool position at {q}",
+                    arm.name()
+                );
+                let jac = position_jacobian(&arm, &pass, &q);
+                let reference = reference_position_jacobian(&arm, &q);
+                assert_eq!(
+                    jac.map(|row| row.map(f64::to_bits)),
+                    reference.map(|row| row.map(f64::to_bits)),
+                    "{} Jacobian at {q}",
+                    arm.name()
+                );
+            }
+        }
     }
 }

@@ -121,14 +121,14 @@ fn lerp_stays_within_segment_bounds() {
 fn ik_then_fk_roundtrip_for_reachable_grid() {
     // Deterministic integration check across the three arms.
     use rabit_geometry::Vec3;
-    use rabit_kinematics::ik::{solve_position, IkParams};
+    use rabit_kinematics::ik::solve_position;
     for arm in [presets::ur3e(), presets::viperx300()] {
         let seed = arm.home_configuration();
         let start = arm.tool_position(&seed);
         for dx in [-0.05, 0.0, 0.05] {
             for dz in [-0.05, 0.05] {
                 let target = start + Vec3::new(dx, 0.02, dz);
-                let q = solve_position(&arm, &seed, target, &IkParams::default())
+                let q = solve_position(&arm, &seed, target)
                     .unwrap_or_else(|e| panic!("{}: {e}", arm.name()));
                 assert!(arm.tool_position(&q).distance(target) < 1e-3);
             }

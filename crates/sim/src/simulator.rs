@@ -15,7 +15,7 @@ use rabit_core::{CollisionReport, TrajectoryValidator, TrajectoryVerdict};
 use rabit_devices::{ActionKind, Command, DeviceId, LabState, StateKey};
 use rabit_geometry::broadphase::QueryCache;
 use rabit_geometry::{Capsule, Pose, Vec3};
-use rabit_kinematics::ik::{solve_position, IkParams};
+use rabit_kinematics::ik::solve_position;
 use rabit_kinematics::sweep::CAPSULE_COUNT;
 use rabit_kinematics::trajectory::Trajectory;
 use rabit_kinematics::{ArmModel, HeldObject, JointConfig};
@@ -952,8 +952,9 @@ enum Goal {
 /// into `out` (cleared first): one seeded from the current configuration,
 /// plus diversity seeds that flip the shoulder/elbow (elbow-up vs
 /// elbow-down and mirrored-base postures). Duplicates (within 0.05 rad
-/// L∞) are dropped. The seed set is a fixed array, so the only heap use
-/// is `out`'s amortised growth.
+/// L∞) are dropped. The seeds and the sort keys live in fixed arrays, so
+/// the heap use is `out`'s amortised growth plus the capsule buffer of
+/// one [`ArmModel::lowest_point`] per kept posture.
 fn ik_candidates_into(
     model: &ArmModel,
     current: &JointConfig,
@@ -994,20 +995,27 @@ fn ik_candidates_into(
         face(facing + std::f64::consts::PI),
     ];
 
+    // Each kept posture with its sort key, the lowest point of the arm
+    // body, computed once (one forward-kinematics pass each); one slot
+    // per seed.
+    let mut keyed = [(0.0, JointConfig::ZERO); 6];
+    let mut kept = 0;
     for seed in seeds {
-        if let Ok(q) = solve_position(model, &seed, target, &IkParams::default()) {
-            if !out.iter().any(|o| o.max_joint_delta(&q) < 0.05) {
-                out.push(q);
+        if let Ok(q) = solve_position(model, &seed, target) {
+            if !keyed[..kept]
+                .iter()
+                .any(|(_, o)| o.max_joint_delta(&q) < 0.05)
+            {
+                keyed[kept] = (model.lowest_point(&q, None), q);
+                kept += 1;
             }
         }
     }
     // Prefer postures that keep the arm body high: sort by descending
     // lowest point, so collision-free "natural" paths are swept first.
-    out.sort_by(|a, b| {
-        let la = model.lowest_point(a, None);
-        let lb = model.lowest_point(b, None);
-        lb.partial_cmp(&la).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let keyed = &mut keyed[..kept];
+    keyed.sort_by(|(la, _), (lb, _)| lb.partial_cmp(la).unwrap_or(std::cmp::Ordering::Equal));
+    out.extend(keyed.iter().map(|&(_, q)| q));
 }
 
 enum JointTarget {
@@ -1431,5 +1439,71 @@ mod tests {
             }
             other => panic!("expected collision, got {other:?}"),
         }
+    }
+
+    /// Pins the exact IK candidates, bits and order, that every verdict
+    /// depends on: an FNV-1a digest of `ik_candidates_into`'s output for
+    /// seeded targets on each preset, from the home configuration and
+    /// from seeded start configurations. The IK tests above accept any
+    /// solution within 1e-3 m; this one fails on any change to the
+    /// numbers, so a speed-up of the IK must leave it passing unmodified.
+    #[test]
+    fn ik_candidates_match_the_golden_digest() {
+        const GOLDEN: u64 = 0x9bd3_815a_fa23_17d1;
+        fn feed(hash: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut rng = rabit_util::Rng::seed_from_u64(0x601D);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let mut out = Vec::new();
+        for model in [
+            presets::ur3e(),
+            presets::ur5e(),
+            presets::viperx300(),
+            presets::ned2(),
+        ] {
+            let random_config = |rng: &mut rabit_util::Rng| {
+                let mut q = JointConfig::ZERO;
+                for i in 0..6 {
+                    let l = model.limits()[i];
+                    q = q.with_angle(i, rng.random_range(l.min..l.max));
+                }
+                q
+            };
+            let starts = [
+                model.home_configuration(),
+                random_config(&mut rng),
+                random_config(&mut rng),
+            ];
+            let base = model.chain().base().translation;
+            let reach = model.max_reach();
+            for k in 0..12 {
+                // Mostly reachable targets (the tool of a random posture);
+                // every fourth a point in the reach cube, which may be out
+                // of reach or unreachable inside it.
+                let target = if k % 4 == 3 {
+                    base + Vec3::new(
+                        rng.random_range(-reach..reach),
+                        rng.random_range(-reach..reach),
+                        rng.random_range(-reach..reach),
+                    )
+                } else {
+                    model.tool_position(&random_config(&mut rng))
+                };
+                for start in &starts {
+                    ik_candidates_into(&model, start, target, &mut out);
+                    feed(&mut hash, out.len() as u64);
+                    for q in &out {
+                        for a in q.angles() {
+                            feed(&mut hash, a.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, GOLDEN, "digest {hash:#018x}");
     }
 }

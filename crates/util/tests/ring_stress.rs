@@ -82,6 +82,9 @@ fn stress(seed: u64, producers: usize, consumers: usize, per_producer: usize, ca
                         continue;
                     }
                     if received.load(Ordering::Acquire) >= total {
+                        // A peer may have parked after the test thread's
+                        // wake-up for it; wake it to see the exit too.
+                        items.unpark_all();
                         return seen;
                     }
                     items.park(ticket);
@@ -89,7 +92,9 @@ fn stress(seed: u64, producers: usize, consumers: usize, per_producer: usize, ca
             }));
         }
         // Final drain may leave consumers parked with no producer left
-        // to wake them: the last popper broadcasts the exit condition.
+        // to wake them: every consumer that sees the exit condition
+        // broadcasts it before returning, and the test thread broadcasts
+        // once more before each join.
         for handle in handles {
             items.unpark_all();
             views.push(handle.join().expect("consumer panicked"));
