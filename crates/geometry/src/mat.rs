@@ -153,6 +153,7 @@ impl Mul<Vec3> for Mat3 {
 
 impl Mul for Mat3 {
     type Output = Mat3;
+    #[inline]
     fn mul(self, rhs: Mat3) -> Mat3 {
         let mut rows = [[0.0; 3]; 3];
         for (r, row) in rows.iter_mut().enumerate() {

@@ -74,6 +74,7 @@ impl Pose {
     }
 
     /// Composition: `self ∘ other` (apply `other` first, then `self`).
+    #[inline]
     pub fn compose(&self, other: &Pose) -> Pose {
         Pose {
             rotation: self.rotation * other.rotation,

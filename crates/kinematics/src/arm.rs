@@ -213,17 +213,25 @@ impl ArmModel {
                 self.link_radii[i],
             ));
         }
-        let wrist = poses[6].translation;
-        let tip = poses[6].transform_point(Vec3::new(0.0, 0.0, self.gripper_length));
-        let mut gripper = Capsule::new(wrist, tip, self.gripper_radius);
-        if let Some(obj) = held {
-            // Extend the gripper capsule along its axis by the held
-            // object's length, and widen it by the object's radius.
-            let axis = (tip - wrist).normalized().unwrap_or(Vec3::Z * -1.0);
-            let extended_tip = tip + axis * obj.length_below_gripper;
-            gripper = Capsule::new(wrist, extended_tip, self.gripper_radius.max(obj.radius));
+        let (wrist, tip, radius) = self.gripper_axis(&poses[6], held);
+        out.push(Capsule::new(wrist, tip, radius));
+    }
+
+    /// The gripper capsule for end-effector pose `ee`: its axis from the
+    /// wrist to the tip, and its radius.
+    fn gripper_axis(&self, ee: &Pose, held: Option<&HeldObject>) -> (Vec3, Vec3, f64) {
+        let wrist = ee.translation;
+        let tip = ee.transform_point(Vec3::new(0.0, 0.0, self.gripper_length));
+        match held {
+            None => (wrist, tip, self.gripper_radius),
+            Some(obj) => {
+                // Extend the gripper capsule along its axis by the held
+                // object's length, and widen it by the object's radius.
+                let axis = (tip - wrist).normalized().unwrap_or(Vec3::Z * -1.0);
+                let extended_tip = tip + axis * obj.length_below_gripper;
+                (wrist, extended_tip, self.gripper_radius.max(obj.radius))
+            }
         }
-        out.push(gripper);
     }
 
     /// Precomputes the Lipschitz motion bound for this arm (optionally
@@ -254,12 +262,15 @@ impl ArmModel {
         MotionBound::new(reach, wraps)
     }
 
-    /// Lowest point (world z) swept by the arm body in `config` — a quick
-    /// platform-collision heuristic used in tests.
+    /// Lowest point (world z) of the arm body in `config`: the minimum of
+    /// `z - radius` over the [`ArmModel::link_capsules`] set, read from
+    /// one forward-kinematics pass without building the capsules.
     pub fn lowest_point(&self, config: &JointConfig, held: Option<&HeldObject>) -> f64 {
-        self.link_capsules(config, held)
-            .iter()
-            .map(|c| c.segment.a.z.min(c.segment.b.z) - c.radius)
+        let poses = self.chain.joint_poses(config.angles());
+        let (wrist, tip, radius) = self.gripper_axis(&poses[6], held);
+        (0..6)
+            .map(|i| poses[i].translation.z.min(poses[i + 1].translation.z) - self.link_radii[i])
+            .chain([wrist.z.min(tip.z) - radius])
             .fold(f64::INFINITY, f64::min)
     }
 }
@@ -368,6 +379,34 @@ mod tests {
         let caps = arm.link_capsules(&JointConfig::ZERO, None);
         assert!((caps[0].segment.a - Vec3::new(1.0, 0.0, 0.0)).norm() < 1e-9);
         assert_eq!(arm.name(), "TestArm");
+    }
+
+    /// `lowest_point` reads its seven values from one FK pass instead of
+    /// the capsule set; the minimum stays bit-identical to the capsules'.
+    #[test]
+    fn lowest_point_is_the_capsule_minimum_bit_for_bit() {
+        let mut rng = rabit_util::Rng::seed_from_u64(0x10);
+        for arm in [test_arm(), crate::presets::ur5e(), crate::presets::ned2()] {
+            for _ in 0..200 {
+                let mut q = JointConfig::ZERO;
+                for (i, l) in arm.limits().iter().enumerate() {
+                    q = q.with_angle(i, rng.random_range(l.min..l.max));
+                }
+                for held in [None, Some(HeldObject::vial())] {
+                    let from_capsules = arm
+                        .link_capsules(&q, held.as_ref())
+                        .iter()
+                        .map(|c| c.segment.a.z.min(c.segment.b.z) - c.radius)
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        arm.lowest_point(&q, held.as_ref()).to_bits(),
+                        from_capsules.to_bits(),
+                        "{} at {q}",
+                        arm.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -243,9 +243,9 @@ impl From<[f64; 6]> for JointConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DhChain {
     params: [DhParam; 6],
-    /// Each row's constant twist `RotX(alpha)`, built once in
-    /// [`DhChain::new`].
-    twists: [Pose; 6],
+    /// Each row's constant twist terms `(cos α, sin α, −sin α)`, computed
+    /// once in [`DhChain::new`].
+    twists: [[f64; 3]; 6],
     base: Pose,
 }
 
@@ -270,7 +270,10 @@ impl DhChain {
     /// Creates a chain from six DH rows, rooted at `base` (the arm's
     /// mounting pose in world/deck coordinates).
     pub fn new(params: [DhParam; 6], base: Pose) -> Self {
-        let twists = params.map(|p| Pose::from_rotation(Mat3::rotation_x(p.alpha)));
+        let twists = params.map(|p| {
+            let (s, c) = p.alpha.sin_cos();
+            [c, s, -s]
+        });
         DhChain {
             params,
             twists,
@@ -295,23 +298,43 @@ impl DhChain {
         self
     }
 
-    /// Row `i`'s frame-to-frame transform for joint angle `theta`, composed
-    /// as `RotZ(θ + theta_offset) ∘ Trans(a, 0, d) ∘ RotX(alpha)`. Every
-    /// forward-kinematics path builds its transforms here, so they agree
-    /// bit for bit.
+    /// Row `i`'s frame-to-frame transform for joint angle `theta`:
+    /// `RotZ(θ + theta_offset) ∘ Trans(a, 0, d) ∘ RotX(alpha)` multiplied
+    /// out in closed form around one `sin_cos`. Every forward-kinematics
+    /// path builds its transforms here, so they agree bit for bit.
+    ///
+    /// Each entry keeps the one product that is not a multiply by an
+    /// identity 0 or 1. The two pose compositions this replaces also add
+    /// the zero products, and wherever the kept product is zero those
+    /// sums come out `+0.0`, even when the product alone is `-0.0` (a
+    /// summed angle `θ + theta_offset` of `-0.0`, `alpha = -0.0`,
+    /// `a = -0.0`, ...). `x + 0.0` is `x`
+    /// for every non-zero `x` and `+0.0` for either zero, so each `+ 0.0`
+    /// below reproduces that sign: for finite angles the result is
+    /// bit-identical to the composition (the `dh_formula` test
+    /// reference), signed zeros included. The entries `c`, `c·cα` and `cα`
+    /// need no such term: the cosine of a finite angle is never zero, and
+    /// the product of two is far above the underflow threshold.
     #[inline]
     pub(crate) fn frame_transform(&self, i: usize, theta: f64) -> Pose {
         let p = &self.params[i];
-        let rot_z = Pose::from_rotation(Mat3::rotation_z(theta + p.theta_offset));
-        // TransZ(d) then TransX(a) commute as a single translation in the
-        // intermediate frame: (a, 0, d).
-        let trans = Pose::from_translation(Vec3::new(p.a, 0.0, p.d));
-        rot_z.compose(&trans).compose(&self.twists[i])
+        let [ca, sa, nsa] = self.twists[i];
+        let (s, c) = (theta + p.theta_offset).sin_cos();
+        Pose::new(
+            Mat3::from_rows([
+                [c, -s * ca + 0.0, -s * nsa + 0.0],
+                [s + 0.0, c * ca, c * nsa + 0.0],
+                [0.0, sa + 0.0, ca],
+            ]),
+            Vec3::new(c * p.a + 0.0, s * p.a + 0.0, p.d + 0.0),
+        )
     }
 
     /// [`DhChain::joint_poses`], keeping each row's transform as well.
     /// `joint_poses` keeps its own loop: building it on this pass (and
-    /// dropping the transforms) measured 25% slower per FK call.
+    /// dropping the transforms) measured 23% slower per FK call
+    /// (`forward_kinematics` in the `trajectory` bench, 209 vs 169 ns,
+    /// medians of six alternating runs on a 2-vCPU host).
     pub(crate) fn fk_pass(&self, angles: &[f64; 6]) -> FkPass {
         let mut frames = [Pose::IDENTITY; 6];
         let mut poses = [Pose::IDENTITY; 7];
@@ -511,8 +534,8 @@ mod tests {
         assert!((t.transform_vector(Vec3::X) - Vec3::Y).norm() < 1e-12);
     }
 
-    /// The row transform as a standalone formula that rebuilds the twist
-    /// on every call: the reference for the chain's cached twist.
+    /// The row transform as the two pose compositions it is defined by:
+    /// the reference for the closed form of [`DhChain::frame_transform`].
     fn dh_formula(p: &DhParam, theta: f64) -> Pose {
         let rot_z = Pose::from_rotation(Mat3::rotation_z(theta + p.theta_offset));
         let trans = Pose::from_translation(Vec3::new(p.a, 0.0, p.d));
@@ -562,6 +585,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The closed form's signed-zero corners: synthetic rows whose
+    /// lengths, twist and offset are zeros of either sign, tiny, or put
+    /// a sine or cosine at an exact zero, at joint angles that make the
+    /// summed angle `θ' = θ + theta_offset` a zero of either sign, a
+    /// subnormal, `±π`, or one of a sweep of ordinary values. Bits are
+    /// claimed for finite angles only; a NaN or infinite angle yields a
+    /// NaN either way, but not necessarily the same NaN bits.
+    #[test]
+    fn frame_transform_keeps_signed_zeros_of_the_dh_formula() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let lengths = [0.0, -0.0, 0.1, -0.1, 1e-300];
+        let alphas = [0.0, -0.0, FRAC_PI_2, -FRAC_PI_2, PI, -PI, 0.3];
+        let offsets = [0.0, -0.0, FRAC_PI_2, -FRAC_PI_2, PI];
+        let mut checked = 0;
+        for a in lengths {
+            for d in lengths {
+                for alpha in alphas {
+                    for offset in offsets {
+                        let p = DhParam::new(a, d, alpha, offset);
+                        let chain = DhChain::new([p; 6], Pose::IDENTITY);
+                        let corners = [0.0, -0.0, -offset, PI, -PI, 1e-310, -1e-310];
+                        let sweep = (-16..=16).map(|k| k as f64 * PI / 8.0 + 0.01);
+                        for theta in corners.into_iter().chain(sweep) {
+                            assert_eq!(
+                                pose_bits(&chain.frame_transform(0, theta)),
+                                pose_bits(&dh_formula(&p, theta)),
+                                "a {a:e} d {d:e} alpha {alpha} offset {offset} theta {theta:e}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 5 * 5 * 7 * 5 * 40);
     }
 
     #[test]

@@ -846,11 +846,8 @@ impl ExtendedSimulator {
         candidates.clear();
         // While inside a device, that device stays excluded from sweeps
         // until the arm retracts.
-        let still_inside = self.arms[arm_id]
-            .entered
-            .as_ref()
-            .map(|(_, d)| d.to_string());
-        let exclude_owned: Option<String> = match goal {
+        let still_inside = self.arms[arm_id].entered.as_ref().map(|(_, d)| d.clone());
+        let excluded: Option<DeviceId> = match goal {
             Goal::None => None,
             Goal::Joint(JointTarget::Home) => {
                 candidates.push(self.arms[arm_id].model.home_configuration());
@@ -866,16 +863,15 @@ impl ExtendedSimulator {
             }
             Goal::Enter { device, position } => {
                 self.ik_candidates_cached(arm_id, position, &mut candidates);
-                let exclude = device.to_string();
-                entering = Some(device);
-                Some(exclude)
+                entering = Some(device.clone());
+                Some(device)
             }
             Goal::Exit => match &self.arms[arm_id].entered {
                 // Retract the way it came, device still excluded.
                 Some((q_prev, device)) => {
                     exiting = true;
                     candidates.push(*q_prev);
-                    Some(device.to_string())
+                    Some(device.clone())
                 }
                 None => None,
             },
@@ -891,9 +887,9 @@ impl ExtendedSimulator {
 
         let start = self.arms[arm_id].current;
         let exclude_buf: [&str; 1];
-        let exclude: &[&str] = match exclude_owned.as_deref() {
-            Some(name) => {
-                exclude_buf = [name];
+        let exclude: &[&str] = match &excluded {
+            Some(device) => {
+                exclude_buf = [device.as_str()];
                 &exclude_buf
             }
             None => &[],
@@ -951,10 +947,11 @@ enum Goal {
 /// Collects up to a handful of distinct IK postures for a position goal
 /// into `out` (cleared first): one seeded from the current configuration,
 /// plus diversity seeds that flip the shoulder/elbow (elbow-up vs
-/// elbow-down and mirrored-base postures). Duplicates (within 0.05 rad
-/// L∞) are dropped. The seeds and the sort keys live in fixed arrays, so
-/// the heap use is `out`'s amortised growth plus the capsule buffer of
-/// one [`ArmModel::lowest_point`] per kept posture.
+/// elbow-down and mirrored-base postures). A seed whose angles repeat an
+/// earlier seed's bit for bit is not solved again: the solver is pure, so
+/// its posture would be an exact duplicate. Duplicate postures (within
+/// 0.05 rad L∞) are dropped. The seeds and the sort keys live in fixed
+/// arrays, so the only heap use is `out`'s amortised growth.
 fn ik_candidates_into(
     model: &ArmModel,
     current: &JointConfig,
@@ -1000,8 +997,12 @@ fn ik_candidates_into(
     // per seed.
     let mut keyed = [(0.0, JointConfig::ZERO); 6];
     let mut kept = 0;
-    for seed in seeds {
-        if let Ok(q) = solve_position(model, &seed, target) {
+    for (k, seed) in seeds.iter().enumerate() {
+        let bits = config_bits(seed);
+        if seeds[..k].iter().any(|s| config_bits(s) == bits) {
+            continue;
+        }
+        if let Ok(q) = solve_position(model, seed, target) {
             if !keyed[..kept]
                 .iter()
                 .any(|(_, o)| o.max_joint_delta(&q) < 0.05)
