@@ -66,10 +66,7 @@ impl Trajectory {
 
     /// Total joint-space path length under the L∞ metric (radians).
     pub fn joint_path_length(&self) -> f64 {
-        self.waypoints
-            .windows(2)
-            .map(|w| w[0].max_joint_delta(&w[1]))
-            .sum()
+        path_length(&self.waypoints)
     }
 
     /// Duration at the configured joint speed (seconds).
@@ -134,21 +131,18 @@ impl Trajectory {
     ///
     /// Panics if `dt` is not strictly positive.
     pub fn samples_every(&self, dt: f64) -> Samples<'_> {
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "polling interval must be positive"
-        );
-        Samples {
-            waypoints: &self.waypoints,
-            speed: self.joint_speed,
-            duration: self.duration(),
-            dt,
-            t: 0.0,
-            seg: 0,
-            seg_start_t: 0.0,
-            seg_end_t: self.waypoints[0].max_joint_delta(&self.waypoints[1]) / self.joint_speed,
-            done: false,
-        }
+        Samples::new(&self.waypoints, self.joint_speed, dt)
+    }
+
+    /// [`Trajectory::linear`]`(ends[0], ends[1]).samples_every(dt)`,
+    /// sample for sample, without building the trajectory's waypoint
+    /// `Vec`: the Extended Simulator sweeps every IK candidate this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not strictly positive.
+    pub fn linear_samples(ends: &[JointConfig; 2], dt: f64) -> Samples<'_> {
+        Samples::new(ends, DEFAULT_JOINT_SPEED, dt)
     }
 
     /// The swept capsule volumes of `arm` over `n` samples of this
@@ -189,6 +183,37 @@ pub struct Samples<'a> {
     seg_start_t: f64,
     seg_end_t: f64,
     done: bool,
+}
+
+impl<'a> Samples<'a> {
+    /// Samples of the path through `waypoints` (at least two) at `speed`
+    /// rad/s, every `dt` seconds.
+    fn new(waypoints: &'a [JointConfig], speed: f64, dt: f64) -> Self {
+        assert!(
+            dt.is_finite() && dt > 0.0,
+            "polling interval must be positive"
+        );
+        Samples {
+            waypoints,
+            speed,
+            duration: path_length(waypoints) / speed,
+            dt,
+            t: 0.0,
+            seg: 0,
+            seg_start_t: 0.0,
+            seg_end_t: waypoints[0].max_joint_delta(&waypoints[1]) / speed,
+            done: false,
+        }
+    }
+}
+
+/// Joint-space length of the path through `waypoints` under the L∞
+/// metric (radians).
+fn path_length(waypoints: &[JointConfig]) -> f64 {
+    waypoints
+        .windows(2)
+        .map(|w| w[0].max_joint_delta(&w[1]))
+        .sum()
 }
 
 impl Iterator for Samples<'_> {
@@ -305,6 +330,21 @@ mod tests {
         assert_eq!(vec_path.len(), samples.len());
         for (v, (_, s)) in vec_path.iter().zip(&samples) {
             assert_eq!(v, s);
+        }
+    }
+
+    #[test]
+    fn linear_samples_match_the_linear_trajectory_bit_for_bit() {
+        let bits = |(f, c): (f64, JointConfig)| (f.to_bits(), c.angles().map(f64::to_bits));
+        let a = JointConfig::new([0.3, -1.2, 1.0, -1.4, -0.0, 2.5]);
+        let b = JointConfig::new([-0.7, -0.4, 1.9, 0.2, -1.5, 2.5]);
+        for ends in [[a, b], [b, a], [a, a]] {
+            for dt in [0.05, 0.013, 0.3, 10.0] {
+                let reference = Trajectory::linear(ends[0], ends[1]);
+                assert!(Trajectory::linear_samples(&ends, dt)
+                    .map(bits)
+                    .eq(reference.samples_every(dt).map(bits)));
+            }
         }
     }
 

@@ -17,7 +17,7 @@ use rabit_geometry::broadphase::QueryCache;
 use rabit_geometry::{Capsule, Pose, Vec3};
 use rabit_kinematics::ik::solve_position;
 use rabit_kinematics::sweep::CAPSULE_COUNT;
-use rabit_kinematics::trajectory::Trajectory;
+use rabit_kinematics::trajectory::{Samples, Trajectory};
 use rabit_kinematics::{ArmModel, HeldObject, JointConfig};
 use std::collections::BTreeMap;
 
@@ -29,7 +29,9 @@ pub const GUI_CHECK_LATENCY_S: f64 = 2.0;
 /// deployment optimisation).
 pub const HEADLESS_CHECK_LATENCY_S: f64 = 0.02;
 
-/// One simulated arm: its kinematic model and mirrored configuration.
+/// One simulated arm: its kinematic model, mirrored configuration and
+/// IK memos. The memos live and die with the arm, so re-registering an
+/// id (possibly with another model) starts them empty.
 #[derive(Debug, Clone)]
 struct SimArm {
     model: ArmModel,
@@ -37,6 +39,51 @@ struct SimArm {
     /// Set while the arm is inside a device: the configuration it entered
     /// from and the device id (excluded from sweeps until it retracts).
     entered: Option<(JointConfig, DeviceId)>,
+    /// Memoised IK candidate lists for position goals, keyed on the exact
+    /// start configuration and target: the O(1) path for an exact repeat
+    /// (fleet laps replaying one workflow, campaign re-runs). Candidates
+    /// depend only on the model, the start and the target, not on the
+    /// world, the held object or any config flag.
+    ik_candidates: BTreeMap<IkKey, Vec<JointConfig>>,
+    /// Memoised single-seed solves that candidate lists are built from,
+    /// keyed on the exact seed and target. Four of the six seeds depend
+    /// only on the target, so a list for a new start configuration still
+    /// reuses most of its solves.
+    ik_solves: SolveMemo,
+}
+
+impl SimArm {
+    fn new(model: ArmModel) -> Self {
+        SimArm {
+            current: model.home_configuration(),
+            model,
+            entered: None,
+            ik_candidates: BTreeMap::new(),
+            ik_solves: SolveMemo::new(),
+        }
+    }
+
+    /// The IK candidates for `target` from the mirrored configuration,
+    /// into `out`. Both memos hold pure functions of the model and their
+    /// keys, so a hit reproduces the solver's output verbatim and
+    /// validation stays bit-for-bit identical; only the redundant
+    /// damped-least-squares work is elided.
+    fn ik_candidates(&mut self, target: Vec3, out: &mut Vec<JointConfig>) {
+        let key = ik_key(&self.current, target);
+        if let Some(cached) = self.ik_candidates.get(&key) {
+            out.clear();
+            out.extend_from_slice(cached);
+            return;
+        }
+        // A list adds at most one solve per seed, so clearing both memos
+        // together bounds the solve memo at six times the list capacity.
+        if self.ik_candidates.len() >= IK_CACHE_CAPACITY {
+            self.ik_candidates.clear();
+            self.ik_solves.clear();
+        }
+        ik_candidates_into(&self.model, &self.current, target, &mut self.ik_solves, out);
+        self.ik_candidates.insert(key, out.clone());
+    }
 }
 
 /// Configuration for the Extended Simulator.
@@ -80,10 +127,10 @@ impl Default for SimConfig {
 /// least-recently-used entry is evicted.
 const VERDICT_CACHE_CAPACITY: usize = 512;
 
-/// Maximum number of entries the IK candidate cache retains; when full
-/// it is cleared wholesale (the workloads it serves — fleet laps
-/// replaying one workflow — revisit a few dozen distinct keys, so
-/// wholesale clearing never thrashes in practice).
+/// Maximum number of candidate lists an arm's IK memo retains; when full
+/// it is cleared wholesale, with the arm's solve memo (the workloads it
+/// serves — fleet laps replaying one workflow — revisit a few dozen
+/// distinct keys, so wholesale clearing never thrashes in practice).
 const IK_CACHE_CAPACITY: usize = 1024;
 
 /// Safety margin (metres) subtracted from measured clearance before it
@@ -154,26 +201,24 @@ fn quant6(q: &JointConfig) -> [i64; 6] {
     ]
 }
 
-/// Exact bit pattern of a configuration — the IK-cache key component.
-/// Unlike the quantised verdict keys, IK keys are exact: a hit must
-/// reproduce the solver's output verbatim, so no aliasing check is
-/// needed (distinct inputs cannot share a key).
-fn config_bits(q: &JointConfig) -> [u64; 6] {
-    let a = q.angles();
-    [
-        a[0].to_bits(),
-        a[1].to_bits(),
-        a[2].to_bits(),
-        a[3].to_bits(),
-        a[4].to_bits(),
-        a[5].to_bits(),
-    ]
+/// IK memo key: the exact bits of a configuration (a candidate list's
+/// start, or one seed) and of the target position. Unlike the quantised
+/// verdict keys, IK keys are exact: a hit must reproduce the solver's
+/// output verbatim, so no aliasing check is needed (distinct inputs
+/// cannot share a key). The arm is implicit: each [`SimArm`] owns its
+/// memos.
+type IkKey = ([u64; 6], [u64; 3]);
+
+fn ik_key(q: &JointConfig, target: Vec3) -> IkKey {
+    (
+        q.angles().map(f64::to_bits),
+        [target.x.to_bits(), target.y.to_bits(), target.z.to_bits()],
+    )
 }
 
-/// IK candidate cache key: the arm (its model is fixed per id between
-/// [`ExtendedSimulator::add_arm`] calls), the exact start configuration,
-/// and the exact target position.
-type IkKey = (DeviceId, [u64; 6], [u64; 3]);
+/// Single-seed IK outcomes: the solved posture with its `lowest_point`
+/// sort key, or `None` where the solve failed.
+type SolveMemo = BTreeMap<IkKey, Option<(f64, JointConfig)>>;
 
 /// Quantised goal discriminant inside a [`VerdictKey`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -264,15 +309,6 @@ pub struct ExtendedSimulator {
     /// the engine via `note_rulebase_epoch`. Composed into every
     /// [`VerdictKey`] so a rule commit can never serve a stale verdict.
     rulebase_epoch: u64,
-    /// Memoised IK candidate lists for position goals. Candidates depend
-    /// only on the arm's model, its mirrored start configuration, and
-    /// the target — not on the world, the held object, or any config
-    /// flag — so repeated commands (fleet laps replaying one workflow,
-    /// campaign re-runs) skip the damped-least-squares solves entirely.
-    /// Keys are exact bit patterns and hits return the solver's output
-    /// verbatim, so validation stays bit-for-bit identical; only the
-    /// redundant numeric work is elided.
-    ik_cache: BTreeMap<IkKey, Vec<JointConfig>>,
     /// Grid samples the adaptive kernel proved hit-free and skipped.
     samples_skipped: u64,
     /// Per-primitive exact signed-distance evaluations issued by the
@@ -319,7 +355,6 @@ impl ExtendedSimulator {
             cache_misses: 0,
             cache_stamp: 0,
             rulebase_epoch: 0,
-            ik_cache: BTreeMap::new(),
             samples_skipped: 0,
             distance_queries: 0,
             query_cache: QueryCache::new(),
@@ -343,21 +378,12 @@ impl ExtendedSimulator {
         self
     }
 
-    /// Registers an arm model. Drops any cached verdicts and IK
-    /// candidates: a re-registered arm may carry a different model under
-    /// the same id.
+    /// Registers an arm model. Drops any cached verdicts, and the IK
+    /// memos of an arm previously registered under `id` go with it: a
+    /// re-registered arm may carry a different model under the same id.
     pub fn add_arm(&mut self, id: impl Into<DeviceId>, model: ArmModel) {
-        let current = model.home_configuration();
-        self.arms.insert(
-            id.into(),
-            SimArm {
-                model,
-                current,
-                entered: None,
-            },
-        );
+        self.arms.insert(id.into(), SimArm::new(model));
         self.cache.clear();
-        self.ik_cache.clear();
     }
 
     /// The world model (to add/remove device cuboids at runtime).
@@ -393,12 +419,12 @@ impl ExtendedSimulator {
         self.cache.clear();
     }
 
-    /// Number of memoised IK candidate lists currently held. A steady
-    /// count across repeated workloads means the damped-least-squares
-    /// solves are fully amortised; unbounded growth means the keys
-    /// (start configuration or target) never repeat.
+    /// Number of memoised IK candidate lists currently held, over all
+    /// arms. A steady count across repeated workloads means the
+    /// damped-least-squares solves are fully amortised; unbounded growth
+    /// means the keys (start configuration or target) never repeat.
     pub fn ik_cache_len(&self) -> usize {
-        self.ik_cache.len()
+        self.arms.values().map(|arm| arm.ik_candidates.len()).sum()
     }
 
     /// The mirrored joint configuration of an arm.
@@ -448,9 +474,10 @@ impl ExtendedSimulator {
         }
     }
 
-    /// Sweeps a trajectory against the world, returning the first hit as
-    /// a structured [`CollisionReport`] (obstacle, link, contact point,
-    /// time fraction of the motion).
+    /// Sweeps a trajectory, given as its polling-grid samples, against
+    /// the world, returning the first hit as a structured
+    /// [`CollisionReport`] (obstacle, link, contact point, time fraction
+    /// of the motion).
     ///
     /// By default the adaptive conservative-advancement kernel runs; the
     /// [`SimConfig::dense_sampling`] escape hatch checks every grid
@@ -459,14 +486,14 @@ impl ExtendedSimulator {
     fn sweep(
         &mut self,
         arm_id: &DeviceId,
-        trajectory: &Trajectory,
+        samples: Samples<'_>,
         held: Option<&HeldObject>,
         exclude: &[&str],
     ) -> Option<CollisionReport> {
         if self.config.dense_sampling {
-            self.sweep_dense(arm_id, trajectory, held, exclude)
+            self.sweep_dense(arm_id, samples, held, exclude)
         } else {
-            self.sweep_adaptive(arm_id, trajectory, held, exclude)
+            self.sweep_adaptive(arm_id, samples, held, exclude)
         }
     }
 
@@ -479,7 +506,7 @@ impl ExtendedSimulator {
     fn sweep_dense(
         &mut self,
         arm_id: &DeviceId,
-        trajectory: &Trajectory,
+        samples: Samples<'_>,
         held: Option<&HeldObject>,
         exclude: &[&str],
     ) -> Option<CollisionReport> {
@@ -489,7 +516,7 @@ impl ExtendedSimulator {
         self.world.fill_exclusion_mask(exclude, &mut mask);
         let mut result = None;
         if let Some(arm) = self.arms.get(arm_id) {
-            for (fraction, q) in trajectory.samples_every(self.config.poll_interval_s) {
+            for (fraction, q) in samples {
                 self.checks += 1;
                 arm.model.link_capsules_into(&q, held, &mut capsules);
                 // Skip the base link (capsule 0): it is bolted to the
@@ -557,7 +584,7 @@ impl ExtendedSimulator {
     fn sweep_adaptive(
         &mut self,
         arm_id: &DeviceId,
-        trajectory: &Trajectory,
+        samples: Samples<'_>,
         held: Option<&HeldObject>,
         exclude: &[&str],
     ) -> Option<CollisionReport> {
@@ -580,7 +607,7 @@ impl ExtendedSimulator {
 
         if let Some(arm) = self.arms.get(arm_id) {
             grid.clear();
-            grid.extend(trajectory.samples_every(self.config.poll_interval_s));
+            grid.extend(samples);
             let n = grid.len();
             // Remaining per-joint total variation from sample i to the
             // end: caps the largest clearance worth measuring at i. Raw
@@ -796,37 +823,6 @@ impl ExtendedSimulator {
         );
     }
 
-    /// Memoised wrapper around [`ik_candidates_into`]. Candidate lists
-    /// for a position goal are a pure function of the arm's model, its
-    /// mirrored start configuration, and the target, and the numeric
-    /// solves behind them dominate a validation's cost by orders of
-    /// magnitude over the sweep itself — so workloads that repeat
-    /// commands (fleet laps replaying one workflow, campaign re-runs)
-    /// pay the damped-least-squares bill once per distinct motion.
-    fn ik_candidates_cached(
-        &mut self,
-        arm_id: &DeviceId,
-        target: Vec3,
-        out: &mut Vec<JointConfig>,
-    ) {
-        let arm = &self.arms[arm_id];
-        let key: IkKey = (
-            arm_id.clone(),
-            config_bits(&arm.current),
-            [target.x.to_bits(), target.y.to_bits(), target.z.to_bits()],
-        );
-        if let Some(cached) = self.ik_cache.get(&key) {
-            out.clear();
-            out.extend_from_slice(cached);
-            return;
-        }
-        ik_candidates_into(&arm.model, &arm.current, target, out);
-        if self.ik_cache.len() >= IK_CACHE_CAPACITY {
-            self.ik_cache.clear();
-        }
-        self.ik_cache.insert(key, out.clone());
-    }
-
     /// The full (uncached) validation path: IK candidates, one sweep per
     /// candidate, mirrored-pose update on the first safe trajectory.
     fn validate_uncached(
@@ -844,29 +840,33 @@ impl ExtendedSimulator {
         let mut exiting = false;
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
+        let arm = self
+            .arms
+            .get_mut(arm_id)
+            .expect("validate checks that the arm is registered");
         // While inside a device, that device stays excluded from sweeps
         // until the arm retracts.
-        let still_inside = self.arms[arm_id].entered.as_ref().map(|(_, d)| d.clone());
+        let still_inside = arm.entered.as_ref().map(|(_, d)| d.clone());
         let excluded: Option<DeviceId> = match goal {
             Goal::None => None,
             Goal::Joint(JointTarget::Home) => {
-                candidates.push(self.arms[arm_id].model.home_configuration());
+                candidates.push(arm.model.home_configuration());
                 still_inside
             }
             Goal::Joint(JointTarget::Sleep) => {
-                candidates.push(self.arms[arm_id].model.sleep_configuration());
+                candidates.push(arm.model.sleep_configuration());
                 still_inside
             }
             Goal::Position(p) => {
-                self.ik_candidates_cached(arm_id, p, &mut candidates);
+                arm.ik_candidates(p, &mut candidates);
                 still_inside
             }
             Goal::Enter { device, position } => {
-                self.ik_candidates_cached(arm_id, position, &mut candidates);
+                arm.ik_candidates(position, &mut candidates);
                 entering = Some(device.clone());
                 Some(device)
             }
-            Goal::Exit => match &self.arms[arm_id].entered {
+            Goal::Exit => match &arm.entered {
                 // Retract the way it came, device still excluded.
                 Some((q_prev, device)) => {
                     exiting = true;
@@ -897,8 +897,9 @@ impl ExtendedSimulator {
         let mut first_hit: Option<CollisionReport> = None;
         let mut safe = false;
         for &target_config in &candidates {
-            let trajectory = Trajectory::linear(start, target_config);
-            match self.sweep(arm_id, &trajectory, held, exclude) {
+            let ends = [start, target_config];
+            let samples = Trajectory::linear_samples(&ends, self.config.poll_interval_s);
+            match self.sweep(arm_id, samples, held, exclude) {
                 None => {
                     // Mirror the motion: the simulated arm now rests at
                     // the target, which is what makes the silent-skip
@@ -947,15 +948,22 @@ enum Goal {
 /// Collects up to a handful of distinct IK postures for a position goal
 /// into `out` (cleared first): one seeded from the current configuration,
 /// plus diversity seeds that flip the shoulder/elbow (elbow-up vs
-/// elbow-down and mirrored-base postures). A seed whose angles repeat an
-/// earlier seed's bit for bit is not solved again: the solver is pure, so
-/// its posture would be an exact duplicate. Duplicate postures (within
-/// 0.05 rad L∞) are dropped. The seeds and the sort keys live in fixed
-/// arrays, so the only heap use is `out`'s amortised growth.
+/// elbow-down and mirrored-base postures). Duplicate postures (within
+/// 0.05 rad L∞) are dropped.
+///
+/// Each seed is looked up in `solves` first, keyed on the exact bits of
+/// the seed and the target, and solved only on a miss. `solve_position`
+/// and `lowest_point` are pure functions of the model and those bits, so
+/// the output is the same whatever the memo holds. A seed that repeats
+/// an earlier one bit for bit (`current == home` on a trial's first
+/// motion) hits the entry its twin just filled, and the duplicate filter
+/// drops it. Besides new memo entries, the only heap use is `out`'s
+/// amortised growth.
 fn ik_candidates_into(
     model: &ArmModel,
     current: &JointConfig,
     target: Vec3,
+    solves: &mut SolveMemo,
     out: &mut Vec<JointConfig>,
 ) {
     out.clear();
@@ -993,21 +1001,22 @@ fn ik_candidates_into(
     ];
 
     // Each kept posture with its sort key, the lowest point of the arm
-    // body, computed once (one forward-kinematics pass each); one slot
-    // per seed.
+    // body, computed once per solve (one forward-kinematics pass); one
+    // slot per seed.
     let mut keyed = [(0.0, JointConfig::ZERO); 6];
     let mut kept = 0;
-    for (k, seed) in seeds.iter().enumerate() {
-        let bits = config_bits(seed);
-        if seeds[..k].iter().any(|s| config_bits(s) == bits) {
-            continue;
-        }
-        if let Ok(q) = solve_position(model, seed, target) {
+    for seed in &seeds {
+        let solved = *solves.entry(ik_key(seed, target)).or_insert_with(|| {
+            solve_position(model, seed, target)
+                .ok()
+                .map(|q| (model.lowest_point(&q, None), q))
+        });
+        if let Some((low, q)) = solved {
             if !keyed[..kept]
                 .iter()
                 .any(|(_, o)| o.max_joint_delta(&q) < 0.05)
             {
-                keyed[kept] = (model.lowest_point(&q, None), q);
+                keyed[kept] = (low, q);
                 kept += 1;
             }
         }
@@ -1495,7 +1504,7 @@ mod tests {
                     model.tool_position(&random_config(&mut rng))
                 };
                 for start in &starts {
-                    ik_candidates_into(&model, start, target, &mut out);
+                    ik_candidates_into(&model, start, target, &mut SolveMemo::new(), &mut out);
                     feed(&mut hash, out.len() as u64);
                     for q in &out {
                         for a in q.angles() {
@@ -1506,5 +1515,108 @@ mod tests {
             }
         }
         assert_eq!(hash, GOLDEN, "digest {hash:#018x}");
+    }
+
+    /// The solve memo changes no bit: the golden-digest loop with one
+    /// memo per preset, shared by all of that preset's calls, and every
+    /// call made twice, the second served from the memo alone.
+    #[test]
+    fn a_shared_solve_memo_keeps_the_golden_digest() {
+        const GOLDEN: u64 = 0x9bd3_815a_fa23_17d1;
+        fn feed(hash: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let mut rng = rabit_util::Rng::seed_from_u64(0x601D);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let (mut out, mut again) = (Vec::new(), Vec::new());
+        for model in [
+            presets::ur3e(),
+            presets::ur5e(),
+            presets::viperx300(),
+            presets::ned2(),
+        ] {
+            let mut solves = SolveMemo::new();
+            let random_config = |rng: &mut rabit_util::Rng| {
+                let mut q = JointConfig::ZERO;
+                for i in 0..6 {
+                    let l = model.limits()[i];
+                    q = q.with_angle(i, rng.random_range(l.min..l.max));
+                }
+                q
+            };
+            let starts = [
+                model.home_configuration(),
+                random_config(&mut rng),
+                random_config(&mut rng),
+            ];
+            let base = model.chain().base().translation;
+            let reach = model.max_reach();
+            for k in 0..12 {
+                let target = if k % 4 == 3 {
+                    base + Vec3::new(
+                        rng.random_range(-reach..reach),
+                        rng.random_range(-reach..reach),
+                        rng.random_range(-reach..reach),
+                    )
+                } else {
+                    model.tool_position(&random_config(&mut rng))
+                };
+                for start in &starts {
+                    ik_candidates_into(&model, start, target, &mut solves, &mut out);
+                    let filled = solves.len();
+                    ik_candidates_into(&model, start, target, &mut solves, &mut again);
+                    assert_eq!(solves.len(), filled, "a repeated call solved again");
+                    assert_eq!(out, again);
+                    feed(&mut hash, again.len() as u64);
+                    for q in &again {
+                        for a in q.angles() {
+                            feed(&mut hash, a.to_bits());
+                        }
+                    }
+                }
+            }
+            // 12 targets × 3 starts × 6 seeds = 216 seed solves: the four
+            // target-only seeds are shared by the three starts, and the
+            // home start's own seed is the home seed.
+            assert_eq!(solves.len(), 108, "{}", model.name());
+        }
+        assert_eq!(hash, GOLDEN, "digest {hash:#018x}");
+    }
+
+    /// UR3e and UR5e share their home configuration bit for bit, so an IK
+    /// memo that outlived a re-registration would serve the UR3e's
+    /// postures to the UR5e's first move.
+    #[test]
+    fn re_registering_an_arm_drops_its_ik_memos() {
+        let (ur3e, ur5e) = (presets::ur3e(), presets::ur5e());
+        assert_eq!(ur3e.home_configuration(), ur5e.home_configuration());
+        let target = ur3e.tool_position(&ur3e.home_configuration()) + Vec3::new(0.05, 0.05, 0.05);
+        let arm = DeviceId::new("arm");
+        let move_arm = Command::new("arm", ActionKind::MoveToLocation { target });
+        let config = SimConfig {
+            gui: false,
+            ..SimConfig::default()
+        };
+        let bits = |sim: &ExtendedSimulator| {
+            sim.arm_configuration(&arm)
+                .map(|q| q.angles().map(f64::to_bits))
+        };
+
+        let mut sim = ExtendedSimulator::new(SimWorld::new(), config).with_arm("arm", ur3e);
+        assert_eq!(
+            sim.validate(&move_arm, &LabState::new()),
+            TrajectoryVerdict::Safe
+        );
+        assert_eq!(sim.ik_cache_len(), 1);
+        sim.add_arm("arm", ur5e.clone());
+        let verdict = sim.validate(&move_arm, &LabState::new());
+
+        let mut fresh = ExtendedSimulator::new(SimWorld::new(), config).with_arm("arm", ur5e);
+        assert_eq!(verdict, fresh.validate(&move_arm, &LabState::new()));
+        assert_eq!(verdict, TrajectoryVerdict::Safe);
+        assert_eq!(bits(&sim), bits(&fresh));
     }
 }

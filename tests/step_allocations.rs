@@ -9,15 +9,26 @@
 //! slots. The one allocation in a Fig. 5 lap (mean 0.03 per step) is the
 //! lab's held-object map allocating its leaf on the fresh lab's first
 //! pick.
+//!
+//! The same lap with the verdict cache off sweeps every motion: the warm
+//! IK memo serves the candidates, and each candidate's samples stream
+//! from its two endpoints through the simulator's reused buffers. Its
+//! three allocations (mean 0.09 per step) are that held-object leaf and,
+//! on the two moves whose first candidate collides before a later one
+//! comes back clear, the `DeviceId` the collision report copies the
+//! obstacle's name into.
 
-use rabit::core::StepOutcome;
+use rabit::core::{Rabit, RabitConfig, StepOutcome};
 use rabit::devices::LatencyModel;
-use rabit::testbed::{workflows, RabitStage, Testbed};
+use rabit::testbed::{rulebase_for, workflows, RabitStage, Testbed};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Mean allocations per warm `Rabit::step` that the test allows.
 const BUDGET_PER_STEP: f64 = 0.1;
+
+/// Mean allocations per warm swept `Rabit::step` that the test allows.
+const SWEPT_BUDGET_PER_STEP: f64 = 0.1;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -67,10 +78,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn warm_guarded_steps_stay_within_the_allocation_budget() {
-    let testbed = Testbed::new();
-    let mut rabit = testbed.rabit(RabitStage::ModifiedWithSimulator);
+/// Runs three Fig. 5 laps on fresh labs and returns the allocations of
+/// each step of the last one.
+fn third_lap_allocations(testbed: &Testbed, rabit: &mut Rabit) -> Vec<u64> {
     let workflow = workflows::fig5_safe_workflow(&testbed.locations);
     let commands = workflow.commands();
     assert!(!commands.is_empty());
@@ -94,9 +104,40 @@ fn warm_guarded_steps_stay_within_the_allocation_budget() {
         }
     }
 
-    let mean = counted.iter().sum::<u64>() as f64 / counted.len() as f64;
+    counted
+}
+
+fn mean(counted: &[u64]) -> f64 {
+    counted.iter().sum::<u64>() as f64 / counted.len() as f64
+}
+
+#[test]
+fn warm_guarded_steps_stay_within_the_allocation_budget() {
+    let testbed = Testbed::new();
+    let mut rabit = testbed.rabit(RabitStage::ModifiedWithSimulator);
+    let counted = third_lap_allocations(&testbed, &mut rabit);
+    let mean = mean(&counted);
     assert!(
         mean <= BUDGET_PER_STEP,
         "warm steps average {mean:.2} allocations, budget {BUDGET_PER_STEP}: {counted:?}"
+    );
+}
+
+#[test]
+fn warm_swept_steps_stay_within_the_allocation_budget() {
+    let testbed = Testbed::new();
+    let mut sim = testbed.extended_simulator(false);
+    sim.config_mut().verdict_cache = false;
+    let mut rabit = Rabit::new(
+        rulebase_for(RabitStage::ModifiedWithSimulator),
+        testbed.catalog.clone(),
+        RabitConfig::default(),
+    )
+    .with_validator(Box::new(sim));
+    let counted = third_lap_allocations(&testbed, &mut rabit);
+    let mean = mean(&counted);
+    assert!(
+        mean <= SWEPT_BUDGET_PER_STEP,
+        "warm swept steps average {mean:.2} allocations, budget {SWEPT_BUDGET_PER_STEP}: {counted:?}"
     );
 }
