@@ -46,25 +46,4 @@ fn main() {
         }
         hits
     });
-
-    // The same pose check with broad-phase pruning over larger decks.
-    group("broadphase");
-    for n in [8usize, 64, 256] {
-        let mut world = rabit_sim::SimWorld::new();
-        for i in 0..n {
-            let x = (i % 16) as f64 * 0.3 - 2.4;
-            let y = (i / 16) as f64 * 0.3 - 2.4;
-            world.add_obstacle(
-                format!("dev{i}"),
-                Aabb::new(Vec3::new(x, y, 0.0), Vec3::new(x + 0.2, y + 0.2, 0.25)),
-            );
-        }
-        let capsules = arm.link_capsules(&q, None);
-        bench(&format!("first_hit_pruned_{n}"), || {
-            world.first_hit(black_box(&capsules[1..]), &[])
-        });
-        bench(&format!("first_hit_exhaustive_{n}"), || {
-            world.first_hit_exhaustive(black_box(&capsules[1..]), &[])
-        });
-    }
 }

@@ -34,6 +34,7 @@ fn polling_rate() {
         Aabb::from_center_half_extents(mid_tool, Vec3::new(0.02, 0.015, 0.02)),
     );
 
+    let mask = world.exclusion_mask(&[]);
     let mut rows = Vec::new();
     for interval in [0.005, 0.02, 0.05, 0.2, 0.5, 1.5] {
         let samples = traj.sample_every(interval);
@@ -42,7 +43,7 @@ fn polling_rate() {
         for q in &samples {
             checks += 1;
             let capsules = &arm.link_capsules(q, None)[1..];
-            if world.first_hit(capsules, &[]).is_some() {
+            if world.first_hit(capsules, &mask).0.is_some() {
                 detected = true;
                 break;
             }

@@ -5,8 +5,8 @@
 //! really sweeps — under the two kernel configurations and compares:
 //!
 //! * `dense` — dense sampling, every polling-grid sample checked;
-//! * `adaptive` — conservative-advancement skipping driven by packet
-//!   BVH clearance queries.
+//! * `adaptive` — conservative-advancement skipping driven by batched
+//!   clearance queries.
 //!
 //! Reported per mode: wall time per command, polling-grid samples
 //! evaluated versus skipped, narrow-phase obstacle tests (the cost the

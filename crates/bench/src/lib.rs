@@ -22,8 +22,8 @@
 //! The `benches/` directory holds dependency-free micro-benchmarks (the
 //! [`timing`] harness) for the real compute costs: rule evaluation,
 //! collision checking, trajectories, mining, and the end-to-end engine
-//! step. `fleet_throughput` measures the fleet executor and broad-phase
-//! pruning, emitting `BENCH_fleet.json`.
+//! step. `fleet_throughput` measures the fleet executor, emitting
+//! `BENCH_fleet.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -140,7 +140,7 @@ pub trait TrajectoryValidator: Send {
     }
 
     /// Total narrow-phase collision tests this validator has performed —
-    /// the cost a broad-phase index prunes. Validators without a notion
+    /// the cost a bounding-box prefilter prunes. Validators without a notion
     /// of collision checking report zero.
     fn narrow_checks_performed(&self) -> u64 {
         0

@@ -108,17 +108,6 @@ impl Aabb {
             && self.max.z >= other.min.z
     }
 
-    /// Returns `true` if `other` lies entirely inside `self` (shared
-    /// boundary counts as contained).
-    pub fn contains_aabb(&self, other: &Aabb) -> bool {
-        self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.min.z <= other.min.z
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
-            && self.max.z >= other.max.z
-    }
-
     /// The closest point inside the box to `p` (is `p` itself when
     /// `p` is inside).
     #[inline]
@@ -301,17 +290,6 @@ mod tests {
         // Touching faces count as intersecting.
         let d = Aabb::new(Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 1.0, 1.0));
         assert!(a.intersects(&d));
-    }
-
-    #[test]
-    fn aabb_containment() {
-        let a = unit_box();
-        assert!(a.contains_aabb(&a)); // boundary counts
-        assert!(a.contains_aabb(&Aabb::new(Vec3::splat(0.2), Vec3::splat(0.8))));
-        // Overlapping but poking out on one axis.
-        assert!(!a.contains_aabb(&Aabb::new(Vec3::splat(0.5), Vec3::new(0.9, 1.2, 0.9))));
-        assert!(!a.contains_aabb(&Aabb::new(Vec3::splat(-0.1), Vec3::splat(0.5))));
-        assert!(!a.contains_aabb(&Aabb::new(Vec3::splat(2.0), Vec3::splat(3.0))));
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`Segment`], [`Capsule`], [`Sphere`] — robot links and held objects;
 //! * [`collide`] — distance and intersection queries between all of the
 //!   above, including swept (trajectory) variants;
-//! * [`broadphase`] — a flat AABB BVH that prunes the candidate set
-//!   before narrow-phase capsule tests;
 //! * [`calibrate`] — the Kabsch rigid-transform fit used in the paper's
 //!   attempt to map two robot arms into a common frame of reference
 //!   (§IV, category 2), together with its ~3 cm error analysis;
@@ -44,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod aabb;
-pub mod broadphase;
 pub mod calibrate;
 pub mod collide;
 pub mod distance;

@@ -158,7 +158,7 @@ impl Capsule {
     }
 
     /// The tight axis-aligned bound of the capsule (endpoints inflated by
-    /// the radius) — the probe shape for broad-phase queries.
+    /// the radius) — the probe shape for bounding-box prefilters.
     pub fn bounding_box(&self) -> crate::Aabb {
         let r = Vec3::splat(self.radius);
         crate::Aabb::new(

@@ -35,4 +35,4 @@ mod world;
 pub use shapes::{ObstacleShape, VerticalCylinder};
 pub use simulator::{ExtendedSimulator, SimConfig, GUI_CHECK_LATENCY_S, HEADLESS_CHECK_LATENCY_S};
 pub use substrate::SimulatorSubstrate;
-pub use world::{ClearanceScratch, ExclusionMask, HitDetail, NamedBox, SimWorld};
+pub use world::{ExclusionMask, HitDetail, NamedBox, SimWorld};

@@ -168,7 +168,7 @@ impl ObstacleShape {
             // Bound of the *collision* volume: the narrow phase checks the
             // axis capsule, whose rounded caps bulge past the flat cylinder
             // ends by `radius`. The bound must cover those caps, or a
-            // broad-phase index over the bounds would prune real contacts.
+            // prefilter over the bounds would prune real contacts.
             ObstacleShape::Cylinder(c) => c.as_capsule().bounding_box(),
             ObstacleShape::Composite(parts) => {
                 let mut it = parts.iter().map(ObstacleShape::bounding_box);
@@ -187,8 +187,9 @@ impl ObstacleShape {
 /// to their *full* bounding sphere (the same sound underestimate the
 /// shape-level path uses) — so a minimum over a shape's primitives
 /// reproduces the shape-level clearance bit for bit. `bound` is the part's
-/// broad-phase bound, matching [`ObstacleShape::bounding_box`] so a
-/// primitive-level index prunes no differently than the obstacle-level one.
+/// prefilter bound, matching [`ObstacleShape::bounding_box`] so the
+/// primitive-level prefilter prunes no differently than the obstacle-level
+/// one.
 #[derive(Debug, Clone)]
 pub(crate) enum DistancePrim {
     /// An axis-aligned cuboid.
@@ -199,7 +200,7 @@ pub(crate) enum DistancePrim {
         segment: Segment,
         /// The capsule's radius.
         radius: f64,
-        /// Broad-phase bound of the part.
+        /// Prefilter bound of the part.
         bound: Aabb,
     },
     /// A sphere (spheres, and hemispheres via their bounding sphere).
@@ -208,13 +209,13 @@ pub(crate) enum DistancePrim {
         center: Vec3,
         /// The sphere's radius.
         radius: f64,
-        /// Broad-phase bound of the part.
+        /// Prefilter bound of the part.
         bound: Aabb,
     },
 }
 
 impl DistancePrim {
-    /// The primitive's broad-phase bound.
+    /// The primitive's prefilter bound.
     pub(crate) fn bound(&self) -> Aabb {
         match self {
             DistancePrim::Box(aabb) => *aabb,

@@ -10,10 +10,9 @@
 //! [`TrajectoryValidator`], so attaching it to the engine turns
 //! `SimAvailable` on in the Fig. 2 algorithm.
 
-use crate::world::{ClearanceScratch, ExclusionMask, SimWorld};
+use crate::world::{ExclusionMask, HitDetail, SimWorld};
 use rabit_core::{CollisionReport, TrajectoryValidator, TrajectoryVerdict};
 use rabit_devices::{ActionKind, Command, DeviceId, LabState, StateKey};
-use rabit_geometry::broadphase::QueryCache;
 use rabit_geometry::{Capsule, Pose, Vec3};
 use rabit_kinematics::ik::solve_position;
 use rabit_kinematics::sweep::CAPSULE_COUNT;
@@ -142,8 +141,7 @@ const CLEARANCE_MARGIN: f64 = 1e-6;
 
 /// Largest clearance (metres) worth measuring: skip runs are bounded by
 /// the remaining motion anyway, and capping the probe keeps the
-/// broad-phase query for clearance from sweeping in every obstacle on
-/// the deck.
+/// clearance query from measuring every obstacle on the deck.
 const MAX_CLEARANCE_CAP: f64 = 0.6;
 
 /// Number of upcoming samples whose forward kinematics are prefetched in
@@ -152,28 +150,16 @@ const MAX_CLEARANCE_CAP: f64 = 0.6;
 /// almost certainly be checked too.
 const DENSE_WINDOW: usize = 8;
 
-/// Broad-phase probes in the temporal-coherence cache are inflated by
-/// this slack (metres): successive trajectory samples move the probe by
-/// at most a few centimetres, so one tree walk serves a whole run of
-/// samples.
-const QUERY_CACHE_SLACK: f64 = 0.1;
-
 /// Number of upcoming grid samples a clearance probe is sized to cover:
 /// each capsule's probe cap is its per-sample motion bound times this
 /// horizon (still clamped by its remaining motion and
 /// [`MAX_CLEARANCE_CAP`]). Probing farther buys skip runs the sweep
 /// rarely gets to spend but drags every obstacle on the deck into the
-/// broad-phase candidate set — with horizon-sized probes, links far
-/// from everything get an *empty* candidate set and their clearance
-/// (= the cap) costs no exact distance evaluations at all, which is
-/// what lets the op reduction show up as wall-clock.
+/// clearance query — with horizon-sized probes, links far from
+/// everything overlap no obstacle's bound and their clearance (= the
+/// cap) costs no exact distance evaluations at all, which is what lets
+/// the op reduction show up as wall-clock.
 const SKIP_HORIZON_SAMPLES: f64 = 8.0;
-
-/// Slack for the clearance probe's own temporal-coherence cache.
-/// Clearance probes jump by a whole skip run between anchors — farther
-/// than narrow-phase probes move between adjacent samples — so they get
-/// a wider superset to stay cache-hot.
-const CLEARANCE_CACHE_SLACK: f64 = 0.25;
 
 /// Inverse quantisation step for cache keys: poses within 1e-4 rad (or
 /// metres) land in the same bucket. An exact-match confirmation inside
@@ -296,8 +282,8 @@ pub struct ExtendedSimulator {
     config: SimConfig,
     /// Count of collision checks performed (for the overhead experiment).
     checks: u64,
-    /// Count of narrow-phase obstacle tests (what broad-phase pruning
-    /// saves).
+    /// Count of narrow-phase obstacle tests (what the bounding-box
+    /// prefilter and the adaptive kernel save).
     narrow_checks: u64,
     /// Memoized verdicts, keyed on everything a verdict depends on.
     cache: BTreeMap<VerdictKey, CachedVerdict>,
@@ -314,24 +300,14 @@ pub struct ExtendedSimulator {
     /// Per-primitive exact signed-distance evaluations issued by the
     /// adaptive kernel's clearance queries.
     distance_queries: u64,
-    /// Temporal-coherence caches for broad-phase queries — one for
-    /// narrow-phase probes, one for the wider clearance probes (mixing
-    /// them would thrash: the probes differ in size every sample). Both
-    /// are valid for the world epoch in `query_cache_epoch`.
-    query_cache: QueryCache,
-    clearance_cache: QueryCache,
-    query_cache_epoch: u64,
-    /// Reusable buffers: IK candidates, arm capsules per sample, and
-    /// broad-phase candidate indices. Keeping them on the simulator makes
-    /// the steady-state sweep allocation-free.
+    /// Reusable buffers: IK candidates and arm capsules per sample.
+    /// Keeping them on the simulator makes the steady-state sweep
+    /// allocation-free.
     scratch_candidates: Vec<JointConfig>,
     scratch_capsules: Vec<Capsule>,
-    scratch_prune: Vec<usize>,
     /// Exclusion bitset, resolved once per sweep from the exclusion names
     /// and reused across every sample of the trajectory.
     scratch_mask: ExclusionMask,
-    /// Packet-query buffers for the batched clearance query.
-    scratch_clear: ClearanceScratch,
     /// Adaptive-kernel buffers: the materialised sample grid, the
     /// remaining per-joint variation suffix sums, and the batched-FK
     /// window (configurations in, pose rows out).
@@ -357,14 +333,9 @@ impl ExtendedSimulator {
             rulebase_epoch: 0,
             samples_skipped: 0,
             distance_queries: 0,
-            query_cache: QueryCache::new(),
-            clearance_cache: QueryCache::new(),
-            query_cache_epoch: 0,
             scratch_candidates: Vec::new(),
             scratch_capsules: Vec::new(),
-            scratch_prune: Vec::new(),
             scratch_mask: ExclusionMask::default(),
-            scratch_clear: ClearanceScratch::default(),
             scratch_grid: Vec::new(),
             scratch_suffix: Vec::new(),
             scratch_window: Vec::new(),
@@ -497,11 +468,10 @@ impl ExtendedSimulator {
         }
     }
 
-    /// The dense sweep: every sample of the polling grid is checked, with
-    /// BVH-pruned candidates.
+    /// The dense sweep: every sample of the polling grid is checked.
     ///
     /// Allocation-free in steady state: samples stream from the
-    /// trajectory iterator, and the capsule and broad-phase buffers are
+    /// trajectory iterator, and the capsule buffer and exclusion mask are
     /// reused across samples and across calls.
     fn sweep_dense(
         &mut self,
@@ -511,7 +481,6 @@ impl ExtendedSimulator {
         exclude: &[&str],
     ) -> Option<CollisionReport> {
         let mut capsules = std::mem::take(&mut self.scratch_capsules);
-        let mut prune = std::mem::take(&mut self.scratch_prune);
         let mut mask = std::mem::take(&mut self.scratch_mask);
         self.world.fill_exclusion_mask(exclude, &mut mask);
         let mut result = None;
@@ -522,26 +491,15 @@ impl ExtendedSimulator {
                 // Skip the base link (capsule 0): it is bolted to the
                 // mounting platform, so its permanent contact with the
                 // platform slab is not a collision.
-                let (hit, tested) =
-                    self.world
-                        .first_hit_detailed_masked(&capsules[1..], &mask, &mut prune);
+                let (hit, tested) = self.world.first_hit(&capsules[1..], &mask);
                 self.narrow_checks += tested;
                 if let Some(hit) = hit {
-                    result = Some(CollisionReport {
-                        device: DeviceId::new(&hit.obstacle.name),
-                        // Capsule indices are relative to the slice that
-                        // skipped the base link; +1 restores the arm's
-                        // own link numbering.
-                        link: hit.capsule_index + 1,
-                        contact: hit.contact,
-                        at_fraction: fraction,
-                    });
+                    result = Some(report(hit, fraction));
                     break;
                 }
             }
         }
         self.scratch_capsules = capsules;
-        self.scratch_prune = prune;
         self.scratch_mask = mask;
         result
     }
@@ -549,9 +507,9 @@ impl ExtendedSimulator {
     /// The adaptive conservative-advancement sweep.
     ///
     /// At each *checked* sample the kernel measures the clearance of
-    /// every arm capsule to the nearest obstacle in one batched,
-    /// temporally-cached query ([`SimWorld::clearances_into`]). The
-    /// clearances serve two purposes at once:
+    /// every arm capsule to the nearest obstacle in one batched query
+    /// ([`SimWorld::clearances_into`]). The clearances serve two purposes
+    /// at once:
     ///
     /// 1. **Certificate** — clearance uses the same distance arithmetic
     ///    as the narrow phase, so all-positive clearances *prove* the
@@ -573,12 +531,8 @@ impl ExtendedSimulator {
     /// kinematics are prefetched in a single batched pass
     /// ([`DhChain::joint_poses_batch`]). Verdicts — including the
     /// triggering sample index — are identical to
-    /// [`ExtendedSimulator::sweep_dense`].
-    ///
-    /// Broad-phase candidates come from temporal-coherence
-    /// [`QueryCache`]s, cleared whenever the world epoch moves; a cached
-    /// candidate set is exactly the fresh broad-phase answer, so hits
-    /// match the pruned dense path.
+    /// [`ExtendedSimulator::sweep_dense`]: both call the one
+    /// [`SimWorld::first_hit`].
     ///
     /// [`DhChain::joint_poses_batch`]: rabit_kinematics::DhChain::joint_poses_batch
     fn sweep_adaptive(
@@ -588,20 +542,12 @@ impl ExtendedSimulator {
         held: Option<&HeldObject>,
         exclude: &[&str],
     ) -> Option<CollisionReport> {
-        let epoch = self.world.epoch();
-        if epoch != self.query_cache_epoch {
-            self.query_cache.clear();
-            self.clearance_cache.clear();
-            self.query_cache_epoch = epoch;
-        }
         let mut capsules = std::mem::take(&mut self.scratch_capsules);
-        let mut prune = std::mem::take(&mut self.scratch_prune);
         let mut grid = std::mem::take(&mut self.scratch_grid);
         let mut suffix = std::mem::take(&mut self.scratch_suffix);
         let mut window = std::mem::take(&mut self.scratch_window);
         let mut poses = std::mem::take(&mut self.scratch_poses);
         let mut mask = std::mem::take(&mut self.scratch_mask);
-        let mut cscratch = std::mem::take(&mut self.scratch_clear);
         self.world.fill_exclusion_mask(exclude, &mut mask);
         let mut result = None;
 
@@ -624,15 +570,6 @@ impl ExtendedSimulator {
                 suffix[i] = row;
             }
             let bound = arm.model.motion_bound(held);
-
-            let report = |hit: crate::world::HitDetail<'_>, fraction: f64| CollisionReport {
-                device: DeviceId::new(&hit.obstacle.name),
-                // Capsule indices are relative to the slice that skipped
-                // the base link; +1 restores the arm's link numbering.
-                link: hit.capsule_index + 1,
-                contact: hit.contact,
-                at_fraction: fraction,
-            };
 
             // `poses` holds prefetched batched FK for
             // `grid[batch_start .. batch_start + poses.len()]`.
@@ -677,27 +614,15 @@ impl ExtendedSimulator {
                         + CLEARANCE_MARGIN;
                 }
                 let mut clearances = [0.0_f64; CAPSULE_COUNT - 1];
-                let evals = self.world.clearances_into_masked(
-                    &capsules[1..],
-                    &mask,
-                    &caps,
-                    CLEARANCE_CACHE_SLACK,
-                    &mut self.clearance_cache,
-                    &mut cscratch,
-                    &mut clearances,
-                );
+                let evals =
+                    self.world
+                        .clearances_into(&capsules[1..], &mask, &caps, &mut clearances);
                 self.distance_queries += evals;
                 if clearances.iter().any(|&c| c <= 0.0) {
                     // Some capsule touches something: only now is the
                     // exact narrow phase needed, and it decides the
                     // verdict precisely as the dense kernel would.
-                    let (hit, tested) = self.world.first_hit_cached_masked(
-                        &capsules[1..],
-                        &mask,
-                        QUERY_CACHE_SLACK,
-                        &mut self.query_cache,
-                        &mut prune,
-                    );
+                    let (hit, tested) = self.world.first_hit(&capsules[1..], &mask);
                     self.narrow_checks += tested;
                     if let Some(hit) = hit {
                         result = Some(report(hit, grid[i].0));
@@ -749,13 +674,11 @@ impl ExtendedSimulator {
             }
         }
         self.scratch_capsules = capsules;
-        self.scratch_prune = prune;
         self.scratch_grid = grid;
         self.scratch_suffix = suffix;
         self.scratch_window = window;
         self.scratch_poses = poses;
         self.scratch_mask = mask;
-        self.scratch_clear = cscratch;
         result
     }
 
@@ -934,6 +857,19 @@ impl ExtendedSimulator {
             return TrajectoryVerdict::Safe;
         }
         TrajectoryVerdict::Collision(first_hit.expect("at least one candidate was swept"))
+    }
+}
+
+/// The collision report for a sweep's hit at `fraction` of the motion.
+/// The hit's capsule index is relative to the capsule slice that skips
+/// the base link; +1 restores the arm's own link numbering. The device
+/// id shares the obstacle's name, so reporting allocates nothing.
+fn report(hit: HitDetail<'_>, fraction: f64) -> CollisionReport {
+    CollisionReport {
+        device: hit.obstacle.name.clone(),
+        link: hit.capsule_index + 1,
+        contact: hit.contact,
+        at_fraction: fraction,
     }
 }
 
@@ -1388,10 +1324,9 @@ mod tests {
     }
 
     #[test]
-    fn world_mutation_invalidates_the_broadphase_cache() {
+    fn next_validation_sees_a_world_mutation() {
         // First move: free space, heavy skipping. Then an obstacle lands
-        // on the same path; the epoch bump must flush the query cache so
-        // the second validation sees it.
+        // on the same path; the second validation must see it.
         let arm = presets::ur3e();
         let start_tool = arm.tool_position(&arm.home_configuration());
         let target = start_tool + Vec3::new(0.0, 0.25, 0.0);

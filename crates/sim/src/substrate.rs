@@ -98,7 +98,7 @@ impl SimulatorSubstrate {
     }
 
     /// Overrides the simulator configuration (GUI latency, poll interval,
-    /// cache and broad-phase switches).
+    /// held-object modelling, verdict cache and dense sampling).
     pub fn with_sim_config(mut self, config: SimConfig) -> Self {
         self.sim_config = config;
         self

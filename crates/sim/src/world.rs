@@ -8,29 +8,36 @@
 //! cuboid specification" (§V-A).
 
 use crate::shapes::{DistancePrim, ObstacleShape};
-use rabit_geometry::broadphase::{Bvh, PacketLists, QueryCache};
+use rabit_devices::DeviceId;
 use rabit_geometry::{Aabb, Capsule, Vec3};
 
 /// A named obstacle (historically a cuboid; any [`ObstacleShape`] today).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NamedBox {
-    /// Obstacle name (device id, `"platform"`, `"wall_north"`, …).
-    pub name: String,
+    /// Obstacle name (device id, `"platform"`, `"wall_north"`, …). A
+    /// collision report shares it instead of copying it.
+    pub name: DeviceId,
     /// The obstacle's shape.
     pub shape: ObstacleShape,
 }
 
 impl NamedBox {
     /// Creates a named cuboid obstacle.
-    pub fn new(name: impl Into<String>, volume: Aabb) -> Self {
-        NamedBox {
-            name: name.into(),
-            shape: ObstacleShape::Cuboid(volume),
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is empty, as [`DeviceId::new`] does. Obstacle
+    /// names are program constants: no configuration path builds a world.
+    pub fn new(name: impl Into<DeviceId>, volume: Aabb) -> Self {
+        NamedBox::with_shape(name, ObstacleShape::Cuboid(volume))
     }
 
     /// Creates a named obstacle of any shape.
-    pub fn with_shape(name: impl Into<String>, shape: ObstacleShape) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is empty (see [`NamedBox::new`]).
+    pub fn with_shape(name: impl Into<DeviceId>, shape: ObstacleShape) -> Self {
         NamedBox {
             name: name.into(),
             shape,
@@ -45,18 +52,19 @@ impl NamedBox {
 
 /// The static world the simulator checks trajectories against.
 ///
-/// Obstacles keep their insertion order — [`SimWorld::first_hit`] reports
-/// the *first inserted* obstacle that is hit, whether or not the
-/// broad-phase index is used. The index (a flat AABB BVH over the
-/// obstacles' bounding boxes) is rebuilt eagerly on every mutation, so
-/// queries stay `&self` and two worlds with equal obstacle lists compare
-/// equal.
+/// Obstacles keep their insertion order, and [`SimWorld::first_hit`]
+/// reports the *first inserted* obstacle that is hit. Decks are small (7
+/// to 11 obstacles in every shipped world), so the queries scan every
+/// obstacle or distance primitive in order behind a bounding-box overlap
+/// test; the bounds are rebuilt eagerly on every mutation, so queries
+/// stay `&self` and two worlds with equal obstacle lists compare equal.
 #[derive(Debug, Clone, Default)]
 pub struct SimWorld {
     obstacles: Vec<NamedBox>,
-    index: Bvh,
-    /// Primitive-level distance index (primitives + their own BVH) driving
-    /// the clearance queries. Rebuilt alongside `index`.
+    /// Per-obstacle bounding boxes: the first-hit prefilter.
+    bounds: Vec<Aabb>,
+    /// Primitive-level distance decomposition driving the clearance
+    /// queries. Rebuilt alongside `bounds`.
     dist: DistanceIndex,
     /// Monotonic mutation counter: bumped on every obstacle change, so
     /// downstream caches (the simulator's verdict cache) can key on it
@@ -65,22 +73,20 @@ pub struct SimWorld {
 }
 
 /// The distance decomposition of the obstacle set: every shape flattened
-/// into box, capsule and sphere primitives in obstacle order, plus a BVH
-/// over the per-primitive broad-phase bounds.
+/// into box, capsule and sphere primitives in obstacle order.
 #[derive(Debug, Clone, Default)]
 struct DistanceIndex {
     prims: Vec<DistancePrim>,
     /// Primitive id → owning obstacle index.
     owners: Vec<u32>,
-    /// Per-primitive broad-phase bounds (matching the owning part's
+    /// Per-primitive bounds (matching the owning part's
     /// [`ObstacleShape::bounding_box`] contribution).
     bounds: Vec<Aabb>,
-    bvh: Bvh,
 }
 
 impl PartialEq for SimWorld {
     fn eq(&self, other: &Self) -> bool {
-        // Equality is over the obstacle list only: the index is a pure
+        // Equality is over the obstacle list only: the bounds are a pure
         // function of it, and the epoch is a mutation counter, not part
         // of the world's observable geometry.
         self.obstacles == other.obstacles
@@ -94,14 +100,14 @@ impl SimWorld {
     }
 
     /// Adds a cuboid obstacle (builder style).
-    pub fn with_obstacle(mut self, name: impl Into<String>, volume: Aabb) -> Self {
+    pub fn with_obstacle(mut self, name: impl Into<DeviceId>, volume: Aabb) -> Self {
         self.add_obstacle(name, volume);
         self
     }
 
     /// Adds an obstacle of any shape (builder style) — hemispheric
     /// centrifuges, bumped thermoshakers, cylindrical nozzles.
-    pub fn with_shaped_obstacle(mut self, name: impl Into<String>, shape: ObstacleShape) -> Self {
+    pub fn with_shaped_obstacle(mut self, name: impl Into<DeviceId>, shape: ObstacleShape) -> Self {
         self.obstacles.push(NamedBox::with_shape(name, shape));
         self.reindex();
         self
@@ -156,7 +162,7 @@ impl SimWorld {
     }
 
     /// Adds an obstacle.
-    pub fn add_obstacle(&mut self, name: impl Into<String>, volume: Aabb) {
+    pub fn add_obstacle(&mut self, name: impl Into<DeviceId>, volume: Aabb) {
         self.obstacles.push(NamedBox::new(name, volume));
         self.reindex();
     }
@@ -165,7 +171,7 @@ impl SimWorld {
     /// removed.
     pub fn remove_obstacle(&mut self, name: &str) -> usize {
         let before = self.obstacles.len();
-        self.obstacles.retain(|o| o.name != name);
+        self.obstacles.retain(|o| o.name.as_str() != name);
         if self.obstacles.len() != before {
             self.reindex();
         }
@@ -184,12 +190,13 @@ impl SimWorld {
         self.epoch
     }
 
-    /// Rebuilds the broad-phase index and the primitive-level distance
-    /// index after a mutation.
+    /// Rebuilds the obstacle bounds and the primitive-level distance
+    /// decomposition after a mutation.
     fn reindex(&mut self) {
         self.epoch += 1;
-        let bounds: Vec<Aabb> = self.obstacles.iter().map(|o| o.bounding_box()).collect();
-        self.index = Bvh::build(&bounds);
+        self.bounds.clear();
+        self.bounds
+            .extend(self.obstacles.iter().map(NamedBox::bounding_box));
         let di = &mut self.dist;
         di.prims.clear();
         di.owners.clear();
@@ -201,14 +208,12 @@ impl SimWorld {
                 di.prims.push(prim);
             });
         }
-        di.bvh = Bvh::build(&di.bounds);
     }
 
     /// Resolves `exclude` names into an [`ExclusionMask`] over the current
     /// obstacle indices. Build it once per trajectory and pass it to the
-    /// `*_masked` query variants: the sweep's inner loops then test one
-    /// bit per obstacle instead of comparing name strings per obstacle per
-    /// sample.
+    /// queries: the sweep's inner loops then test one bit per obstacle
+    /// instead of comparing name strings per obstacle per sample.
     pub fn exclusion_mask(&self, exclude: &[&str]) -> ExclusionMask {
         let mut mask = ExclusionMask::default();
         self.fill_exclusion_mask(exclude, &mut mask);
@@ -233,290 +238,95 @@ impl SimWorld {
         }
     }
 
-    /// The first obstacle any of the given capsules intersects, ignoring
-    /// obstacles named in `exclude`. Uses the broad-phase index.
-    pub fn first_hit(&self, capsules: &[Capsule], exclude: &[&str]) -> Option<&NamedBox> {
-        self.first_hit_counting(capsules, exclude, true).0
-    }
-
-    /// As [`SimWorld::first_hit`], but testing every obstacle linearly —
-    /// the reference path the differential tests compare the pruned path
-    /// against.
-    pub fn first_hit_exhaustive(
-        &self,
-        capsules: &[Capsule],
-        exclude: &[&str],
-    ) -> Option<&NamedBox> {
-        self.first_hit_counting(capsules, exclude, false).0
-    }
-
-    /// The first hit plus the number of narrow-phase obstacle tests it
-    /// cost. `broad_phase` selects BVH pruning or the exhaustive scan;
-    /// both return the identical obstacle (candidates are scanned in
-    /// ascending insertion order).
-    pub fn first_hit_counting(
-        &self,
-        capsules: &[Capsule],
-        exclude: &[&str],
-        broad_phase: bool,
-    ) -> (Option<&NamedBox>, u64) {
-        let mut scratch = Vec::new();
-        let (hit, tested) =
-            self.first_hit_detailed_with(capsules, exclude, broad_phase, &mut scratch);
-        (hit.map(|h| h.obstacle), tested)
-    }
-
-    /// As [`SimWorld::first_hit_counting`], additionally reporting *which*
-    /// capsule hit and an approximate contact point — the data a
-    /// structured [`CollisionReport`] needs. The contact point is the
-    /// point on the hitting capsule's axis closest to the obstacle's
-    /// bounding-box center (exact penetration geometry is not needed for
-    /// an alert; the operator needs "link 4, above the hotplate"). The
-    /// broad-phase query reuses the caller-owned `scratch` buffer.
+    /// The first obstacle, in insertion order, that any of `capsules`
+    /// intersects, skipping obstacles in `mask`, plus the number of
+    /// obstacles given the narrow-phase test.
+    ///
+    /// Only obstacles whose bounding box overlaps the union of the
+    /// capsules' boxes are tested. The hit reports *which* capsule struck
+    /// the obstacle and an approximate contact point — the data a
+    /// structured [`CollisionReport`] needs: the point on the hitting
+    /// capsule's axis closest to the obstacle's bounding-box center
+    /// (exact penetration geometry is not needed for an alert; the
+    /// operator needs "link 4, above the hotplate").
     ///
     /// [`CollisionReport`]: rabit_core::CollisionReport
-    pub fn first_hit_detailed_with(
-        &self,
-        capsules: &[Capsule],
-        exclude: &[&str],
-        broad_phase: bool,
-        scratch: &mut Vec<usize>,
-    ) -> (Option<HitDetail<'_>>, u64) {
-        let mask = self.exclusion_mask(exclude);
-        if broad_phase {
-            self.first_hit_detailed_masked(capsules, &mask, scratch)
-        } else {
-            self.narrow_scan(capsules, &mask, 0..self.obstacles.len())
-        }
-    }
-
-    /// As [`SimWorld::first_hit_detailed_with`] with BVH pruning,
-    /// resolving exclusions through a prebuilt [`ExclusionMask`] instead
-    /// of comparing name strings per obstacle. The dense sweep builds the
-    /// mask once per trajectory and reuses it for every sample.
-    pub fn first_hit_detailed_masked(
+    pub fn first_hit(
         &self,
         capsules: &[Capsule],
         mask: &ExclusionMask,
-        scratch: &mut Vec<usize>,
     ) -> (Option<HitDetail<'_>>, u64) {
         debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
         let Some(probe) = union_bound(capsules) else {
             return (None, 0);
         };
-        self.index.query_into(&probe, scratch);
-        self.narrow_scan(capsules, mask, scratch.iter().copied())
-    }
-
-    /// As [`SimWorld::first_hit_detailed_with`] with broad-phase pruning,
-    /// but the BVH query runs through a temporal-coherence [`QueryCache`]
-    /// (see [`Bvh::query_into_cached`]): consecutive calls with nearly
-    /// identical capsule sets — adjacent trajectory samples — are answered
-    /// from the previous query's candidate superset without walking the
-    /// tree. The hit (and the narrow-phase test count) is identical to the
-    /// uncached broad-phase path.
-    ///
-    /// The cache is only valid against the current obstacle set: callers
-    /// must [`QueryCache::clear`] it whenever [`SimWorld::epoch`] changes.
-    pub fn first_hit_detailed_cached(
-        &self,
-        capsules: &[Capsule],
-        exclude: &[&str],
-        slack: f64,
-        cache: &mut QueryCache,
-        scratch: &mut Vec<usize>,
-    ) -> (Option<HitDetail<'_>>, u64) {
-        let mask = self.exclusion_mask(exclude);
-        self.first_hit_cached_masked(capsules, &mask, slack, cache, scratch)
-    }
-
-    /// As [`SimWorld::first_hit_detailed_cached`] with exclusions resolved
-    /// through a prebuilt [`ExclusionMask`].
-    pub fn first_hit_cached_masked(
-        &self,
-        capsules: &[Capsule],
-        mask: &ExclusionMask,
-        slack: f64,
-        cache: &mut QueryCache,
-        scratch: &mut Vec<usize>,
-    ) -> (Option<HitDetail<'_>>, u64) {
-        debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
-        let Some(probe) = union_bound(capsules) else {
-            return (None, 0);
-        };
-        self.index.query_into_cached(&probe, slack, cache, scratch);
-        self.narrow_scan(capsules, mask, scratch.iter().copied())
-    }
-
-    /// The narrow phase over candidate obstacle indices (ascending): the
-    /// first non-excluded obstacle any capsule intersects, plus the
-    /// number of obstacles tested.
-    fn narrow_scan(
-        &self,
-        capsules: &[Capsule],
-        mask: &ExclusionMask,
-        candidates: impl IntoIterator<Item = usize>,
-    ) -> (Option<HitDetail<'_>>, u64) {
         let mut tested = 0;
-        let hit = candidates
-            .into_iter()
-            .filter(|&i| !mask.excludes(i))
-            .map(|i| &self.obstacles[i])
-            .find_map(|o| {
-                tested += 1;
-                capsules
-                    .iter()
-                    .position(|c| o.shape.intersects_capsule(c))
-                    .map(|i| (o, i))
-            });
-        (hit.map(|(o, i)| self.detail_for(capsules, o, i)), tested)
-    }
-
-    /// Clearance of a single capsule: a sound lower bound on the distance
-    /// from `capsule` to the nearest non-excluded obstacle, clamped to
-    /// `cap` (the largest clearance the caller can exploit). Returns the
-    /// clearance and the number of per-obstacle distance evaluations
-    /// performed.
-    ///
-    /// Obstacles are pruned through the broad-phase index with the
-    /// capsule's bound inflated by `cap`: anything outside that probe is
-    /// provably farther than `cap` away, so clamping keeps the result
-    /// sound. The scan stops early once the clearance is non-positive
-    /// (the capsule touches something — no skip budget either way).
-    pub fn clearance_with(
-        &self,
-        capsule: &Capsule,
-        exclude: &[&str],
-        cap: f64,
-        scratch: &mut Vec<usize>,
-    ) -> (f64, u64) {
-        if cap <= 0.0 {
-            return (cap.min(0.0), 0);
-        }
-        let mask = self.exclusion_mask(exclude);
-        let probe = capsule.bounding_box().inflated(cap);
-        self.dist.bvh.query_into(&probe, scratch);
-        self.prim_clearance(capsule, &mask, cap, scratch)
-    }
-
-    /// The shared clearance kernel: min distance from `capsule` to the
-    /// candidate primitives (prim ids from the distance-index BVH),
-    /// clamped to `cap`, skipping masked owners.
-    ///
-    /// Each candidate is prefiltered with the cheap box-to-box gap
-    /// between its broad-phase bound and the capsule's: the gap is a
-    /// lower bound on the exact distance, so a candidate whose gap
-    /// cannot lower the running clearance is dropped without an exact
-    /// evaluation — and since its exact distance is at least the
-    /// running minimum, the returned clearance is identical to a full
-    /// scan. This matters because candidate lists come from temporal-
-    /// coherence caches and are supersets of the current probe's true
-    /// candidates.
-    ///
-    /// Returns `(clearance, exact_evals)` and stops at the first
-    /// primitive that drives the clearance non-positive.
-    fn prim_clearance(
-        &self,
-        capsule: &Capsule,
-        mask: &ExclusionMask,
-        cap: f64,
-        candidates: &[usize],
-    ) -> (f64, u64) {
-        let di = &self.dist;
-        let probe_bb = capsule.bounding_box();
-        let mut clearance = cap;
-        let mut evals = 0;
-        for &p in candidates {
-            if mask.excludes(di.owners[p] as usize)
-                || di.bounds[p].distance_to(&probe_bb) >= clearance
-            {
+        for (i, (o, bound)) in self.obstacles.iter().zip(&self.bounds).enumerate() {
+            if !bound.intersects(&probe) || mask.excludes(i) {
                 continue;
             }
-            evals += 1;
-            clearance = clearance.min(di.prims[p].distance_to_capsule(capsule));
-            if clearance <= 0.0 {
-                break;
+            tested += 1;
+            if let Some(c) = capsules.iter().position(|c| o.shape.intersects_capsule(c)) {
+                return (Some(self.detail_for(capsules, o, c)), tested);
             }
         }
-        (clearance, evals)
+        (None, tested)
     }
 
-    /// Batched clearance for a whole capsule chain: fills `out[l]` with a
-    /// sound lower bound on the distance from `capsules[l]` to the
-    /// nearest non-excluded obstacle, clamped to `caps[l]`. Returns the
-    /// number of exact distance evaluations performed.
+    /// Clearances for a whole capsule chain: fills `out[l]` with a sound
+    /// lower bound on the distance from `capsules[l]` to the nearest
+    /// obstacle not in `mask`, clamped to `caps[l]` (the largest
+    /// clearance the caller can exploit). Returns the number of exact
+    /// distance evaluations performed.
     ///
-    /// One broad-phase query serves every capsule: the probe is the union
-    /// of each capsule's bound inflated by its cap, routed through the
-    /// temporal-coherence `cache` with `slack` so consecutive trajectory
-    /// samples reuse the previous candidate superset without walking the
-    /// tree. Candidates are then prefiltered per capsule with the cheap
-    /// box-to-box gap ([`Aabb::distance_to`]) before paying for an exact
-    /// shape distance.
+    /// Distance primitives are taken in order. One whose bound misses the
+    /// capsule's box inflated by its cap is provably farther than the cap
+    /// away and is skipped, so clamping keeps the result sound. One whose
+    /// box-to-box gap ([`Aabb::distance_to`], a lower bound on the exact
+    /// distance) cannot lower the running clearance is skipped as well.
+    /// A capsule's scan stops once its clearance is non-positive (it
+    /// touches something — no skip budget either way).
     ///
     /// Clearance is computed with the same distance arithmetic the narrow
-    /// phase uses for intersection, so `out[l] > 0.0` *proves* the narrow
-    /// phase would find no hit for `capsules[l]`: any intersecting
-    /// obstacle overlaps the capsule's bound (candidates always include
-    /// it, whatever the cap) and would have driven the clearance to zero
-    /// or below. The adaptive sweep kernel relies on this to elide
-    /// narrow-phase scans on provably clear samples.
-    ///
-    /// Like [`QueryCache`] users elsewhere, callers must clear the cache
-    /// whenever [`SimWorld::epoch`] changes.
-    #[allow(clippy::too_many_arguments)]
+    /// phase uses for intersection, so `out[l] > 0.0` *proves*
+    /// [`SimWorld::first_hit`] would find no hit for `capsules[l]`: any
+    /// intersecting obstacle overlaps the capsule's box, whatever the cap,
+    /// and would have driven the clearance to zero or below. The adaptive
+    /// sweep kernel relies on this to elide narrow-phase scans on provably
+    /// clear samples.
     pub fn clearances_into(
         &self,
         capsules: &[Capsule],
-        exclude: &[&str],
-        caps: &[f64],
-        slack: f64,
-        cache: &mut QueryCache,
-        scratch: &mut ClearanceScratch,
-        out: &mut [f64],
-    ) -> u64 {
-        let mask = self.exclusion_mask(exclude);
-        self.clearances_into_masked(capsules, &mask, caps, slack, cache, scratch, out)
-    }
-
-    /// As [`SimWorld::clearances_into`], resolving exclusions through a
-    /// prebuilt [`ExclusionMask`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn clearances_into_masked(
-        &self,
-        capsules: &[Capsule],
         mask: &ExclusionMask,
         caps: &[f64],
-        slack: f64,
-        cache: &mut QueryCache,
-        scratch: &mut ClearanceScratch,
         out: &mut [f64],
     ) -> u64 {
         assert_eq!(capsules.len(), caps.len(), "one cap per capsule");
         assert_eq!(capsules.len(), out.len(), "one slot per capsule");
         debug_assert_eq!(mask.epoch, self.epoch, "stale exclusion mask");
-        scratch.probes.clear();
-        scratch.slots.clear();
-        for (l, (c, &cap)) in capsules.iter().zip(caps).enumerate() {
-            if cap <= 0.0 {
-                out[l] = cap.min(0.0);
-                continue;
-            }
-            scratch.probes.push(c.bounding_box().inflated(cap));
-            scratch.slots.push(l);
-        }
-        if scratch.probes.is_empty() {
-            return 0;
-        }
-        self.dist
-            .bvh
-            .query_packet_cached(&scratch.probes, slack, cache, &mut scratch.lists);
+        let di = &self.dist;
         let mut evals = 0;
-        for (p, &l) in scratch.slots.iter().enumerate() {
-            let (clearance, e) =
-                self.prim_clearance(&capsules[l], mask, caps[l], scratch.lists.list(p));
-            out[l] = clearance;
-            evals += e;
+        for ((capsule, &cap), slot) in capsules.iter().zip(caps).zip(out.iter_mut()) {
+            // A non-positive cap is its own clearance.
+            let mut clearance = cap;
+            if cap > 0.0 {
+                let capsule_bb = capsule.bounding_box();
+                let probe = capsule_bb.inflated(cap);
+                for (p, bound) in di.bounds.iter().enumerate() {
+                    if !bound.intersects(&probe)
+                        || mask.excludes(di.owners[p] as usize)
+                        || bound.distance_to(&capsule_bb) >= clearance
+                    {
+                        continue;
+                    }
+                    evals += 1;
+                    clearance = clearance.min(di.prims[p].distance_to_capsule(capsule));
+                    if clearance <= 0.0 {
+                        break;
+                    }
+                }
+            }
+            *slot = clearance;
         }
         evals
     }
@@ -539,7 +349,7 @@ impl SimWorld {
     }
 }
 
-/// The union of the capsules' bounding boxes (the broad-phase probe), or
+/// The union of the capsules' bounding boxes (the first-hit probe), or
 /// `None` for an empty capsule set.
 fn union_bound(capsules: &[Capsule]) -> Option<Aabb> {
     let mut probe: Option<Aabb> = None;
@@ -551,12 +361,11 @@ fn union_bound(capsules: &[Capsule]) -> Option<Aabb> {
 }
 
 /// A bitset of excluded obstacle indices, resolved once from exclusion
-/// names by [`SimWorld::exclusion_mask`]. The `*_masked` query variants
-/// test one bit per candidate instead of comparing name strings per
-/// obstacle per trajectory sample. The mask is stamped with the world
-/// epoch it was resolved against; queries debug-assert the stamp so a
-/// stale mask cannot silently misattribute obstacle indices after a
-/// mutation.
+/// names by [`SimWorld::exclusion_mask`]. The queries test one bit per
+/// candidate instead of comparing name strings per obstacle per
+/// trajectory sample. The mask is stamped with the world epoch it was
+/// resolved against; queries debug-assert the stamp so a stale mask
+/// cannot silently misattribute obstacle indices after a mutation.
 #[derive(Debug, Clone, Default)]
 pub struct ExclusionMask {
     bits: Vec<u64>,
@@ -578,17 +387,6 @@ impl ExclusionMask {
     }
 }
 
-/// Reusable buffers for [`SimWorld::clearances_into`]: the per-capsule
-/// broad-phase probes, the packet-position → output-slot mapping, and the
-/// per-probe candidate lists. One instance per sweep keeps the batched
-/// clearance path allocation-free in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct ClearanceScratch {
-    probes: Vec<Aabb>,
-    slots: Vec<usize>,
-    lists: PacketLists,
-}
-
 /// A narrow-phase hit with link-level detail: the obstacle, which of the
 /// query capsules struck it, and an approximate contact point.
 #[derive(Debug, Clone, PartialEq)]
@@ -606,6 +404,12 @@ pub struct HitDetail<'a> {
 mod tests {
     use super::*;
 
+    /// The name of the first obstacle hit, skipping those in `exclude`.
+    fn hit_name(w: &SimWorld, capsules: &[Capsule], exclude: &[&str]) -> Option<String> {
+        let (hit, _) = w.first_hit(capsules, &w.exclusion_mask(exclude));
+        hit.map(|h| h.obstacle.name.to_string())
+    }
+
     #[test]
     fn builders_accumulate_obstacles() {
         let w = SimWorld::new()
@@ -613,8 +417,8 @@ mod tests {
             .with_walls(1.0, 0.8)
             .with_obstacle("doser", Aabb::new(Vec3::ZERO, Vec3::splat(0.2)));
         assert_eq!(w.obstacles().len(), 6);
-        assert!(w.obstacles().iter().any(|o| o.name == "platform"));
-        assert!(w.obstacles().iter().any(|o| o.name == "wall_east"));
+        assert!(w.obstacles().iter().any(|o| o.name.as_str() == "platform"));
+        assert!(w.obstacles().iter().any(|o| o.name.as_str() == "wall_east"));
     }
 
     #[test]
@@ -630,14 +434,18 @@ mod tests {
             Vec3::new(0.1, 0.1, 0.3),
             0.02,
         )];
-        assert_eq!(w.first_hit(&inside_doser, &[]).unwrap().name, "doser");
-        assert!(w.first_hit(&inside_doser, &["doser"]).is_none());
+        assert_eq!(hit_name(&w, &inside_doser, &[]).as_deref(), Some("doser"));
+        assert_eq!(hit_name(&w, &inside_doser, &["doser"]), None);
         let free = vec![Capsule::new(
             Vec3::new(1.0, 1.0, 1.0),
             Vec3::new(1.2, 1.0, 1.0),
             0.02,
         )];
-        assert!(w.first_hit(&free, &[]).is_none());
+        assert_eq!(hit_name(&w, &free, &[]), None);
+        // Empty capsule set: no probe, no hit, nothing tested.
+        let (none, tested) = w.first_hit(&[], &w.exclusion_mask(&[]));
+        assert!(none.is_none());
+        assert_eq!(tested, 0);
     }
 
     #[test]
@@ -648,7 +456,7 @@ mod tests {
             Vec3::new(0.3, 0.2, -0.01),
             0.02,
         )];
-        assert_eq!(w.first_hit(&low, &[]).unwrap().name, "platform");
+        assert_eq!(hit_name(&w, &low, &[]).as_deref(), Some("platform"));
     }
 
     #[test]
@@ -667,14 +475,14 @@ mod tests {
             Vec3::new(0.3, 0.3, 0.20),
             0.02,
         )];
-        assert_eq!(w.first_hit(&over_dome, &[]).unwrap().name, "centrifuge");
+        assert_eq!(hit_name(&w, &over_dome, &[]).as_deref(), Some("centrifuge"));
         // At the bounding-box corner height: free for a hemisphere.
         let corner = vec![Capsule::new(
             Vec3::new(0.42, 0.42, 0.12),
             Vec3::new(0.42, 0.42, 0.2),
             0.02,
         )];
-        assert!(w.first_hit(&corner, &[]).is_none());
+        assert_eq!(hit_name(&w, &corner, &[]), None);
         // The obstacle's bounding box is available for inspection.
         assert!(w.obstacles()[0]
             .bounding_box()
@@ -690,15 +498,12 @@ mod tests {
             // Capsule 1 passes through it.
             Capsule::new(Vec3::new(0.1, 0.1, -0.1), Vec3::new(0.1, 0.1, 0.3), 0.02),
         ];
-        for broad in [true, false] {
-            let mut scratch = Vec::new();
-            let (hit, _) = w.first_hit_detailed_with(&capsules, &[], broad, &mut scratch);
-            let hit = hit.expect("capsule 1 intersects the doser");
-            assert_eq!(hit.obstacle.name, "doser");
-            assert_eq!(hit.capsule_index, 1);
-            // Contact is on capsule 1's axis, nearest the box center.
-            assert!(hit.contact.distance(Vec3::new(0.1, 0.1, 0.1)) < 1e-9);
-        }
+        let (hit, _) = w.first_hit(&capsules, &w.exclusion_mask(&[]));
+        let hit = hit.expect("capsule 1 intersects the doser");
+        assert_eq!(hit.obstacle.name.as_str(), "doser");
+        assert_eq!(hit.capsule_index, 1);
+        // Contact is on capsule 1's axis, nearest the box center.
+        assert!(hit.contact.distance(Vec3::new(0.1, 0.1, 0.1)) < 1e-9);
     }
 
     #[test]
@@ -706,28 +511,36 @@ mod tests {
         let w = SimWorld::new()
             .with_platform(1.0)
             .with_obstacle("doser", Aabb::new(Vec3::ZERO, Vec3::splat(0.2)));
-        let mut scratch = Vec::new();
+        let clearance = |capsule: &Capsule, exclude: &[&str], cap: f64| {
+            let mut out = [0.0];
+            let evals = w.clearances_into(
+                std::slice::from_ref(capsule),
+                &w.exclusion_mask(exclude),
+                &[cap],
+                &mut out,
+            );
+            (out[0], evals)
+        };
         // A capsule surface 0.33 above the doser top, 0.53 above the platform.
         let cap = Capsule::new(Vec3::new(0.1, 0.1, 0.55), Vec3::new(0.1, 0.1, 0.6), 0.02);
-        let (d, evals) = w.clearance_with(&cap, &[], 1.0, &mut scratch);
+        let (d, evals) = clearance(&cap, &[], 1.0);
         assert!(evals >= 1);
         assert!((d - 0.33).abs() < 1e-9, "clearance to doser top, got {d}");
         // Excluding the doser leaves the platform.
-        let (d, _) = w.clearance_with(&cap, &["doser"], 1.0, &mut scratch);
+        let (d, _) = clearance(&cap, &["doser"], 1.0);
         assert!((d - 0.53).abs() < 1e-9, "clearance to platform, got {d}");
         // The cap clamps (and prunes): a tiny cap returns the cap itself.
-        let (d, evals) = w.clearance_with(&cap, &[], 0.05, &mut scratch);
+        let (d, evals) = clearance(&cap, &[], 0.05);
         assert_eq!(d, 0.05);
         assert_eq!(evals, 0, "everything prunes at cap 0.05");
         // Touching/penetrating: non-positive clearance.
         let touching = Capsule::new(Vec3::new(0.1, 0.1, 0.15), Vec3::new(0.1, 0.1, 0.3), 0.02);
-        let (d, _) = w.clearance_with(&touching, &[], 1.0, &mut scratch);
+        let (d, _) = clearance(&touching, &[], 1.0);
         assert!(d <= 0.0);
     }
 
     #[test]
     fn batched_clearances_match_per_capsule_queries() {
-        use rabit_geometry::broadphase::QueryCache;
         let w = SimWorld::new()
             .with_platform(1.0)
             .with_obstacle("doser", Aabb::new(Vec3::ZERO, Vec3::splat(0.2)))
@@ -735,13 +548,19 @@ mod tests {
                 "grid",
                 Aabb::new(Vec3::new(0.5, 0.0, 0.0), Vec3::new(0.7, 0.2, 0.1)),
             );
-        let mut cache = QueryCache::new();
-        let mut s1 = ClearanceScratch::default();
-        let mut s2 = Vec::new();
+        let mask = w.exclusion_mask(&["doser"]);
+        // The reference: the minimum shape distance over every
+        // non-excluded obstacle, clamped to the cap.
+        let brute_force = |capsule: &Capsule, cap: f64| {
+            w.obstacles()
+                .iter()
+                .filter(|o| o.name.as_str() != "doser")
+                .map(|o| o.shape.distance_to_capsule(capsule))
+                .fold(cap, f64::min)
+        };
         // A descending pair of capsules: one over the doser, one touching
         // the grid at the end. Batched clearances must agree with the
-        // per-capsule query at every step, including the touching case
-        // and a zero-cap slot.
+        // reference at every step, including the touching case.
         for k in 0..30 {
             let z = 0.5 - k as f64 * 0.015;
             let caps = vec![
@@ -754,64 +573,26 @@ mod tests {
             ];
             let budgets = [0.4, 0.25];
             let mut out = [0.0; 2];
-            w.clearances_into(
-                &caps,
-                &["doser"],
-                &budgets,
-                0.1,
-                &mut cache,
-                &mut s1,
-                &mut out,
-            );
+            w.clearances_into(&caps, &mask, &budgets, &mut out);
             for l in 0..2 {
-                let (want, _) = w.clearance_with(&caps[l], &["doser"], budgets[l], &mut s2);
+                let want = brute_force(&caps[l], budgets[l]);
                 assert!(
-                    (out[l] - want).abs() < 1e-12,
-                    "step {k} capsule {l}: batched {} vs direct {want}",
+                    out[l] == want || (out[l] <= 0.0 && want <= 0.0),
+                    "step {k} capsule {l}: batched {} vs brute force {want}",
                     out[l]
                 );
             }
         }
-        assert!(cache.hits() > 0, "coherent sweep should reuse the superset");
-        // Non-positive caps are clamped without touching the index.
+        // Non-positive caps are clamped without a distance evaluation.
         let caps = vec![Capsule::new(
             Vec3::new(0.1, 0.1, 0.4),
             Vec3::new(0.1, 0.1, 0.5),
             0.02,
         )];
         let mut out = [1.0];
-        let evals = w.clearances_into(&caps, &[], &[-0.2], 0.1, &mut cache, &mut s1, &mut out);
+        let evals = w.clearances_into(&caps, &w.exclusion_mask(&[]), &[-0.2], &mut out);
         assert_eq!(evals, 0);
         assert_eq!(out[0], -0.2);
-    }
-
-    #[test]
-    fn cached_first_hit_matches_uncached() {
-        use rabit_geometry::broadphase::QueryCache;
-        let w = SimWorld::new()
-            .with_platform(1.0)
-            .with_walls(1.0, 0.8)
-            .with_obstacle("doser", Aabb::new(Vec3::ZERO, Vec3::splat(0.2)));
-        let mut cache = QueryCache::new();
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        // A descending sweep that eventually hits the doser.
-        for k in 0..40 {
-            let z = 0.6 - k as f64 * 0.012;
-            let caps = vec![Capsule::new(
-                Vec3::new(0.1, 0.1, z),
-                Vec3::new(0.1, 0.1, z + 0.1),
-                0.02,
-            )];
-            let (cached, tc) = w.first_hit_detailed_cached(&caps, &[], 0.1, &mut cache, &mut s1);
-            let (fresh, tf) = w.first_hit_detailed_with(&caps, &[], true, &mut s2);
-            assert_eq!(cached, fresh, "step {k}");
-            assert_eq!(tc, tf, "step {k} narrow-phase count");
-        }
-        assert!(cache.hits() > 0, "coherent sweep should reuse the superset");
-        // Empty capsule set: no probe, no hit.
-        let (none, t) = w.first_hit_detailed_cached(&[], &[], 0.1, &mut cache, &mut s1);
-        assert!(none.is_none());
-        assert_eq!(t, 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Differential test: the broad-phase (BVH-pruned) collision path must
-//! agree with the exhaustive scan pose for pose — over 100+ seeded random
-//! worlds, probes, and exclusion lists — while testing fewer obstacles.
+//! Differential test: `SimWorld::first_hit`, which tests only obstacles
+//! whose bounding box overlaps the probe, must agree with an exhaustive
+//! scan pose for pose — over 100+ seeded random worlds, probes, and
+//! exclusion lists — while testing fewer obstacles.
 
 use rabit_geometry::{Aabb, Capsule, Sphere, Vec3};
 use rabit_sim::{ObstacleShape, SimWorld, VerticalCylinder};
@@ -51,6 +52,40 @@ fn world(rng: &mut Rng) -> SimWorld {
     w
 }
 
+/// The reference: every non-excluded obstacle in insertion order, given
+/// the narrow-phase test with no prefilter. Returns the first hit's
+/// obstacle name and capsule index, and the number of obstacles tested.
+fn exhaustive_first_hit(
+    w: &SimWorld,
+    caps: &[Capsule],
+    exclude: &[&str],
+) -> (Option<(String, usize)>, u64) {
+    let mut tested = 0;
+    for o in w.obstacles() {
+        if exclude.contains(&o.name.as_str()) {
+            continue;
+        }
+        tested += 1;
+        if let Some(c) = caps.iter().position(|c| o.shape.intersects_capsule(c)) {
+            return (Some((o.name.to_string(), c)), tested);
+        }
+    }
+    (None, tested)
+}
+
+/// `first_hit`'s obstacle name and capsule index, and its test count.
+fn pruned_first_hit(
+    w: &SimWorld,
+    caps: &[Capsule],
+    exclude: &[&str],
+) -> (Option<(String, usize)>, u64) {
+    let (hit, tested) = w.first_hit(caps, &w.exclusion_mask(exclude));
+    (
+        hit.map(|h| (h.obstacle.name.to_string(), h.capsule_index)),
+        tested,
+    )
+}
+
 /// A probe: one to four capsules, like a sampled arm pose.
 fn capsules(rng: &mut Rng) -> Vec<Capsule> {
     let n = rng.random_range(1..5usize);
@@ -81,13 +116,12 @@ fn pruned_verdicts_match_exhaustive_pose_for_pose() {
             };
             let exclude: Vec<&str> = excluded.iter().map(String::as_str).collect();
 
-            let (fast, nf) = w.first_hit_counting(&caps, &exclude, true);
-            let (slow, ns) = w.first_hit_counting(&caps, &exclude, false);
+            let (fast, nf) = pruned_first_hit(&w, &caps, &exclude);
+            let (slow, ns) = exhaustive_first_hit(&w, &caps, &exclude);
             pruned_tests += nf;
             exhaustive_tests += ns;
             assert_eq!(
-                fast.map(|o| o.name.as_str()),
-                slow.map(|o| o.name.as_str()),
+                fast, slow,
                 "world {wi} probe {pi}: pruned and exhaustive disagree"
             );
             if fast.is_some() {
@@ -104,16 +138,16 @@ fn pruned_verdicts_match_exhaustive_pose_for_pose() {
         hits < WORLDS * PROBES_PER_WORLD,
         "every probe collided — scenario too dense"
     );
-    // And the broad phase must genuinely prune.
+    // And the prefilter must genuinely prune.
     assert!(
         pruned_tests * 2 < exhaustive_tests,
-        "broad phase tested {pruned_tests} vs exhaustive {exhaustive_tests}: no pruning"
+        "prefilter tested {pruned_tests} vs exhaustive {exhaustive_tests}: no pruning"
     );
 }
 
 #[test]
 fn pruned_and_exhaustive_agree_after_world_mutation() {
-    // The index must track add/remove mutations.
+    // The obstacle bounds must track add/remove mutations.
     let mut rng = Rng::seed_from_u64(0xB40AD + 1);
     let mut w = world(&mut rng);
     for step in 0..200 {
@@ -126,7 +160,7 @@ fn pruned_and_exhaustive_agree_after_world_mutation() {
                 );
             }
             1 => {
-                let names: Vec<String> = w.obstacles().iter().map(|o| o.name.clone()).collect();
+                let names: Vec<String> = w.obstacles().iter().map(|o| o.name.to_string()).collect();
                 if !names.is_empty() {
                     let victim = &names[rng.random_range(0..names.len())];
                     w.remove_obstacle(victim);
@@ -136,8 +170,8 @@ fn pruned_and_exhaustive_agree_after_world_mutation() {
         }
         let caps = capsules(&mut rng);
         assert_eq!(
-            w.first_hit(&caps, &[]).map(|o| o.name.clone()),
-            w.first_hit_exhaustive(&caps, &[]).map(|o| o.name.clone()),
+            pruned_first_hit(&w, &caps, &[]).0,
+            exhaustive_first_hit(&w, &caps, &[]).0,
             "step {step}"
         );
     }

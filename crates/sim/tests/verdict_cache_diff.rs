@@ -112,7 +112,7 @@ fn cached_verdicts_match_uncached_pose_for_pose() {
                     .world()
                     .obstacles()
                     .iter()
-                    .map(|o| o.name.clone())
+                    .map(|o| o.name.to_string())
                     .collect();
                 if !names.is_empty() {
                     let victim = &names[rng.random_range(0..names.len())];

@@ -84,7 +84,7 @@ fn mutate(wf: &mut Workflow, rng: &mut Rng) {
 }
 
 /// Runs the fleet at a given thread count. Every third run attaches the
-/// Extended Simulator so the broad-phase path is exercised under
+/// Extended Simulator so its collision sweep is exercised under
 /// parallelism too.
 fn run_at(workflows: &[Workflow], threads: usize) -> FleetReport {
     let with_sim = TestbedSubstrate::study(RabitStage::ModifiedWithSimulator);
