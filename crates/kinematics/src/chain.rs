@@ -249,23 +249,6 @@ pub struct DhChain {
     base: Pose,
 }
 
-/// One forward-kinematics pass with its intermediate results kept: every
-/// row's frame transform and the world-space prefix poses of
-/// [`DhChain::joint_poses`]. A pass that moves a single joint restarts
-/// from the cached prefix before it ([`DhChain::end_effector_with_joint`]).
-#[derive(Debug)]
-pub(crate) struct FkPass {
-    frames: [Pose; 6],
-    poses: [Pose; 7],
-}
-
-impl FkPass {
-    /// The world-space end-effector pose of the pass.
-    pub(crate) fn end_effector(&self) -> &Pose {
-        &self.poses[6]
-    }
-}
-
 impl DhChain {
     /// Creates a chain from six DH rows, rooted at `base` (the arm's
     /// mounting pose in world/deck coordinates).
@@ -328,36 +311,6 @@ impl DhChain {
             ]),
             Vec3::new(c * p.a + 0.0, s * p.a + 0.0, p.d + 0.0),
         )
-    }
-
-    /// [`DhChain::joint_poses`], keeping each row's transform as well.
-    /// `joint_poses` keeps its own loop: building it on this pass (and
-    /// dropping the transforms) measured 23% slower per FK call
-    /// (`forward_kinematics` in the `trajectory` bench, 209 vs 169 ns,
-    /// medians of six alternating runs on a 2-vCPU host).
-    pub(crate) fn fk_pass(&self, angles: &[f64; 6]) -> FkPass {
-        let mut frames = [Pose::IDENTITY; 6];
-        let mut poses = [Pose::IDENTITY; 7];
-        poses[0] = self.base;
-        for i in 0..6 {
-            frames[i] = self.frame_transform(i, angles[i]);
-            poses[i + 1] = poses[i].compose(&frames[i]);
-        }
-        FkPass { frames, poses }
-    }
-
-    /// The end-effector pose of `pass`'s configuration with joint `j`
-    /// moved to `theta`. It starts from the cached prefix before `j`,
-    /// recomputes only joint `j`'s transform, and composes the cached
-    /// transforms after `j` left to right: the same operations in the same
-    /// order as [`DhChain::end_effector_pose`] of the moved configuration,
-    /// so the result is bit-identical to it.
-    pub(crate) fn end_effector_with_joint(&self, pass: &FkPass, j: usize, theta: f64) -> Pose {
-        let mut acc = pass.poses[j].compose(&self.frame_transform(j, theta));
-        for frame in &pass.frames[j + 1..] {
-            acc = acc.compose(frame);
-        }
-        acc
     }
 
     /// Forward kinematics: the world-space pose of every joint frame,

@@ -1386,30 +1386,40 @@ mod tests {
         }
     }
 
-    /// Pins the exact IK candidates, bits and order, that every verdict
-    /// depends on: an FNV-1a digest of `ik_candidates_into`'s output for
-    /// seeded targets on each preset, from the home configuration and
-    /// from seeded start configurations. The IK tests above accept any
-    /// solution within 1e-3 m; this one fails on any change to the
-    /// numbers, so a speed-up of the IK must leave it passing unmodified.
-    #[test]
-    fn ik_candidates_match_the_golden_digest() {
-        const GOLDEN: u64 = 0x9bd3_815a_fa23_17d1;
-        fn feed(hash: &mut u64, word: u64) {
-            for byte in word.to_le_bytes() {
-                *hash ^= u64::from(byte);
-                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    /// The golden IK digests' FNV-1a step over one little-endian word.
+    fn feed(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// The FNV-1a offset basis the golden IK digests start from.
+    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// The bits and order of every candidate in the 144 golden calls.
+    const IK_CANDIDATES_GOLDEN: u64 = 0x868f_fbac_ff57_b2c2;
+
+    /// The number of candidates each golden call returns, and nothing
+    /// else.
+    const IK_CANDIDATE_COUNTS_GOLDEN: u64 = 0xb643_cf2e_2ede_3a61;
+
+    /// The 144 seeded `ik_candidates_into` calls the golden digests
+    /// cover, grouped by preset: 12 targets, each from the home
+    /// configuration and from two seeded start configurations. Most
+    /// targets are reachable (the tool of a random posture); every fourth
+    /// is a point in the reach cube, which may be out of reach or
+    /// unreachable inside it.
+    fn golden_ik_calls() -> Vec<(ArmModel, Vec<(JointConfig, Vec3)>)> {
         let mut rng = rabit_util::Rng::seed_from_u64(0x601D);
-        let mut hash = 0xcbf2_9ce4_8422_2325;
-        let mut out = Vec::new();
-        for model in [
+        [
             presets::ur3e(),
             presets::ur5e(),
             presets::viperx300(),
             presets::ned2(),
-        ] {
+        ]
+        .into_iter()
+        .map(|model| {
             let random_config = |rng: &mut rabit_util::Rng| {
                 let mut q = JointConfig::ZERO;
                 for i in 0..6 {
@@ -1425,10 +1435,8 @@ mod tests {
             ];
             let base = model.chain().base().translation;
             let reach = model.max_reach();
+            let mut calls = Vec::with_capacity(36);
             for k in 0..12 {
-                // Mostly reachable targets (the tool of a random posture);
-                // every fourth a point in the reach cube, which may be out
-                // of reach or unreachable inside it.
                 let target = if k % 4 == 3 {
                     base + Vec3::new(
                         rng.random_range(-reach..reach),
@@ -1438,78 +1446,72 @@ mod tests {
                 } else {
                     model.tool_position(&random_config(&mut rng))
                 };
-                for start in &starts {
-                    ik_candidates_into(&model, start, target, &mut SolveMemo::new(), &mut out);
-                    feed(&mut hash, out.len() as u64);
-                    for q in &out {
-                        for a in q.angles() {
-                            feed(&mut hash, a.to_bits());
-                        }
+                calls.extend(starts.iter().map(|&start| (start, target)));
+            }
+            (model, calls)
+        })
+        .collect()
+    }
+
+    /// Pins the exact IK candidates, bits and order, that every verdict
+    /// depends on: an FNV-1a digest of `ik_candidates_into`'s output over
+    /// the golden calls, with a fresh solve memo per call. The IK tests
+    /// above accept any solution within 1e-3 m; this one fails on any
+    /// change to the numbers.
+    #[test]
+    fn ik_candidates_match_the_golden_digest() {
+        let mut hash = FNV_BASIS;
+        let mut out = Vec::new();
+        for (model, calls) in golden_ik_calls() {
+            for (start, target) in calls {
+                ik_candidates_into(&model, &start, target, &mut SolveMemo::new(), &mut out);
+                feed(&mut hash, out.len() as u64);
+                for q in &out {
+                    for a in q.angles() {
+                        feed(&mut hash, a.to_bits());
                     }
                 }
             }
         }
-        assert_eq!(hash, GOLDEN, "digest {hash:#018x}");
+        assert_eq!(hash, IK_CANDIDATES_GOLDEN, "digest {hash:#018x}");
     }
 
-    /// The solve memo changes no bit: the golden-digest loop with one
-    /// memo per preset, shared by all of that preset's calls, and every
-    /// call made twice, the second served from the memo alone.
+    /// The number of postures each golden call finds. A change to the
+    /// solver's arithmetic may re-take `IK_CANDIDATES_GOLDEN`, and says
+    /// so; this digest must keep passing unmodified.
     #[test]
-    fn a_shared_solve_memo_keeps_the_golden_digest() {
-        const GOLDEN: u64 = 0x9bd3_815a_fa23_17d1;
-        fn feed(hash: &mut u64, word: u64) {
-            for byte in word.to_le_bytes() {
-                *hash ^= u64::from(byte);
-                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fn ik_candidate_counts_match_the_golden_digest() {
+        let mut hash = FNV_BASIS;
+        let mut out = Vec::new();
+        for (model, calls) in golden_ik_calls() {
+            let mut solves = SolveMemo::new();
+            for (start, target) in calls {
+                ik_candidates_into(&model, &start, target, &mut solves, &mut out);
+                feed(&mut hash, out.len() as u64);
             }
         }
-        let mut rng = rabit_util::Rng::seed_from_u64(0x601D);
-        let mut hash = 0xcbf2_9ce4_8422_2325;
+        assert_eq!(hash, IK_CANDIDATE_COUNTS_GOLDEN, "digest {hash:#018x}");
+    }
+
+    /// The solve memo changes no bit: the golden calls with one memo per
+    /// preset, shared by all of that preset's calls, and every call made
+    /// twice, the second served from the memo alone.
+    #[test]
+    fn a_shared_solve_memo_keeps_the_golden_digest() {
+        let mut hash = FNV_BASIS;
         let (mut out, mut again) = (Vec::new(), Vec::new());
-        for model in [
-            presets::ur3e(),
-            presets::ur5e(),
-            presets::viperx300(),
-            presets::ned2(),
-        ] {
+        for (model, calls) in golden_ik_calls() {
             let mut solves = SolveMemo::new();
-            let random_config = |rng: &mut rabit_util::Rng| {
-                let mut q = JointConfig::ZERO;
-                for i in 0..6 {
-                    let l = model.limits()[i];
-                    q = q.with_angle(i, rng.random_range(l.min..l.max));
-                }
-                q
-            };
-            let starts = [
-                model.home_configuration(),
-                random_config(&mut rng),
-                random_config(&mut rng),
-            ];
-            let base = model.chain().base().translation;
-            let reach = model.max_reach();
-            for k in 0..12 {
-                let target = if k % 4 == 3 {
-                    base + Vec3::new(
-                        rng.random_range(-reach..reach),
-                        rng.random_range(-reach..reach),
-                        rng.random_range(-reach..reach),
-                    )
-                } else {
-                    model.tool_position(&random_config(&mut rng))
-                };
-                for start in &starts {
-                    ik_candidates_into(&model, start, target, &mut solves, &mut out);
-                    let filled = solves.len();
-                    ik_candidates_into(&model, start, target, &mut solves, &mut again);
-                    assert_eq!(solves.len(), filled, "a repeated call solved again");
-                    assert_eq!(out, again);
-                    feed(&mut hash, again.len() as u64);
-                    for q in &again {
-                        for a in q.angles() {
-                            feed(&mut hash, a.to_bits());
-                        }
+            for (start, target) in calls {
+                ik_candidates_into(&model, &start, target, &mut solves, &mut out);
+                let filled = solves.len();
+                ik_candidates_into(&model, &start, target, &mut solves, &mut again);
+                assert_eq!(solves.len(), filled, "a repeated call solved again");
+                assert_eq!(out, again);
+                feed(&mut hash, again.len() as u64);
+                for q in &again {
+                    for a in q.angles() {
+                        feed(&mut hash, a.to_bits());
                     }
                 }
             }
@@ -1518,7 +1520,7 @@ mod tests {
             // home start's own seed is the home seed.
             assert_eq!(solves.len(), 108, "{}", model.name());
         }
-        assert_eq!(hash, GOLDEN, "digest {hash:#018x}");
+        assert_eq!(hash, IK_CANDIDATES_GOLDEN, "digest {hash:#018x}");
     }
 
     /// UR3e and UR5e share their home configuration bit for bit, so an IK

@@ -213,10 +213,9 @@ fn near_graze_boundary_is_bit_identical() {
 
 #[test]
 fn mid_run_world_mutation_is_seen_by_all_kernels() {
-    // Mutating the world between commands bumps its epoch; the adaptive
-    // kernel's temporal-coherence caches must notice and neither serve
-    // stale candidates (missing the new obstacle) nor diverge from the
-    // dense kernel afterwards.
+    // An obstacle added to the world between two commands is seen by the
+    // next validation: both kernels report a collision with it on the
+    // return path, and they agree on the verdict.
     let arm = presets::ur3e();
     let home_tool = arm.tool_position(&arm.home_configuration());
     let away = home_tool + Vec3::new(-0.05, 0.18, 0.08);

@@ -1,13 +1,23 @@
-//! Pins the exact bits of the kinematics every verdict depends on.
+//! Pins the kinematics every verdict depends on, at three strengths.
 //!
-//! One FNV-1a digest over public-API outputs: forward kinematics
-//! (`DhChain::joint_poses`) on seeded in-limit configurations of every
-//! preset, position IK (`ik::solve_position`) on seeded targets, and a
-//! seeded sequence of Extended Simulator validations (the verdict with
-//! its collision report, and the mirrored arm configuration after each
-//! one). The crate-level tests accept any IK solution within tolerance;
-//! this one fails on any change to the numbers, so a speed-up of the
-//! kinematics must leave it passing unmodified.
+//! One seeded run feeds three FNV-1a digests over public-API outputs:
+//! forward kinematics (`DhChain::joint_poses`) on seeded in-limit
+//! configurations of every preset, position IK (`ik::solve_position`) on
+//! seeded targets, and a seeded sequence of Extended Simulator
+//! validations.
+//!
+//! * [`FK_GOLDEN`] covers every bit of the forward-kinematics poses.
+//! * [`SHAPE_GOLDEN`] covers the outcomes only: the class of each IK
+//!   result (solved, not converged, out of reach) and the kind, device
+//!   and link of each verdict. A change to the solver's arithmetic that
+//!   moves no decision leaves it passing.
+//! * [`BITS_GOLDEN`] covers every bit of the IK results, the collision
+//!   reports and the mirrored arm configurations after each validate.
+//!
+//! The crate-level tests accept any IK solution within tolerance; these
+//! fail on any change to what they cover. A change to the solver's
+//! arithmetic may re-take `BITS_GOLDEN`, and says so; `FK_GOLDEN` and
+//! `SHAPE_GOLDEN` must keep passing unmodified.
 
 use rabit::core::{TrajectoryValidator, TrajectoryVerdict};
 use rabit::devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateKey};
@@ -16,8 +26,15 @@ use rabit::kinematics::ik::{self, IkError};
 use rabit::kinematics::{presets, ArmModel, JointConfig};
 use rabit::sim::{ExtendedSimulator, SimConfig, SimWorld};
 use rabit::util::Rng;
+use std::sync::OnceLock;
 
-const GOLDEN: u64 = 0xd41b_cd30_c929_a08c;
+/// The forward-kinematics poses, bit for bit.
+const FK_GOLDEN: u64 = 0x8f37_caec_98cd_b913;
+/// The class of each IK outcome and the kind, device and link of each
+/// verdict.
+const SHAPE_GOLDEN: u64 = 0x8e5d_0f1e_f033_d8fb;
+/// Every bit of the IK outcomes and of the validates.
+const BITS_GOLDEN: u64 = 0x0c21_afb5_68c9_dacd;
 
 /// 64-bit FNV-1a over little-endian words.
 struct Digest(u64);
@@ -92,10 +109,21 @@ fn presets() -> [ArmModel; 4] {
     ]
 }
 
-#[test]
-fn kinematics_outputs_match_the_golden_digest() {
+/// The three digests of one seeded run.
+struct Digests {
+    fk: Digest,
+    shape: Digest,
+    bits: Digest,
+}
+
+fn digests() -> &'static Digests {
+    static DIGESTS: OnceLock<Digests> = OnceLock::new();
+    DIGESTS.get_or_init(run)
+}
+
+fn run() -> Digests {
     let mut rng = Rng::seed_from_u64(0xB175);
-    let mut digest = Digest::new();
+    let (mut fk, mut shape, mut bits) = (Digest::new(), Digest::new(), Digest::new());
 
     // Forward kinematics: every joint frame, home and sleep included.
     for model in presets() {
@@ -108,7 +136,7 @@ fn kinematics_outputs_match_the_golden_digest() {
         configs.extend((0..200).map(|_| random_config(&model, &mut rng)));
         for q in &configs {
             for pose in &chain.joint_poses(q.angles()) {
-                digest.pose(pose);
+                fk.pose(pose);
             }
         }
     }
@@ -123,28 +151,32 @@ fn kinematics_outputs_match_the_golden_digest() {
             } else {
                 random_config(&model, &mut rng)
             };
-            match ik::solve_position(&model, &seed, target) {
+            let outcome = ik::solve_position(&model, &seed, target);
+            let class = match &outcome {
+                Ok(_) => 0,
+                Err(IkError::NotConverged { .. }) => 1,
+                Err(IkError::OutOfReach { .. }) => 2,
+                Err(IkError::InvalidTarget) => 3,
+            };
+            shape.word(class);
+            bits.word(class);
+            match outcome {
                 Ok(q) => {
                     solved[0] += 1;
-                    digest.word(0);
-                    digest.config(&q);
+                    bits.config(&q);
                 }
                 Err(e) => {
                     solved[1] += 1;
                     match e {
-                        IkError::NotConverged { residual } => {
-                            digest.word(1);
-                            digest.f64(residual);
-                        }
+                        IkError::NotConverged { residual } => bits.f64(residual),
                         IkError::OutOfReach {
                             distance,
                             max_reach,
                         } => {
-                            digest.word(2);
-                            digest.f64(distance);
-                            digest.f64(max_reach);
+                            bits.f64(distance);
+                            bits.f64(max_reach);
                         }
-                        IkError::InvalidTarget => digest.word(3),
+                        IkError::InvalidTarget => {}
                     }
                 }
             }
@@ -192,34 +224,56 @@ fn kinematics_outputs_match_the_golden_digest() {
         match sim.validate(&Command::new(*id, action), &state) {
             TrajectoryVerdict::Safe => {
                 verdicts[0] += 1;
-                digest.word(0);
+                shape.word(0);
+                bits.word(0);
             }
             TrajectoryVerdict::Collision(report) => {
                 verdicts[1] += 1;
-                digest.word(1);
-                for byte in report.device.as_str().bytes() {
-                    digest.word(u64::from(byte));
+                for digest in [&mut shape, &mut bits] {
+                    digest.word(1);
+                    for byte in report.device.as_str().bytes() {
+                        digest.word(u64::from(byte));
+                    }
+                    digest.word(report.link as u64);
                 }
-                digest.word(report.link as u64);
-                digest.vec3(report.contact);
-                digest.f64(report.at_fraction);
+                bits.vec3(report.contact);
+                bits.f64(report.at_fraction);
             }
             TrajectoryVerdict::Unavailable => {
                 verdicts[2] += 1;
-                digest.word(2);
+                shape.word(2);
+                bits.word(2);
             }
         }
         let q = sim
             .arm_configuration(&DeviceId::new(id))
             .expect("arm is registered");
-        digest.config(&q);
+        bits.config(&q);
     }
 
-    // The inputs reach every outcome, so the digest covers each path.
+    // The inputs reach every outcome, so the digests cover each path.
     assert!(solved.iter().all(|&n| n > 0), "IK solved/failed {solved:?}");
     assert!(
         verdicts.iter().all(|&n| n > 0),
         "safe/collision/unavailable {verdicts:?}"
     );
-    assert_eq!(digest.0, GOLDEN, "digest {:#018x}", digest.0);
+    Digests { fk, shape, bits }
+}
+
+#[test]
+fn forward_kinematics_matches_the_golden_digest() {
+    let fk = digests().fk.0;
+    assert_eq!(fk, FK_GOLDEN, "digest {fk:#018x}");
+}
+
+#[test]
+fn ik_and_verdict_outcomes_match_the_shape_digest() {
+    let shape = digests().shape.0;
+    assert_eq!(shape, SHAPE_GOLDEN, "digest {shape:#018x}");
+}
+
+#[test]
+fn kinematics_outputs_match_the_golden_digest() {
+    let bits = digests().bits.0;
+    assert_eq!(bits, BITS_GOLDEN, "digest {bits:#018x}");
 }
