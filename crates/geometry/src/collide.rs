@@ -5,7 +5,7 @@
 //! this module: capsule-vs-cuboid for arm links against devices, and
 //! capsule-vs-capsule for arm-against-arm checks on the testbed.
 
-use crate::{Aabb, Capsule, Obb, Segment, Sphere, Vec3};
+use crate::{Aabb, Capsule, Segment, Sphere, Vec3};
 
 /// Minimum distance between a segment and an axis-aligned box
 /// (0 when they touch or the segment passes through the box).
@@ -18,14 +18,6 @@ pub fn segment_aabb_distance(seg: &Segment, aabb: &Aabb) -> f64 {
     crate::distance::segment_aabb_distance(seg, aabb)
 }
 
-/// Minimum distance between a segment and an oriented box.
-pub fn segment_obb_distance(seg: &Segment, obb: &Obb) -> f64 {
-    // Work in the box's local frame where it is an AABB.
-    let local = Segment::new(obb.world_to_local(seg.a), obb.world_to_local(seg.b));
-    let aabb = Aabb::from_center_half_extents(Vec3::ZERO, obb.half_extents);
-    segment_aabb_distance(&local, &aabb)
-}
-
 /// Distance between a capsule surface and an axis-aligned box
 /// (negative when they interpenetrate).
 pub fn capsule_aabb_distance(cap: &Capsule, aabb: &Aabb) -> f64 {
@@ -35,28 +27,6 @@ pub fn capsule_aabb_distance(cap: &Capsule, aabb: &Aabb) -> f64 {
 /// Returns `true` if a capsule overlaps or touches an axis-aligned box.
 pub fn capsule_intersects_aabb(cap: &Capsule, aabb: &Aabb) -> bool {
     capsule_aabb_distance(cap, aabb) <= 0.0
-}
-
-/// Distance between a capsule surface and an oriented box
-/// (negative when they interpenetrate).
-pub fn capsule_obb_distance(cap: &Capsule, obb: &Obb) -> f64 {
-    segment_obb_distance(&cap.segment, obb) - cap.radius
-}
-
-/// Returns `true` if a capsule overlaps or touches an oriented box.
-pub fn capsule_intersects_obb(cap: &Capsule, obb: &Obb) -> bool {
-    capsule_obb_distance(cap, obb) <= 0.0
-}
-
-/// Distance between a sphere surface and an axis-aligned box
-/// (negative when they interpenetrate).
-pub fn sphere_aabb_distance(sphere: &Sphere, aabb: &Aabb) -> f64 {
-    aabb.distance_to_point(sphere.center) - sphere.radius
-}
-
-/// Returns `true` if a sphere overlaps or touches an axis-aligned box.
-pub fn sphere_intersects_aabb(sphere: &Sphere, aabb: &Aabb) -> bool {
-    sphere_aabb_distance(sphere, aabb) <= 0.0
 }
 
 /// Distance between a sphere surface and a capsule surface
@@ -176,39 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn capsule_obb_matches_aabb_when_axis_aligned() {
-        let cap = Capsule::new(Vec3::new(0.5, 0.5, 1.5), Vec3::new(0.5, 0.5, 2.0), 0.1);
-        let aabb = unit_box();
-        let obb = Obb::from_aabb(&aabb);
-        let da = capsule_aabb_distance(&cap, &aabb);
-        let db = capsule_obb_distance(&cap, &obb);
-        assert!((da - db).abs() < 1e-9);
-        assert!(!capsule_intersects_obb(&cap, &obb));
-    }
-
-    #[test]
-    fn rotated_wall_blocks_path() {
-        use crate::Mat3;
-        // A thin software wall rotated 45° about Z between two arms.
-        let wall = Obb::new(
-            Vec3::new(0.5, 0.5, 0.5),
-            Vec3::new(0.02, 1.0, 1.0),
-            Mat3::rotation_z(std::f64::consts::FRAC_PI_4),
-        );
-        let crossing = Capsule::new(Vec3::new(0.0, 1.0, 0.5), Vec3::new(1.0, 0.0, 0.5), 0.03);
-        assert!(capsule_intersects_obb(&crossing, &wall));
-        let parallel = Capsule::new(Vec3::new(-0.5, -0.5, 0.5), Vec3::new(0.2, 0.2, 0.5), 0.03);
-        assert!(!capsule_intersects_obb(&parallel, &wall));
-    }
-
-    #[test]
     fn sphere_queries() {
-        let b = unit_box();
-        let s = Sphere::new(Vec3::new(0.5, 0.5, 1.4), 0.5);
-        assert!(sphere_intersects_aabb(&s, &b));
-        assert!((sphere_aabb_distance(&s, &b) + 0.1).abs() < 1e-12);
         let far = Sphere::new(Vec3::new(0.5, 0.5, 3.0), 0.5);
-        assert!(!sphere_intersects_aabb(&far, &b));
         let cap = Capsule::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), 0.1);
         // Closest segment point to the far sphere center is (0,0,1):
         // ‖(0.5,0.5,2)‖ − 0.1 − 0.5 = √4.5 − 0.6.

@@ -8,9 +8,9 @@
 //!
 //! * [`Vec3`], [`Mat3`], [`Pose`] — vectors, rotations, and rigid
 //!   transforms;
-//! * [`Aabb`] and [`Obb`] — axis-aligned and oriented cuboids used to
-//!   model devices, walls, the mounting platform, and "software-defined
-//!   walls" for space multiplexing;
+//! * [`Aabb`] — axis-aligned cuboids used to model devices, walls, the
+//!   mounting platform, and "software-defined walls" for space
+//!   multiplexing;
 //! * [`Segment`], [`Capsule`], [`Sphere`] — robot links and held objects;
 //! * [`collide`] — distance and intersection queries between all of the
 //!   above, including swept (trajectory) variants;
@@ -47,14 +47,12 @@ pub mod collide;
 pub mod distance;
 mod mat;
 pub mod noise;
-mod obb;
 mod pose;
 mod shapes;
 mod vec;
 
 pub use aabb::Aabb;
 pub use mat::Mat3;
-pub use obb::Obb;
 pub use pose::Pose;
 pub use shapes::{Capsule, Segment, Sphere};
 pub use vec::Vec3;

@@ -28,9 +28,9 @@ pub const GUI_CHECK_LATENCY_S: f64 = 2.0;
 /// deployment optimisation).
 pub const HEADLESS_CHECK_LATENCY_S: f64 = 0.02;
 
-/// One simulated arm: its kinematic model, mirrored configuration and
-/// IK memos. The memos live and die with the arm, so re-registering an
-/// id (possibly with another model) starts them empty.
+/// One simulated arm: its kinematic model, mirrored configuration, IK
+/// memos and verdict memo. The memos live and die with the arm, so
+/// re-registering an id (possibly with another model) starts them empty.
 #[derive(Debug, Clone)]
 struct SimArm {
     model: ArmModel,
@@ -49,6 +49,9 @@ struct SimArm {
     /// only on the target, so a list for a new start configuration still
     /// reuses most of its solves.
     ik_solves: SolveMemo,
+    /// Memoised verdicts, keyed on the exact bits of everything a verdict
+    /// depends on besides the arm itself.
+    verdicts: BTreeMap<VerdictKey, CachedVerdict>,
 }
 
 impl SimArm {
@@ -59,6 +62,7 @@ impl SimArm {
             entered: None,
             ik_candidates: BTreeMap::new(),
             ik_solves: SolveMemo::new(),
+            verdicts: BTreeMap::new(),
         }
     }
 
@@ -97,10 +101,12 @@ pub struct SimConfig {
     /// Whether held objects extend the arm geometry (the post-Bug-D
     /// modification).
     pub model_held_objects: bool,
-    /// Whether repeated validations are served from the verdict cache
-    /// (keyed on arm, start pose, goal, held object, and world epoch).
-    /// Verdicts are identical either way; caching only changes the work
-    /// done.
+    /// Whether repeated validations are served from each arm's verdict
+    /// memo, keyed on the exact bits of the start configuration, the
+    /// goal, the held flag, the entered device with its pre-entry
+    /// configuration, the poll interval, and the world and rulebase
+    /// epochs. Verdicts are identical either way; caching only changes
+    /// the work done.
     pub verdict_cache: bool,
     /// Escape hatch: check every polling-grid sample instead of running
     /// the adaptive conservative-advancement kernel. Verdicts (including
@@ -122,8 +128,8 @@ impl Default for SimConfig {
     }
 }
 
-/// Maximum number of entries the verdict cache retains; beyond it the
-/// least-recently-used entry is evicted.
+/// Maximum number of verdicts an arm's memo retains; when full it is
+/// cleared wholesale, as the IK memos are.
 const VERDICT_CACHE_CAPACITY: usize = 512;
 
 /// Maximum number of candidate lists an arm's IK memo retains; when full
@@ -161,116 +167,67 @@ const DENSE_WINDOW: usize = 8;
 /// the op reduction show up as wall-clock.
 const SKIP_HORIZON_SAMPLES: f64 = 8.0;
 
-/// Inverse quantisation step for cache keys: poses within 1e-4 rad (or
-/// metres) land in the same bucket. An exact-match confirmation inside
-/// the entry guards against aliasing, so quantisation never changes a
-/// verdict — it only bounds the key space.
-const KEY_QUANT_INV: f64 = 1e4;
-
-fn quant(x: f64) -> i64 {
-    (x * KEY_QUANT_INV).round() as i64
-}
-
-fn quant3(v: Vec3) -> [i64; 3] {
-    [quant(v.x), quant(v.y), quant(v.z)]
-}
-
-fn quant6(q: &JointConfig) -> [i64; 6] {
-    let a = q.angles();
-    [
-        quant(a[0]),
-        quant(a[1]),
-        quant(a[2]),
-        quant(a[3]),
-        quant(a[4]),
-        quant(a[5]),
-    ]
-}
-
 /// IK memo key: the exact bits of a configuration (a candidate list's
-/// start, or one seed) and of the target position. Unlike the quantised
-/// verdict keys, IK keys are exact: a hit must reproduce the solver's
-/// output verbatim, so no aliasing check is needed (distinct inputs
-/// cannot share a key). The arm is implicit: each [`SimArm`] owns its
-/// memos.
+/// start, or one seed) and of the target position. A hit must reproduce
+/// the solver's output verbatim, and distinct inputs cannot share a key.
+/// The arm is implicit: each [`SimArm`] owns its memos.
 type IkKey = ([u64; 6], [u64; 3]);
 
 fn ik_key(q: &JointConfig, target: Vec3) -> IkKey {
-    (
-        q.angles().map(f64::to_bits),
-        [target.x.to_bits(), target.y.to_bits(), target.z.to_bits()],
-    )
+    (config_bits(q), point_bits(target))
+}
+
+fn config_bits(q: &JointConfig) -> [u64; 6] {
+    q.angles().map(f64::to_bits)
+}
+
+fn point_bits(p: Vec3) -> [u64; 3] {
+    [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]
 }
 
 /// Single-seed IK outcomes: the solved posture with its `lowest_point`
 /// sort key, or `None` where the solve failed.
 type SolveMemo = BTreeMap<IkKey, Option<(f64, JointConfig)>>;
 
-/// Quantised goal discriminant inside a [`VerdictKey`].
+/// The goal inside a [`VerdictKey`], positions as exact bits.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum GoalKey {
-    Position([i64; 3]),
+    Position([u64; 3]),
     Home,
     Sleep,
-    Enter(DeviceId, [i64; 3]),
+    Enter(DeviceId, [u64; 3]),
     Exit,
 }
 
-/// Cache key: everything a verdict depends on, quantised. The world
-/// epoch is part of the key, so any obstacle mutation implicitly
-/// invalidates every prior entry (stale entries age out via LRU) — and
-/// the rulebase epoch is composed alongside it, so a live rule commit
-/// (create/update/enable/disable) likewise invalidates every verdict
-/// computed under the previous rule generation.
+/// Verdict memo key: the exact bits of everything a verdict depends on
+/// besides the arm, which owns the memo. A hit is served only for inputs
+/// bit-identical to the ones its entry was computed from, so cached and
+/// uncached validation agree by construction. The world epoch is part
+/// of the key, so any obstacle mutation implicitly invalidates every
+/// prior entry, and the rulebase epoch is composed alongside it, so a
+/// live rule commit likewise invalidates every verdict computed under
+/// the previous rule generation. Stale entries go when the memo is next
+/// cleared at capacity.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct VerdictKey {
-    arm: DeviceId,
     epoch: u64,
     rulebase_epoch: u64,
-    start: [i64; 6],
+    poll_interval: u64,
+    start: [u64; 6],
     goal: GoalKey,
     held: bool,
-    entered: Option<DeviceId>,
+    entered: Option<([u64; 6], DeviceId)>,
 }
 
-/// Exact (unquantised) goal stored in the entry for aliasing checks.
-#[derive(Debug, Clone, PartialEq)]
-enum ExactGoal {
-    Position(Vec3),
-    Home,
-    Sleep,
-    Enter(DeviceId, Vec3),
-    Exit,
-}
-
-/// Exact inputs a cached verdict was computed from. Two inputs that
-/// quantise to the same [`VerdictKey`] but differ exactly must not share
-/// a verdict — this confirmation keeps cached and uncached validation
-/// bit-for-bit identical.
-#[derive(Debug, Clone, PartialEq)]
-struct ExactKey {
-    start: JointConfig,
-    goal: ExactGoal,
-    entered: Option<(JointConfig, DeviceId)>,
-}
-
-/// The arm-state side effects of a `Safe` verdict, replayed on a cache
-/// hit so the mirrored pose evolves exactly as it would uncached.
-#[derive(Debug, Clone)]
-struct PostState {
-    current: JointConfig,
-    entered: Option<(JointConfig, DeviceId)>,
-}
-
+/// A memoised verdict and the mirrored arm state it left, which a hit
+/// replays so the pose evolves exactly as it would uncached. Only a
+/// `Safe` verdict moves the arm; after any other, the state is the one
+/// the key already holds.
 #[derive(Debug, Clone)]
 struct CachedVerdict {
-    exact: ExactKey,
     verdict: TrajectoryVerdict,
-    /// `Some` iff the verdict was `Safe` (only safe motions mutate the
-    /// mirrored arm state).
-    post: Option<PostState>,
-    /// Last-use stamp for LRU eviction.
-    stamp: u64,
+    current: JointConfig,
+    entered: Option<(JointConfig, DeviceId)>,
 }
 
 /// The Extended Simulator: URSim-equivalent kinematics plus device
@@ -285,12 +242,8 @@ pub struct ExtendedSimulator {
     /// Count of narrow-phase obstacle tests (what the bounding-box
     /// prefilter and the adaptive kernel save).
     narrow_checks: u64,
-    /// Memoized verdicts, keyed on everything a verdict depends on.
-    cache: BTreeMap<VerdictKey, CachedVerdict>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Monotonic use counter driving LRU eviction.
-    cache_stamp: u64,
     /// The rulebase epoch governing the next validation, as reported by
     /// the engine via `note_rulebase_epoch`. Composed into every
     /// [`VerdictKey`] so a rule commit can never serve a stale verdict.
@@ -326,10 +279,8 @@ impl ExtendedSimulator {
             config,
             checks: 0,
             narrow_checks: 0,
-            cache: BTreeMap::new(),
             cache_hits: 0,
             cache_misses: 0,
-            cache_stamp: 0,
             rulebase_epoch: 0,
             samples_skipped: 0,
             distance_queries: 0,
@@ -349,12 +300,11 @@ impl ExtendedSimulator {
         self
     }
 
-    /// Registers an arm model. Drops any cached verdicts, and the IK
-    /// memos of an arm previously registered under `id` go with it: a
-    /// re-registered arm may carry a different model under the same id.
+    /// Registers an arm model. The memos of an arm previously
+    /// registered under `id` go with it: a re-registered arm may carry a
+    /// different model under the same id, and starts with empty memos.
     pub fn add_arm(&mut self, id: impl Into<DeviceId>, model: ArmModel) {
         self.arms.insert(id.into(), SimArm::new(model));
-        self.cache.clear();
     }
 
     /// The world model (to add/remove device cuboids at runtime).
@@ -374,20 +324,10 @@ impl ExtendedSimulator {
 
     /// Mutable configuration access (benchmarks flip
     /// [`SimConfig::verdict_cache`] to compare the cached and uncached
-    /// paths). Turning the cache off leaves stale entries in place but
-    /// unread; [`ExtendedSimulator::clear_verdict_cache`] drops them.
+    /// paths). Turning the cache off leaves the memoised verdicts in
+    /// place but unread.
     pub fn config_mut(&mut self) -> &mut SimConfig {
         &mut self.config
-    }
-
-    /// Number of verdicts currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops every cached verdict (the statistics counters are kept).
-    pub fn clear_verdict_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Number of memoised IK candidate lists currently held, over all
@@ -682,70 +622,6 @@ impl ExtendedSimulator {
         result
     }
 
-    /// Builds the (quantised, exact) key pair for a validation request.
-    /// Callers must have filtered `Goal::None` already.
-    fn cache_key(&self, arm_id: &DeviceId, goal: &Goal, held: bool) -> (VerdictKey, ExactKey) {
-        let arm = &self.arms[arm_id];
-        let (goal_key, exact_goal) = match goal {
-            Goal::Position(p) => (GoalKey::Position(quant3(*p)), ExactGoal::Position(*p)),
-            Goal::Joint(JointTarget::Home) => (GoalKey::Home, ExactGoal::Home),
-            Goal::Joint(JointTarget::Sleep) => (GoalKey::Sleep, ExactGoal::Sleep),
-            Goal::Enter { device, position } => (
-                GoalKey::Enter(device.clone(), quant3(*position)),
-                ExactGoal::Enter(device.clone(), *position),
-            ),
-            Goal::Exit => (GoalKey::Exit, ExactGoal::Exit),
-            Goal::None => unreachable!("Goal::None is filtered before cache lookup"),
-        };
-        (
-            VerdictKey {
-                arm: arm_id.clone(),
-                epoch: self.world.epoch(),
-                rulebase_epoch: self.rulebase_epoch,
-                start: quant6(&arm.current),
-                goal: goal_key,
-                held,
-                entered: arm.entered.as_ref().map(|(_, d)| d.clone()),
-            },
-            ExactKey {
-                start: arm.current,
-                goal: exact_goal,
-                entered: arm.entered.clone(),
-            },
-        )
-    }
-
-    /// Inserts a verdict, evicting the least-recently-used entry at
-    /// capacity.
-    fn insert_cached(
-        &mut self,
-        key: VerdictKey,
-        exact: ExactKey,
-        verdict: TrajectoryVerdict,
-        post: Option<PostState>,
-    ) {
-        if self.cache.len() >= VERDICT_CACHE_CAPACITY && !self.cache.contains_key(&key) {
-            let oldest = self
-                .cache
-                .iter()
-                .min_by_key(|(_, v)| v.stamp)
-                .map(|(k, _)| k.clone());
-            if let Some(oldest) = oldest {
-                self.cache.remove(&oldest);
-            }
-        }
-        self.cache_stamp += 1;
-        self.cache.insert(
-            key,
-            CachedVerdict {
-                exact,
-                verdict,
-                post,
-                stamp: self.cache_stamp,
-            },
-        );
-    }
-
     /// The full (uncached) validation path: IK candidates, one sweep per
     /// candidate, mirrored-pose update on the first safe trajectory.
     fn validate_uncached(
@@ -975,9 +851,16 @@ impl TrajectoryValidator for ExtendedSimulator {
             return TrajectoryVerdict::Unavailable;
         }
         let goal = self.goal_of(command, state);
-        if matches!(goal, Goal::None) {
-            return TrajectoryVerdict::Unavailable;
-        }
+        let goal_key = match &goal {
+            Goal::None => return TrajectoryVerdict::Unavailable,
+            Goal::Position(p) => GoalKey::Position(point_bits(*p)),
+            Goal::Joint(JointTarget::Home) => GoalKey::Home,
+            Goal::Joint(JointTarget::Sleep) => GoalKey::Sleep,
+            Goal::Enter { device, position } => {
+                GoalKey::Enter(device.clone(), point_bits(*position))
+            }
+            Goal::Exit => GoalKey::Exit,
+        };
 
         // Does the arm hold something? Only modelled after the Bug-D fix.
         let held = if self.config.model_held_objects {
@@ -993,47 +876,54 @@ impl TrajectoryValidator for ExtendedSimulator {
             return self.validate_uncached(&command.actor, goal, held.as_ref());
         }
 
-        // Cache lookup. The quantised key narrows to one bucket; the
-        // exact-input confirmation inside the entry rules out aliasing,
-        // so a hit is guaranteed to reproduce the uncached verdict —
-        // including the mirrored-pose side effects, replayed from the
-        // stored post-state.
-        let (key, exact) = self.cache_key(&command.actor, &goal, held.is_some());
-        if let Some(entry) = self.cache.get_mut(&key) {
-            if entry.exact == exact {
-                self.cache_stamp += 1;
-                entry.stamp = self.cache_stamp;
-                let verdict = entry.verdict.clone();
-                let post = entry.post.clone();
-                self.cache_hits += 1;
-                if let Some(post) = post {
-                    if let Some(arm) = self.arms.get_mut(&command.actor) {
-                        arm.current = post.current;
-                        arm.entered = post.entered;
-                    }
-                }
-                return verdict;
-            }
+        // A hit needs bit-identical inputs, so it reproduces the uncached
+        // verdict, and it replays the arm state that verdict left.
+        let arm = self
+            .arms
+            .get_mut(&command.actor)
+            .expect("validate checks that the arm is registered");
+        let key = VerdictKey {
+            epoch: self.world.epoch(),
+            rulebase_epoch: self.rulebase_epoch,
+            poll_interval: self.config.poll_interval_s.to_bits(),
+            start: config_bits(&arm.current),
+            goal: goal_key,
+            held: held.is_some(),
+            entered: arm
+                .entered
+                .as_ref()
+                .map(|(q, d)| (config_bits(q), d.clone())),
+        };
+        if let Some(entry) = arm.verdicts.get(&key) {
+            arm.current = entry.current;
+            arm.entered = entry.entered.clone();
+            self.cache_hits += 1;
+            return entry.verdict.clone();
         }
         self.cache_misses += 1;
 
         let verdict = self.validate_uncached(&command.actor, goal, held.as_ref());
 
-        let post = matches!(verdict, TrajectoryVerdict::Safe).then(|| {
-            let arm = &self.arms[&command.actor];
-            PostState {
-                current: arm.current,
-                entered: arm.entered.clone(),
-            }
-        });
-        self.insert_cached(key, exact, verdict.clone(), post);
+        let arm = self
+            .arms
+            .get_mut(&command.actor)
+            .expect("validate checks that the arm is registered");
+        if arm.verdicts.len() >= VERDICT_CACHE_CAPACITY {
+            arm.verdicts.clear();
+        }
+        let entry = CachedVerdict {
+            verdict: verdict.clone(),
+            current: arm.current,
+            entered: arm.entered.clone(),
+        };
+        arm.verdicts.insert(key, entry);
         verdict
     }
 
     fn note_rulebase_epoch(&mut self, epoch: u64) {
         // Stored, not acted on: the epoch flows into every VerdictKey, so
-        // entries from older rule generations simply stop matching and
-        // age out via LRU — no eager cache sweep needed.
+        // entries from older rule generations simply stop matching, and
+        // they go when their arm's memo is next cleared at capacity.
         self.rulebase_epoch = epoch;
     }
 
@@ -1095,6 +985,12 @@ mod tests {
             },
         )
         .with_arm("ur3e", presets::ur3e())
+    }
+
+    fn uncached_with(world: SimWorld) -> ExtendedSimulator {
+        let mut sim = sim_with(world);
+        sim.config_mut().verdict_cache = false;
+        sim
     }
 
     fn mv(target: Vec3) -> Command {
@@ -1263,19 +1159,11 @@ mod tests {
         let start_tool = arm.tool_position(&arm.home_configuration());
         let target = start_tool + Vec3::new(-0.1, 0.15, 0.1);
         let run = |dense: bool| {
-            let mut sim = ExtendedSimulator::new(
-                SimWorld::new().with_obstacle(
-                    "far_box",
-                    Aabb::from_center_half_extents(Vec3::new(2.0, 2.0, 0.2), Vec3::splat(0.1)),
-                ),
-                SimConfig {
-                    gui: false,
-                    verdict_cache: false,
-                    dense_sampling: dense,
-                    ..SimConfig::default()
-                },
-            )
-            .with_arm("ur3e", presets::ur3e());
+            let mut sim = uncached_with(SimWorld::new().with_obstacle(
+                "far_box",
+                Aabb::from_center_half_extents(Vec3::new(2.0, 2.0, 0.2), Vec3::splat(0.1)),
+            ));
+            sim.config_mut().dense_sampling = dense;
             let verdict = sim.validate(&mv(target), &empty_state());
             let pose = sim.arm_configuration(&"ur3e".into()).unwrap();
             (verdict, pose, sim.samples_checked(), sim.samples_skipped())
@@ -1304,16 +1192,8 @@ mod tests {
             Aabb::from_center_half_extents(mid, Vec3::new(0.35, 0.04, 0.35)),
         );
         let run = |dense: bool| {
-            let mut sim = ExtendedSimulator::new(
-                world.clone(),
-                SimConfig {
-                    gui: false,
-                    verdict_cache: false,
-                    dense_sampling: dense,
-                    ..SimConfig::default()
-                },
-            )
-            .with_arm("ur3e", presets::ur3e());
+            let mut sim = uncached_with(world.clone());
+            sim.config_mut().dense_sampling = dense;
             sim.validate(&mv(target), &empty_state())
         };
         let dense = run(true);
@@ -1330,15 +1210,7 @@ mod tests {
         let arm = presets::ur3e();
         let start_tool = arm.tool_position(&arm.home_configuration());
         let target = start_tool + Vec3::new(0.0, 0.25, 0.0);
-        let mut sim = ExtendedSimulator::new(
-            SimWorld::new(),
-            SimConfig {
-                gui: false,
-                verdict_cache: false,
-                ..SimConfig::default()
-            },
-        )
-        .with_arm("ur3e", presets::ur3e());
+        let mut sim = uncached_with(SimWorld::new());
         assert_eq!(
             sim.validate(&mv(target), &empty_state()),
             TrajectoryVerdict::Safe
@@ -1383,6 +1255,39 @@ mod tests {
                 assert_eq!(report.device.as_str(), "tall_device")
             }
             other => panic!("expected collision, got {other:?}"),
+        }
+    }
+
+    /// Two out-of-reach targets 2e-5 m apart, which a key rounded to a
+    /// 1e-4 grid would put in one bucket. Keyed on exact bits, each keeps
+    /// its own entry: A, B, A, B is two misses, then two hits.
+    #[test]
+    fn near_duplicate_targets_keep_their_own_entries() {
+        let mut sim = sim_with(SimWorld::new());
+        let home = presets::ur3e().home_configuration();
+        for target in [5.0, 5.00002, 5.0, 5.00002] {
+            let verdict = sim.validate(&mv(Vec3::splat(target)), &empty_state());
+            assert_eq!(verdict, TrajectoryVerdict::Unavailable);
+            assert_eq!(sim.arm_configuration(&"ur3e".into()), Some(home));
+        }
+        assert_eq!((sim.cache_misses(), sim.cache_hits()), (2, 2));
+    }
+
+    /// An arm's verdict memo is cleared wholesale when full, so it never
+    /// holds more than `VERDICT_CACHE_CAPACITY` verdicts, and every
+    /// verdict matches an uncached twin's.
+    #[test]
+    fn a_full_verdict_memo_is_cleared() {
+        let mut cached = sim_with(SimWorld::new());
+        let mut uncached = uncached_with(SimWorld::new());
+        let id = DeviceId::new("ur3e");
+        for i in 0..VERDICT_CACHE_CAPACITY + 2 {
+            // Out of reach, so each validate is cheap and leaves the arm home.
+            let cmd = mv(Vec3::new(5.0 + i as f64 * 1e-3, 5.0, 5.0));
+            let verdict = cached.validate(&cmd, &empty_state());
+            assert_eq!(verdict, uncached.validate(&cmd, &empty_state()));
+            let memo_len = cached.arms[&id].verdicts.len();
+            assert_eq!(memo_len, i % VERDICT_CACHE_CAPACITY + 1, "after {i} misses");
         }
     }
 

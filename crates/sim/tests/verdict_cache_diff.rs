@@ -1,31 +1,47 @@
 //! Differential test: the verdict cache must be invisible. A cached
 //! [`ExtendedSimulator`] and an uncached one, driven with identical
 //! command streams over identical (mutating) worlds, must return the
-//! same verdict and mirror the same arm pose at every step — while the
-//! cached one actually serves a meaningful share of hits.
+//! same verdict and mirror the same arm poses at every step — while the
+//! cached one actually serves a meaningful share of hits. The streams
+//! interleave two arms on one simulator, and each arm keeps its own memo.
 
 use rabit_core::{TrajectoryValidator, TrajectoryVerdict};
 use rabit_devices::{ActionKind, Command, DeviceId, DeviceState, LabState, StateKey};
-use rabit_geometry::{Aabb, Vec3};
-use rabit_kinematics::presets;
+use rabit_geometry::{Aabb, Pose, Vec3};
+use rabit_kinematics::{presets, ArmModel};
 use rabit_sim::{ExtendedSimulator, SimConfig, SimWorld};
 use rabit_util::Rng;
 
 const WORLDS: usize = 6;
 const COMMANDS_PER_WORLD: usize = 96; // 6 × 96 = 576 ≥ 256 paired validations
 
+/// The simulated arms: a UR3e at the origin and a Ned2 mounted beside it.
+fn arms() -> [(&'static str, ArmModel); 2] {
+    [
+        ("ur3e", presets::ur3e()),
+        (
+            "ned2",
+            presets::ned2().with_base(Pose::from_translation(Vec3::new(0.3, 0.0, 0.0))),
+        ),
+    ]
+}
+
 fn sim(world: SimWorld, verdict_cache: bool) -> ExtendedSimulator {
-    ExtendedSimulator::new(
+    let mut sim = ExtendedSimulator::new(
         world,
         SimConfig {
             gui: false,
             verdict_cache,
             ..SimConfig::default()
         },
-    )
-    .with_arm("ur3e", presets::ur3e())
+    );
+    for (id, model) in arms() {
+        sim.add_arm(id, model);
+    }
+    sim
 }
 
+/// Every arm's holding state: a vial when `holding`, nothing otherwise.
 fn state(holding: bool) -> LabState {
     let mut s = LabState::new();
     let held = if holding {
@@ -33,14 +49,16 @@ fn state(holding: bool) -> LabState {
     } else {
         None
     };
-    s.insert("ur3e", DeviceState::new().with(StateKey::Holding, held));
+    for (id, _) in arms() {
+        s.insert(id, DeviceState::new().with(StateKey::Holding, held.clone()));
+    }
     s
 }
 
-/// A small pool of reachable targets around the home tool position, so
-/// the random walk revisits (start, goal) pairs and the cache gets hits.
-fn target_pool() -> Vec<Vec3> {
-    let arm = presets::ur3e();
+/// A small pool of reachable targets around an arm's home tool position,
+/// so the random walk revisits (start, goal) pairs and the cache gets
+/// hits.
+fn target_pool(arm: &ArmModel) -> Vec<Vec3> {
     let home_tool = arm.tool_position(&arm.home_configuration());
     vec![
         home_tool + Vec3::new(0.05, 0.05, 0.05),
@@ -69,12 +87,14 @@ fn random_world(rng: &mut Rng) -> SimWorld {
     w
 }
 
-fn random_command(rng: &mut Rng, pool: &[Vec3]) -> Command {
+/// A seeded command for one of the arms, drawn from that arm's pool.
+fn random_command(rng: &mut Rng, pools: &[(&str, Vec<Vec3>)]) -> Command {
+    let (arm, pool) = &pools[rng.random_range(0..pools.len())];
     match rng.random_range(0..10u32) {
-        0 => Command::new("ur3e", ActionKind::MoveHome),
-        1 => Command::new("ur3e", ActionKind::MoveToSleep),
+        0 => Command::new(*arm, ActionKind::MoveHome),
+        1 => Command::new(*arm, ActionKind::MoveToSleep),
         _ => Command::new(
-            "ur3e",
+            *arm,
             ActionKind::MoveToLocation {
                 target: pool[rng.random_range(0..pool.len())],
             },
@@ -85,8 +105,11 @@ fn random_command(rng: &mut Rng, pool: &[Vec3]) -> Command {
 #[test]
 fn cached_verdicts_match_uncached_pose_for_pose() {
     let mut rng = Rng::seed_from_u64(0xCAC4E);
-    let pool = target_pool();
-    let arm_id = DeviceId::new("ur3e");
+    let pools: Vec<(&str, Vec<Vec3>)> = arms()
+        .iter()
+        .map(|(id, model)| (*id, target_pool(model)))
+        .collect();
+    let arm_ids: Vec<DeviceId> = pools.iter().map(|(id, _)| DeviceId::new(id)).collect();
     let mut total = 0usize;
     let mut total_hits = 0u64;
     for wi in 0..WORLDS {
@@ -123,16 +146,18 @@ fn cached_verdicts_match_uncached_pose_for_pose() {
             if rng.random_bool(0.1) {
                 holding = !holding;
             }
-            let cmd = random_command(&mut rng, &pool);
+            let cmd = random_command(&mut rng, &pools);
             let s = state(holding);
             let vc = cached.validate(&cmd, &s);
             let vu = uncached.validate(&cmd, &s);
             assert_eq!(vc, vu, "world {wi} command {ci} ({cmd:?}): verdicts differ");
-            assert_eq!(
-                cached.arm_configuration(&arm_id),
-                uncached.arm_configuration(&arm_id),
-                "world {wi} command {ci}: mirrored poses diverged"
-            );
+            for arm_id in &arm_ids {
+                assert_eq!(
+                    cached.arm_configuration(arm_id),
+                    uncached.arm_configuration(arm_id),
+                    "world {wi} command {ci}: {arm_id}'s mirrored poses diverged"
+                );
+            }
             total += 1;
         }
         assert_eq!(
@@ -225,8 +250,9 @@ fn rulebase_epoch_bump_invalidates_cached_verdicts() {
     assert_eq!(s.cache_misses(), misses_before + 1);
 
     // An in-flight validation still on epoch 0 finds its entries intact:
-    // old generations age out via LRU, they are not swept eagerly. The
-    // arm is at `target` now, so the primed epoch-0 `back` entry applies.
+    // old generations stay in the arm's memo until it is next cleared at
+    // capacity; they are not swept eagerly. The arm is at `target` now,
+    // so the primed epoch-0 `back` entry applies.
     s.note_rulebase_epoch(0);
     assert_eq!(s.validate(&back, &lab), TrajectoryVerdict::Safe);
     assert_eq!(
@@ -249,10 +275,41 @@ fn cache_respects_held_object_difference() {
     let mut s = sim(SimWorld::new().with_obstacle("shelf", shelf), true);
     let cmd = Command::new("ur3e", ActionKind::MoveToLocation { target });
     assert_eq!(s.validate(&cmd, &state(false)), TrajectoryVerdict::Safe);
-    // Reset the mirrored pose so the start config matches exactly.
-    s.add_arm("ur3e", presets::ur3e());
+    // Back to the home configuration, bit for bit, with the memo kept:
+    // only the held flag tells the next key from the bare-arm entry.
+    let home = Command::new("ur3e", ActionKind::MoveHome);
+    assert_eq!(s.validate(&home, &state(false)), TrajectoryVerdict::Safe);
+    assert_eq!(
+        s.arm_configuration(&DeviceId::new("ur3e")),
+        Some(arm.home_configuration())
+    );
     match s.validate(&cmd, &state(true)) {
         TrajectoryVerdict::Collision(report) => assert_eq!(report.device.as_str(), "shelf"),
         other => panic!("held-object case served the bare-arm verdict: {other:?}"),
     }
+}
+
+#[test]
+fn cache_respects_a_poll_interval_change() {
+    // A 2 mm wall across the path: the default 0.05 s polling grid
+    // catches it, a 0.5 s grid steps over it. An interval changed through
+    // `config_mut` must not replay the other grid's verdict.
+    let arm = presets::ur3e();
+    let home_tool = arm.tool_position(&arm.home_configuration());
+    let target = home_tool + Vec3::new(0.0, 0.15, 0.0);
+    let wall =
+        Aabb::from_center_half_extents(home_tool.lerp(target, 0.5), Vec3::new(0.3, 0.001, 0.1));
+    let world = SimWorld::new().with_obstacle("wall", wall);
+    let (mut cached, mut uncached) = (sim(world.clone(), true), sim(world, false));
+    let cmd = Command::new("ur3e", ActionKind::MoveToLocation { target });
+    let mut verdicts = Vec::new();
+    for poll_interval_s in [0.05, 0.5] {
+        cached.config_mut().poll_interval_s = poll_interval_s;
+        uncached.config_mut().poll_interval_s = poll_interval_s;
+        let verdict = uncached.validate(&cmd, &state(false));
+        assert_eq!(cached.validate(&cmd, &state(false)), verdict);
+        verdicts.push(verdict);
+    }
+    assert!(matches!(verdicts[0], TrajectoryVerdict::Collision(_)));
+    assert_eq!(verdicts[1], TrajectoryVerdict::Safe);
 }
