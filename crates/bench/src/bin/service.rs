@@ -10,8 +10,10 @@
 //!   enable/disable toggles, rule creates, partial updates, and removes,
 //!   pre-built off the clock, then pushed by one submitter thread per
 //!   tenant through [`ServiceBroker::submit_batch`] and timed end to end
-//!   (first submit → flush). Full-mode runs are gated by the
-//!   `SERVICE_MIN_CMDS_PER_SEC` schema floor.
+//!   (first submit → flush). One run takes well under a second, so the
+//!   phase is repeated on fresh stores and every repeat's rate is
+//!   recorded with the median and IQR. Full-mode runs are gated by the
+//!   `SERVICE_MIN_CMDS_PER_SEC` schema floor on the slowest repeat.
 //! * **overload probe** — a deliberately tiny bounded broker
 //!   ([`ServiceBroker::with_queue_capacity`]) fed through
 //!   [`ServiceBroker::try_submit_batch`]: an oversized command group is
@@ -26,9 +28,8 @@
 //!   proof.
 //!
 //! The emitted envelope carries the broker's ingestion counters
-//! (`queue_depth_peak`, `shed_commands`, `worker_parks`,
-//! `worker_steals`, `batches`) so CI can assert the backpressure
-//! surface is really wired up.
+//! (`queue_depth_peak`, `shed_commands`, `worker_parks`, `batches`) so
+//! CI can assert the backpressure surface is really wired up.
 //!
 //! Writes `BENCH_service.json` (envelope kind `"service"`, validated on
 //! write and by the `bench_schema` CI check) and prints the tables.
@@ -36,7 +37,7 @@
 //!
 //! Run with `cargo run --release -p rabit-bench --bin service -- [--quick]`.
 
-use rabit_bench::histogram::percentile_us;
+use rabit_bench::histogram::{percentile_interp, percentile_us};
 use rabit_bench::report::render_table;
 use rabit_devices::{ActionKind, Command, DeviceState, DeviceType, LabState, StateKey};
 use rabit_rulebase::{DeviceCatalog, DeviceMeta, Rule, RuleId, Rulebase, TenantId};
@@ -57,6 +58,9 @@ const BROKER_THREADS: usize = 4;
 /// commands: create, disable, update, enable, remove).
 const ROUNDS: usize = 8_000;
 const ROUNDS_QUICK: usize = 200;
+/// Throughput-phase repeats, each on a fresh store.
+const REPEATS: usize = 7;
+const REPEATS_QUICK: usize = 1;
 /// Commands per submitted batch in the throughput phase (32 rounds).
 const BATCH_COMMANDS: usize = 160;
 /// Lane capacity of the overload-probe broker — small on purpose.
@@ -136,14 +140,19 @@ fn check_fixture() -> (Command, LabState, DeviceCatalog) {
     (command, state, catalog)
 }
 
-/// Phase 1: batched commit throughput across all tenants — one
-/// submitter thread per tenant pushing `BATCH_COMMANDS`-command
-/// batches. Returns (wall seconds, broker counters).
-fn throughput_phase(store: &Arc<RuleStore>, rounds: usize) -> (f64, BrokerStats) {
+/// Phase 1: batched commit throughput across all tenants of a freshly
+/// seeded store — one submitter thread per tenant pushing
+/// `BATCH_COMMANDS`-command batches. Returns (the store, wall seconds,
+/// broker counters).
+fn throughput_phase(rounds: usize) -> (Arc<RuleStore>, f64, BrokerStats) {
+    let store = Arc::new(RuleStore::new());
+    for i in 0..TENANTS {
+        store.seed_tenant(tenant(i), Rulebase::hein_lab());
+    }
     let scripts: Vec<Vec<RuleCommand>> = (0..TENANTS)
         .map(|i| build_script(&tenant(i), rounds))
         .collect();
-    let broker = ServiceBroker::new(Arc::clone(store), BROKER_THREADS);
+    let broker = ServiceBroker::new(Arc::clone(&store), BROKER_THREADS);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for script in &scripts {
@@ -166,7 +175,7 @@ fn throughput_phase(store: &Arc<RuleStore>, rounds: usize) -> (f64, BrokerStats)
             "every commit of tenant {i} must have landed"
         );
     }
-    (wall_s, broker.stats())
+    (store, wall_s, broker.stats())
 }
 
 /// Phase 2: overload probe on a deliberately tiny bounded broker.
@@ -283,31 +292,34 @@ fn main() {
         PROBE_TOGGLES
     };
     let checks = if quick { CHECKS_QUICK } else { CHECKS };
-
-    let store = Arc::new(RuleStore::new());
-    for i in 0..TENANTS {
-        store.seed_tenant(tenant(i), Rulebase::hein_lab());
-    }
+    let repeats = if quick { REPEATS_QUICK } else { REPEATS };
 
     let commands = TENANTS * rounds * 5;
-    let (commit_wall_s, throughput_stats) = throughput_phase(&store, rounds);
-    let commands_per_sec = commands as f64 / commit_wall_s;
+    let runs: Vec<_> = (0..repeats).map(|_| throughput_phase(rounds)).collect();
+    let rates: Vec<f64> = runs.iter().map(|r| commands as f64 / r.1).collect();
+    let mut measured: Vec<BrokerStats> = runs.iter().map(|r| r.2).collect();
+    let rate_median = percentile_interp(&rates, 0.50);
+    let rate_iqr = percentile_interp(&rates, 0.75) - percentile_interp(&rates, 0.25);
+    let rate_min = rates.iter().copied().fold(f64::INFINITY, f64::min);
 
-    let overload_stats = overload_phase(&store, toggles);
+    // The probe and the latency phase run on the last repeat's store.
+    let store = &runs.last().expect("at least one repeat").0;
+    measured.push(overload_phase(store, toggles));
 
-    let (latencies_ns, churn_rounds) = latency_phase(&store, rounds, checks);
+    let (latencies_ns, churn_rounds) = latency_phase(store, rounds, checks);
     let p50 = percentile_us(&latencies_ns, 0.50);
     let p99 = percentile_us(&latencies_ns, 0.99);
 
     // One counter set for the envelope: sum the monotonic counters over
-    // both measured brokers, take the deeper of the two lane peaks.
-    let queue_depth_peak = throughput_stats
-        .queue_depth_peak
-        .max(overload_stats.queue_depth_peak);
-    let shed_commands = throughput_stats.shed_commands + overload_stats.shed_commands;
-    let worker_parks = throughput_stats.worker_parks + overload_stats.worker_parks;
-    let worker_steals = throughput_stats.worker_steals + overload_stats.worker_steals;
-    let batches = throughput_stats.batches + overload_stats.batches;
+    // every measured broker, take the deepest lane peak.
+    let queue_depth_peak = measured
+        .iter()
+        .map(|s| s.queue_depth_peak)
+        .max()
+        .unwrap_or(0);
+    let shed_commands: u64 = measured.iter().map(|s| s.shed_commands).sum();
+    let worker_parks: u64 = measured.iter().map(|s| s.worker_parks).sum();
+    let batches: u64 = measured.iter().map(|s| s.batches).sum();
 
     println!("\n# rule service under churn\n");
     println!(
@@ -317,14 +329,15 @@ fn main() {
             &[
                 vec!["tenants".into(), TENANTS.to_string()],
                 vec!["broker threads".into(), BROKER_THREADS.to_string()],
-                vec!["commands committed".into(), commands.to_string()],
-                vec!["commit wall (s)".into(), format!("{commit_wall_s:.3}")],
-                vec!["commands/sec".into(), format!("{commands_per_sec:.0}")],
+                vec!["commands committed per repeat".into(), commands.to_string()],
+                vec!["throughput repeats".into(), repeats.to_string()],
+                vec!["commands/sec, median".into(), format!("{rate_median:.0}")],
+                vec!["commands/sec, IQR".into(), format!("{rate_iqr:.0}")],
+                vec!["commands/sec, slowest".into(), format!("{rate_min:.0}")],
                 vec!["store commits (batches)".into(), batches.to_string()],
                 vec!["queue depth peak".into(), queue_depth_peak.to_string()],
                 vec!["commands shed (probe)".into(), shed_commands.to_string()],
                 vec!["worker parks".into(), worker_parks.to_string()],
-                vec!["worker steals".into(), worker_steals.to_string()],
                 vec!["checks timed".into(), checks.to_string()],
                 vec![
                     "churn rounds behind checks".into(),
@@ -344,6 +357,7 @@ fn main() {
             ("tenants", Json::Num(TENANTS as f64)),
             ("broker_threads", Json::Num(BROKER_THREADS as f64)),
             ("rounds_per_tenant", Json::Num(rounds as f64)),
+            ("throughput_repeats", Json::Num(repeats as f64)),
             ("batch_commands", Json::Num(BATCH_COMMANDS as f64)),
             ("probe_capacity", Json::Num(PROBE_CAPACITY as f64)),
             ("checks_timed", Json::Num(checks as f64)),
@@ -351,13 +365,16 @@ fn main() {
         Json::obj([
             ("tenants", Json::Num(TENANTS as f64)),
             ("commands_committed", Json::Num(commands as f64)),
-            ("commit_wall_s", Json::Num(commit_wall_s)),
-            ("commands_per_sec", Json::Num(commands_per_sec)),
+            (
+                "commands_per_sec_repeats",
+                Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect()),
+            ),
+            ("commands_per_sec_median", Json::Num(rate_median)),
+            ("commands_per_sec_iqr", Json::Num(rate_iqr)),
             ("batches", Json::Num(batches as f64)),
             ("queue_depth_peak", Json::Num(queue_depth_peak as f64)),
             ("shed_commands", Json::Num(shed_commands as f64)),
             ("worker_parks", Json::Num(worker_parks as f64)),
-            ("worker_steals", Json::Num(worker_steals as f64)),
             ("p50_check_latency_us", Json::Num(p50)),
             ("p99_check_latency_us", Json::Num(p99)),
             ("churn_rounds_during_checks", Json::Num(churn_rounds as f64)),

@@ -22,9 +22,10 @@
 //!   with string `trial_id` and `status`) and a `summary` object with a
 //!   numeric `done` count; `"service"` marks a rule-service churn
 //!   artifact, whose `results` must carry numeric `tenants` (≥ 4),
-//!   `commands_per_sec` (≥ [`SERVICE_MIN_CMDS_PER_SEC`] in full mode),
-//!   `p50_check_latency_us` / `p99_check_latency_us`, and the broker
-//!   backpressure counters (see `validate_service_results`); `"rad"`
+//!   the throughput repeats `commands_per_sec_repeats` (each
+//!   ≥ [`SERVICE_MIN_CMDS_PER_SEC`] in full mode) with their median and
+//!   IQR, `p50_check_latency_us` / `p99_check_latency_us`, and the
+//!   broker backpressure counters (see `validate_service_results`); `"rad"`
 //!   marks a streaming-mining artifact,
 //!   whose `results` must carry the streaming throughput and drift
 //!   fields (see `validate_rad_results`) and, in full mode, clear the
@@ -172,37 +173,46 @@ fn validate_sweep_results(config: &Json, results: &Json) -> Result<(), String> {
 /// this is not measuring the contended path.
 pub const SERVICE_MIN_TENANTS: f64 = 4.0;
 
-/// Minimum commit throughput (`commands_per_sec`) a full-mode
-/// (`quick_mode: false`) `"service"` artifact must report. The sharded
-/// broker with batched admission commits several million commands per
-/// second on the reference machine; the floor sits at the ISSUE's
-/// acceptance target — ~8× the old one-ticket-per-command broker's
-/// 129k cmd/s — so CI fails any change that quietly reverts the
-/// amortisation. (Quick smoke runs commit too few commands to gate on.)
+/// Minimum commit throughput a full-mode (`quick_mode: false`)
+/// `"service"` artifact must reach in **every** throughput repeat
+/// (`commands_per_sec_repeats`). The batched broker commits a few
+/// million commands per second on the reference machine; the floor sits
+/// at ~8× the old one-ticket-per-command broker's 129k cmd/s, so CI
+/// fails any change that quietly reverts the amortisation. (Quick smoke
+/// runs commit too few commands to gate on.)
 pub const SERVICE_MIN_CMDS_PER_SEC: f64 = 1_000_000.0;
 
 /// The rule-service payload shape: numeric `tenants` (at least
-/// [`SERVICE_MIN_TENANTS`]), commit throughput `commands_per_sec` (at
-/// least [`SERVICE_MIN_CMDS_PER_SEC`] in full mode), the p50/p99 of
-/// per-command check latency under churn in microseconds, and the
-/// broker's backpressure counters (`queue_depth_peak`, `shed_commands`,
-/// `worker_parks`, `worker_steals`) proving the observability surface
-/// is wired through.
+/// [`SERVICE_MIN_TENANTS`]), a non-empty numeric array
+/// `commands_per_sec_repeats` (each at least [`SERVICE_MIN_CMDS_PER_SEC`]
+/// in full mode) with its `commands_per_sec_median` and
+/// `commands_per_sec_iqr`, the p50/p99 of per-command check latency
+/// under churn in microseconds, and the broker's backpressure counters
+/// (`queue_depth_peak`, `shed_commands`, `worker_parks`) proving the
+/// observability surface is wired through.
 fn validate_service_results(config: &Json, results: &Json) -> Result<(), String> {
     for key in [
         "tenants",
-        "commands_per_sec",
+        "commands_per_sec_median",
+        "commands_per_sec_iqr",
         "p50_check_latency_us",
         "p99_check_latency_us",
         "queue_depth_peak",
         "shed_commands",
         "worker_parks",
-        "worker_steals",
     ] {
         if results.get(key).and_then(Json::as_f64).is_none() {
             return Err(format!("service artifact missing numeric \"{key}\""));
         }
     }
+    let rates: Option<Vec<f64>> = results
+        .get("commands_per_sec_repeats")
+        .and_then(Json::as_arr)
+        .filter(|repeats| !repeats.is_empty())
+        .and_then(|repeats| repeats.iter().map(Json::as_f64).collect());
+    let rates = rates.ok_or_else(|| {
+        "service artifact missing non-empty numeric \"commands_per_sec_repeats\"".to_string()
+    })?;
     let tenants = results.get("tenants").and_then(Json::as_f64).unwrap();
     if tenants < SERVICE_MIN_TENANTS {
         return Err(format!(
@@ -210,13 +220,10 @@ fn validate_service_results(config: &Json, results: &Json) -> Result<(), String>
         ));
     }
     if config.get("quick_mode").and_then(Json::as_bool) == Some(false) {
-        let rate = results
-            .get("commands_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap();
-        if rate < SERVICE_MIN_CMDS_PER_SEC {
+        let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        if slowest < SERVICE_MIN_CMDS_PER_SEC {
             return Err(format!(
-                "service throughput {rate:.0} cmd/s below the {SERVICE_MIN_CMDS_PER_SEC} regression floor"
+                "service throughput {slowest:.0} cmd/s (slowest repeat) below the {SERVICE_MIN_CMDS_PER_SEC} regression floor"
             ));
         }
     }
@@ -576,29 +583,47 @@ mod tests {
     }
 
     fn service_results(tenants: f64) -> Json {
-        service_results_at(tenants, 2_500_000.0)
+        service_results_at(tenants, &[2_500_000.0, 2_600_000.0, 2_700_000.0])
     }
 
-    fn service_results_at(tenants: f64, rate: f64) -> Json {
+    fn service_results_at(tenants: f64, rates: &[f64]) -> Json {
         Json::obj([
             ("tenants", Json::Num(tenants)),
-            ("commands_per_sec", Json::Num(rate)),
+            (
+                "commands_per_sec_repeats",
+                Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect()),
+            ),
+            ("commands_per_sec_median", Json::Num(2_600_000.0)),
+            ("commands_per_sec_iqr", Json::Num(100_000.0)),
             ("p50_check_latency_us", Json::Num(0.12)),
             ("p99_check_latency_us", Json::Num(0.31)),
             ("queue_depth_peak", Json::Num(160.0)),
             ("shed_commands", Json::Num(17.0)),
             ("worker_parks", Json::Num(42.0)),
-            ("worker_steals", Json::Num(3.0)),
         ])
     }
 
-    fn service_envelope(quick: bool, results: Json) -> Json {
-        envelope_with_kind(
+    /// `results` with `key` set to `value`.
+    fn with_field(mut results: Json, key: &str, value: Json) -> Json {
+        if let Json::Obj(pairs) = &mut results {
+            for (k, v) in pairs.iter_mut() {
+                if k == key {
+                    *v = value.clone();
+                }
+            }
+        }
+        results
+    }
+
+    /// Validates a six-tenant service artifact with the given throughput
+    /// repeats, in quick or full mode.
+    fn validate_service_run(quick: bool, rates: &[f64]) -> Result<(), String> {
+        validate(&envelope_with_kind(
             "service",
             "service",
             Json::obj([("quick_mode", Json::Bool(quick))]),
-            results,
-        )
+            service_results_at(6.0, rates),
+        ))
     }
 
     #[test]
@@ -611,31 +636,30 @@ mod tests {
     fn service_kind_enforces_the_full_mode_throughput_floor() {
         // The old one-ticket-per-command broker's 129k cmd/s must now
         // fail a full-mode artifact...
-        let err =
-            validate(&service_envelope(false, service_results_at(6.0, 129_241.0))).unwrap_err();
+        let err = validate_service_run(false, &[129_241.0]).unwrap_err();
         assert!(err.contains("regression floor"), "{err}");
+        // ...and so must one slow repeat among fast ones...
+        let err = validate_service_run(false, &[2_500_000.0, 999_999.0, 2_700_000.0]).unwrap_err();
+        assert!(err.contains("slowest repeat"), "{err}");
         // ...while quick smoke runs are exempt from the floor...
-        validate(&service_envelope(true, service_results_at(6.0, 129_241.0)))
-            .expect("quick runs are not gated on throughput");
+        validate_service_run(true, &[129_241.0]).expect("quick runs are not gated on throughput");
         // ...and a batched full run clears it.
-        validate(&service_envelope(
-            false,
-            service_results_at(6.0, 2_500_000.0),
-        ))
-        .expect("wire-speed full run passes the floor");
+        validate_service_run(false, &[1_000_000.0, 2_500_000.0])
+            .expect("wire-speed full run passes the floor");
     }
 
     #[test]
     fn service_kind_rejects_missing_or_non_numeric_fields() {
         for key in [
             "tenants",
-            "commands_per_sec",
+            "commands_per_sec_repeats",
+            "commands_per_sec_median",
+            "commands_per_sec_iqr",
             "p50_check_latency_us",
             "p99_check_latency_us",
             "queue_depth_peak",
             "shed_commands",
             "worker_parks",
-            "worker_steals",
         ] {
             let mut results = service_results(4.0);
             if let Json::Obj(pairs) = &mut results {
@@ -644,16 +668,20 @@ mod tests {
             let json = envelope_with_kind("service", "service", Json::obj([]), results);
             let err = validate(&json).unwrap_err();
             assert!(err.contains(key), "error {err:?} should mention {key:?}");
-            let mut results = service_results(4.0);
-            if let Json::Obj(pairs) = &mut results {
-                for (k, v) in pairs.iter_mut() {
-                    if k == key {
-                        *v = Json::Str("fast".into());
-                    }
-                }
-            }
+            let results = with_field(service_results(4.0), key, Json::Str("fast".into()));
             let json = envelope_with_kind("service", "service", Json::obj([]), results);
             assert!(validate(&json).unwrap_err().contains(key));
+        }
+        // The repeats must be a non-empty array of numbers.
+        for repeats in [
+            Json::Arr(Vec::new()),
+            Json::Arr(vec![Json::Num(2_500_000.0), Json::Str("fast".into())]),
+        ] {
+            let results = with_field(service_results(4.0), "commands_per_sec_repeats", repeats);
+            let json = envelope_with_kind("service", "service", Json::obj([]), results);
+            assert!(validate(&json)
+                .unwrap_err()
+                .contains("commands_per_sec_repeats"));
         }
     }
 

@@ -1,67 +1,43 @@
-//! The sharded, batched rule-command broker.
+//! The batched rule-command broker.
 //!
 //! [`ServiceBroker`] fronts a shared [`RuleStore`] with a pool of
-//! worker threads and **per-tenant bounded ring queues** (one
-//! [`rabit_util::ring::RingBuffer`] lane per tenant): commands for one
-//! tenant are applied strictly in submission order (so a tenant's epoch
-//! history is the same for any worker count), while commands for
-//! different tenants commit in parallel. This is the determinism
-//! contract the differential suite checks at 1, 4, and 8 threads — it
-//! holds exactly because epochs are per tenant, so cross-tenant commit
-//! interleaving is unobservable.
+//! worker threads and **one bounded FIFO lane per tenant**: commands
+//! for one tenant commit strictly in submission order (so a tenant's
+//! epoch history is the same for any worker count), while different
+//! tenants commit in parallel. The differential suite checks this at 1,
+//! 4, and 8 threads; it holds because epochs are per tenant, so
+//! cross-tenant commit interleaving is unobservable.
 //!
-//! # Architecture
+//! One mutex guards the lanes, a FIFO of runnable tenants, the
+//! in-flight count and the counters. A worker claims the oldest
+//! runnable tenant, drains up to `DRAIN_MAX` of its commands, commits
+//! them with one [`RuleStore::apply_ops`] outside the lock, and puts
+//! the lane back at the end of the FIFO if it still holds commands. A
+//! lane's `scheduled` flag keeps it with at most one worker, which is
+//! what turns lane order into commit order. Idle workers wait on one
+//! condvar; producers blocked on a full lane and
+//! [`ServiceBroker::flush`] wait on another, each in a predicate loop
+//! under the lock, so no wakeup can be lost.
 //!
-//! The ingestion path is sharded and mostly lock-free:
-//!
-//! * **Lanes** — each tenant gets a `TenantLane`: a bounded MPSC ring
-//!   of jobs plus a `scheduled` flag. The flag's compare-and-swap
-//!   guarantees at most one worker holds a lane at a time, which is
-//!   what turns the lane ring into per-tenant serial order — even when
-//!   lanes are stolen across shards.
-//! * **Shards** — one per worker. A lane's home shard receives it when
-//!   it becomes runnable; each shard has its own run-queue and
-//!   [`Parker`], so producers wake exactly one shard instead of
-//!   convoying every thread through one global mutex + condvar. Idle
-//!   workers steal *whole lanes* from other shards (never individual
-//!   commands, which would break FIFO).
-//! * **Batched admission** — [`ServiceBroker::submit_batch`] enqueues N
-//!   commands with one reply allocation ([`BatchTicket`]), one ring
-//!   reservation per tenant group, and one wakeup. Workers drain lanes
-//!   in batches and commit them through [`RuleStore::apply_ops`] — one
-//!   copy-on-write clone per drained batch instead of one per command.
-//! * **Backpressure** — lanes are bounded. Blocking admission parks the
-//!   producer until space frees; [`ServiceBroker::try_submit_batch`]
-//!   instead *sheds* overloaded tenant groups with typed
-//!   [`ServiceError::Overloaded`] receipts, all-or-nothing per group so
-//!   a retry can never reorder a tenant's commands.
-//!
-//! Every blocking wait in this module goes through [`Parker`], whose
-//! condvar wait sits inside a generation-predicate loop — spurious
-//! wakeups re-check the condition, and a wakeup racing the check cannot
-//! be lost. The legacy single-command [`ServiceBroker::submit`] path is
-//! a thin wrapper over a one-command batch and inherits the same
-//! guarantees.
+//! [`ServiceBroker::submit_batch`] admits N commands with one lock
+//! acquisition and one reply block ([`BatchTicket`]).
+//! [`ServiceBroker::try_submit_batch`] instead *sheds* a tenant group
+//! that does not fit its lane, whole, with typed
+//! [`ServiceError::Overloaded`] receipts, so a retry can never reorder
+//! a tenant's commands.
 
 use crate::store::{RuleCommit, RuleOp, RuleStore, ServiceError};
 use rabit_rulebase::TenantId;
-use rabit_util::ring::{Parker, RingBuffer};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Default per-tenant lane capacity (commands).
 const DEFAULT_QUEUE_CAPACITY: usize = 4096;
-/// Per-shard run-queue capacity (lanes; a lane occupies at most one
-/// run-queue slot broker-wide, so overflow only matters with thousands
-/// of simultaneously-runnable tenants — the push spins briefly then).
-const RUNQ_CAPACITY: usize = 1024;
 /// Most jobs a worker drains from a lane into one store commit.
 const DRAIN_MAX: usize = 256;
-/// Batches a worker applies from one lane before requeueing it, so one
-/// firehose tenant cannot starve the rest of its shard.
-const BATCHES_PER_CLAIM: usize = 4;
+
+const POISONED: &str = "broker state poisoned";
 
 /// A tenant-addressed [`RuleOp`] — the broker's submission unit.
 #[derive(Debug, Clone)]
@@ -82,39 +58,40 @@ impl RuleCommand {
     }
 }
 
-/// Shared completion state for one submitted batch: one slot per
-/// command, a countdown, and the parker the waiter sleeps on.
+type Receipt = Result<RuleCommit, ServiceError>;
+
+/// One submitted batch's receipts: a slot per command and the count
+/// still open.
+#[derive(Debug)]
+struct Receipts {
+    slots: Vec<Option<Receipt>>,
+    open: usize,
+}
+
+/// Shared completion state for one submitted batch.
 #[derive(Debug)]
 struct BatchState {
-    results: Mutex<Vec<Option<Result<RuleCommit, ServiceError>>>>,
-    remaining: AtomicUsize,
-    parker: Parker,
+    receipts: Mutex<Receipts>,
+    done: Condvar,
 }
 
 impl BatchState {
-    fn for_len(len: usize) -> Arc<Self> {
-        Arc::new(BatchState {
-            results: Mutex::new(vec![None; len]),
-            remaining: AtomicUsize::new(len),
-            parker: Parker::new(),
-        })
-    }
-}
-
-/// Fills `slot` and wakes the waiter when it was the last one open.
-fn complete(state: &BatchState, slot: u32, result: Result<RuleCommit, ServiceError>) {
-    {
-        let mut results = state.results.lock().expect("batch results poisoned");
-        results[slot as usize] = Some(result);
-    }
-    if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        state.parker.unpark_all();
+    /// Fills the given slots under one lock and wakes the waiter when
+    /// none is left open.
+    fn complete(&self, filled: impl Iterator<Item = (usize, Receipt)>) {
+        let mut receipts = self.receipts.lock().expect(POISONED);
+        for (slot, receipt) in filled {
+            receipts.slots[slot] = Some(receipt);
+            receipts.open -= 1;
+        }
+        if receipts.open == 0 {
+            self.done.notify_all();
+        }
     }
 }
 
 /// The receipt channel for one submitted batch: a single shared reply
-/// slot for all N commands (this is the amortisation that replaces the
-/// old one-channel-per-command design).
+/// slot for all N commands.
 #[derive(Debug)]
 pub struct BatchTicket {
     state: Arc<BatchState>,
@@ -123,11 +100,7 @@ pub struct BatchTicket {
 impl BatchTicket {
     /// How many commands the batch carried.
     pub fn len(&self) -> usize {
-        self.state
-            .results
-            .lock()
-            .expect("batch results poisoned")
-            .len()
+        self.state.receipts.lock().expect(POISONED).slots.len()
     }
 
     /// Whether the batch was empty.
@@ -140,36 +113,15 @@ impl BatchTicket {
     /// [`ServiceError::Overloaded`]. Dropping the ticket instead just
     /// discards the receipts; the commits stand.
     pub fn wait(self) -> Vec<Result<RuleCommit, ServiceError>> {
-        loop {
-            let ticket = self.state.parker.ticket();
-            if self.state.remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            self.state.parker.park(ticket);
+        let mut receipts = self.state.receipts.lock().expect(POISONED);
+        while receipts.open > 0 {
+            receipts = self.state.done.wait(receipts).expect(POISONED);
         }
-        let mut results = self.state.results.lock().expect("batch results poisoned");
-        results
+        receipts
+            .slots
             .drain(..)
             .map(|slot| slot.expect("completed batch fills every slot"))
             .collect()
-    }
-}
-
-/// The receipt channel for one submitted command: [`Ticket::wait`]
-/// blocks until the broker has committed (or rejected) it. A thin
-/// wrapper over a one-command [`BatchTicket`].
-#[derive(Debug)]
-pub struct Ticket {
-    batch: BatchTicket,
-}
-
-impl Ticket {
-    /// Blocks until the command's outcome is known.
-    pub fn wait(self) -> Result<RuleCommit, ServiceError> {
-        self.batch
-            .wait()
-            .pop()
-            .expect("single-command batch yields one receipt")
     }
 }
 
@@ -177,45 +129,20 @@ impl Ticket {
 struct Job {
     op: RuleOp,
     reply: Arc<BatchState>,
-    slot: u32,
+    slot: usize,
 }
 
-/// One tenant's bounded ingestion lane.
-struct TenantLane {
-    tenant: TenantId,
-    /// Home shard: where the lane is queued when it becomes runnable.
-    shard: usize,
-    ring: RingBuffer<Job>,
-    /// True while the lane is queued on a shard or held by a worker.
-    /// The CAS on this flag is the per-tenant exclusivity that makes
-    /// lane order commit order.
-    scheduled: AtomicBool,
-    /// Parks blocking producers waiting for lane space.
-    producers: Parker,
-}
-
-/// One worker's slice of the broker: a run-queue of runnable lanes and
-/// the parker its worker (and only its worker) sleeps on.
-struct Shard {
-    runq: RingBuffer<Arc<TenantLane>>,
-    parker: Parker,
-}
-
-/// Monotonic ingestion counters (relaxed; read via [`ServiceBroker::stats`]).
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    committed: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    batches: AtomicU64,
-    parks: AtomicU64,
-    steals: AtomicU64,
-    queue_depth_peak: AtomicU64,
+/// One tenant's bounded lane.
+#[derive(Default)]
+struct Lane {
+    jobs: VecDeque<Job>,
+    /// True while the tenant is in the runnable FIFO or held by a
+    /// worker; at most one worker holds a lane.
+    scheduled: bool,
 }
 
 /// A point-in-time snapshot of the broker's ingestion counters — the
-/// queue-depth/steal/park observability surfaced in the bench envelope.
+/// queue-depth/park/shed observability surfaced in the bench envelope.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {
     /// Commands admitted into lanes (accepted, whether yet committed).
@@ -233,26 +160,86 @@ pub struct BrokerStats {
     pub batches: u64,
     /// Times a worker went to sleep empty-handed.
     pub worker_parks: u64,
-    /// Lanes claimed from another worker's shard.
-    pub worker_steals: u64,
     /// Deepest any tenant lane has been (commands), observed at
     /// enqueue time.
     pub queue_depth_peak: u64,
 }
 
+/// Everything behind the broker's one lock.
+#[derive(Default)]
+struct State {
+    lanes: BTreeMap<TenantId, Lane>,
+    /// Tenants with queued jobs that no worker holds, oldest first.
+    runnable: VecDeque<TenantId>,
+    /// Jobs admitted and not yet committed or rejected.
+    in_flight: usize,
+    /// Workers waiting on `Inner::work`.
+    idle_workers: usize,
+    /// Producers and flushers waiting on `Inner::retired`.
+    waiters: usize,
+    shutdown: bool,
+    stats: BrokerStats,
+}
+
+impl State {
+    /// The tenant's lane, created on first sight.
+    fn lane(&mut self, tenant: &TenantId) -> &mut Lane {
+        if !self.lanes.contains_key(tenant) {
+            self.lanes.insert(tenant.clone(), Lane::default());
+        }
+        self.lanes.get_mut(tenant).expect("lane just inserted")
+    }
+
+    /// Appends `jobs` to the tenant's lane and makes it runnable.
+    fn push(
+        &mut self,
+        tenant: &TenantId,
+        jobs: impl ExactSizeIterator<Item = Job>,
+        work: &Condvar,
+    ) {
+        self.stats.submitted += jobs.len() as u64;
+        self.in_flight += jobs.len();
+        let lane = self.lane(tenant);
+        lane.jobs.extend(jobs);
+        let depth = lane.jobs.len() as u64;
+        if !std::mem::replace(&mut lane.scheduled, true) {
+            self.make_runnable(tenant.clone(), work);
+        }
+        self.stats.queue_depth_peak = self.stats.queue_depth_peak.max(depth);
+    }
+
+    /// Queues a scheduled lane at the end of the FIFO and wakes a worker.
+    fn make_runnable(&mut self, tenant: TenantId, work: &Condvar) {
+        self.runnable.push_back(tenant);
+        if self.idle_workers > 0 {
+            work.notify_one();
+        }
+    }
+}
+
 /// Everything shared between submitters and workers.
 struct Inner {
     store: Arc<RuleStore>,
-    shards: Vec<Shard>,
-    lanes: Mutex<BTreeMap<TenantId, Arc<TenantLane>>>,
     queue_capacity: usize,
-    /// Jobs admitted and not yet retired (drives [`ServiceBroker::flush`]).
-    in_flight: AtomicUsize,
-    flush_parker: Parker,
-    shutdown: AtomicBool,
-    /// Round-robin cursor for homing new lanes onto shards.
-    next_shard: AtomicUsize,
-    counters: Counters,
+    state: Mutex<State>,
+    /// Idle workers wait here for a runnable tenant or shutdown.
+    work: Condvar,
+    /// Blocked producers and flushers wait here for commits to retire.
+    retired: Condvar,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Waits on `retired`, counted so workers notify only when needed.
+    fn wait_retired<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        state.waiters += 1;
+        let mut state = self.retired.wait(state).expect(POISONED);
+        state.waiters -= 1;
+        state
+    }
 }
 
 /// The asynchronous command broker over a shared [`RuleStore`].
@@ -272,42 +259,32 @@ impl ServiceBroker {
     }
 
     /// Spawns a broker whose per-tenant lanes hold at most
-    /// `queue_capacity` commands (rounded up to a power of two, min 2).
-    /// Small capacities exercise the backpressure paths: blocking
-    /// admission parks, [`ServiceBroker::try_submit_batch`] sheds.
+    /// `queue_capacity` commands (min 1). Small capacities exercise the
+    /// backpressure paths: blocking admission waits,
+    /// [`ServiceBroker::try_submit_batch`] sheds.
     pub fn with_queue_capacity(
         store: Arc<RuleStore>,
         threads: usize,
         queue_capacity: usize,
     ) -> Self {
-        let inner = ServiceBroker::build(store, threads, queue_capacity);
-        let workers = (0..inner.shards.len())
-            .map(|me| {
+        let inner = ServiceBroker::build(store, queue_capacity);
+        let workers = (0..threads.max(1))
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, me))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         ServiceBroker { inner, workers }
     }
 
     /// The shared state with no workers attached.
-    fn build(store: Arc<RuleStore>, threads: usize, queue_capacity: usize) -> Arc<Inner> {
-        let threads = threads.max(1);
+    fn build(store: Arc<RuleStore>, queue_capacity: usize) -> Arc<Inner> {
         Arc::new(Inner {
             store,
-            shards: (0..threads)
-                .map(|_| Shard {
-                    runq: RingBuffer::with_capacity(RUNQ_CAPACITY),
-                    parker: Parker::new(),
-                })
-                .collect(),
-            lanes: Mutex::new(BTreeMap::new()),
-            queue_capacity,
-            in_flight: AtomicUsize::new(0),
-            flush_parker: Parker::new(),
-            shutdown: AtomicBool::new(false),
-            next_shard: AtomicUsize::new(0),
-            counters: Counters::default(),
+            queue_capacity: queue_capacity.max(1),
+            state: Mutex::new(State::default()),
+            work: Condvar::new(),
+            retired: Condvar::new(),
         })
     }
 
@@ -316,47 +293,21 @@ impl ServiceBroker {
     #[cfg(test)]
     fn paused(store: Arc<RuleStore>, queue_capacity: usize) -> Self {
         ServiceBroker {
-            inner: ServiceBroker::build(store, 1, queue_capacity),
+            inner: ServiceBroker::build(store, queue_capacity),
             workers: Vec::new(),
         }
     }
 
-    /// The shared store (snapshots read from it reflect every commit
-    /// the broker has applied so far).
-    pub fn store(&self) -> &Arc<RuleStore> {
-        &self.inner.store
-    }
-
     /// Current ingestion counters.
     pub fn stats(&self) -> BrokerStats {
-        let c = &self.inner.counters;
-        BrokerStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            committed: c.committed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            shed_commands: c.shed.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            worker_parks: c.parks.load(Ordering::Relaxed),
-            worker_steals: c.steals.load(Ordering::Relaxed),
-            queue_depth_peak: c.queue_depth_peak.load(Ordering::Relaxed),
-        }
+        self.inner.lock().stats
     }
 
-    /// Enqueues a command; per-tenant submission order is commit order.
-    /// Returns a [`Ticket`] resolving to the commit receipt. Blocks
-    /// only if the tenant's lane is full (until a worker frees space).
-    pub fn submit(&self, command: RuleCommand) -> Ticket {
-        Ticket {
-            batch: self.admit(std::slice::from_ref(&command), true),
-        }
-    }
-
-    /// Enqueues a batch of commands with a single reply allocation and
-    /// (per tenant in the batch) a single ring reservation + wakeup.
+    /// Enqueues a batch of commands with a single reply allocation.
     ///
     /// Within the batch, same-tenant commands commit in batch order;
     /// different tenants commit in parallel, exactly as if submitted
-    /// one at a time. If a tenant's lane is full the call parks until a
+    /// one at a time. If a tenant's lane is full the call waits until a
     /// worker frees space (groups larger than the lane capacity are
     /// admitted in capacity-sized chunks).
     pub fn submit_batch(&self, commands: &[RuleCommand]) -> BatchTicket {
@@ -375,272 +326,143 @@ impl ServiceBroker {
         self.admit(commands, false)
     }
 
-    /// Shared admission: group by tenant, enqueue each group.
+    /// Shared admission: group by tenant, then admit each group into its
+    /// lane — blocking (waits for space, in lane-sized chunks) or
+    /// shedding (the whole group, with typed receipts).
     fn admit(&self, commands: &[RuleCommand], block: bool) -> BatchTicket {
-        let state = BatchState::for_len(commands.len());
+        let reply = Arc::new(BatchState {
+            receipts: Mutex::new(Receipts {
+                slots: vec![None; commands.len()],
+                open: commands.len(),
+            }),
+            done: Condvar::new(),
+        });
         // Group commands by tenant, preserving per-tenant order. Linear
         // tenant lookup: batches overwhelmingly carry few tenants.
-        let mut groups: Vec<(Arc<TenantLane>, Vec<Job>)> = Vec::new();
+        let mut groups: Vec<(&TenantId, Vec<Job>)> = Vec::new();
         for (slot, command) in commands.iter().enumerate() {
             let job = Job {
                 op: command.op.clone(),
-                reply: Arc::clone(&state),
-                slot: slot as u32,
+                reply: Arc::clone(&reply),
+                slot,
             };
             match groups
                 .iter_mut()
-                .find(|(lane, _)| lane.tenant == command.tenant)
+                .find(|(tenant, _)| **tenant == command.tenant)
             {
                 Some((_, jobs)) => jobs.push(job),
-                None => groups.push((self.lane(&command.tenant), vec![job])),
+                None => groups.push((&command.tenant, vec![job])),
             }
         }
-        for (lane, jobs) in groups {
-            self.enqueue(&lane, jobs, block);
-        }
-        BatchTicket { state }
-    }
-
-    /// The tenant's lane, created (and homed round-robin on a shard) on
-    /// first sight.
-    fn lane(&self, tenant: &TenantId) -> Arc<TenantLane> {
-        let inner = &self.inner;
-        let mut lanes = inner.lanes.lock().expect("broker lanes poisoned");
-        if let Some(lane) = lanes.get(tenant) {
-            return Arc::clone(lane);
-        }
-        let shard = inner.next_shard.fetch_add(1, Ordering::Relaxed) % inner.shards.len();
-        let lane = Arc::new(TenantLane {
-            tenant: tenant.clone(),
-            shard,
-            ring: RingBuffer::with_capacity(inner.queue_capacity),
-            scheduled: AtomicBool::new(false),
-            producers: Parker::new(),
-        });
-        lanes.insert(tenant.clone(), Arc::clone(&lane));
-        lane
-    }
-
-    /// Admits one tenant group into its lane — blocking (parks until
-    /// space) or shedding (whole group, typed receipts).
-    fn enqueue(&self, lane: &Arc<TenantLane>, jobs: Vec<Job>, block: bool) {
-        let inner = &self.inner;
-        let n = jobs.len();
-        inner
-            .counters
-            .submitted
-            .fetch_add(n as u64, Ordering::Relaxed);
-        inner.in_flight.fetch_add(n, Ordering::AcqRel);
-        if !block {
-            match lane.ring.try_push_batch(jobs) {
-                Ok(()) => self.after_push(lane),
-                Err(shed) => {
-                    inner.counters.shed.fetch_add(n as u64, Ordering::Relaxed);
-                    inner
-                        .counters
-                        .submitted
-                        .fetch_sub(n as u64, Ordering::Relaxed);
-                    for job in shed {
-                        complete(
-                            &job.reply,
-                            job.slot,
-                            Err(ServiceError::Overloaded(lane.tenant.clone())),
-                        );
+        let inner = &*self.inner;
+        let capacity = inner.queue_capacity;
+        let mut state = inner.lock();
+        for (tenant, mut jobs) in groups {
+            if block {
+                while !jobs.is_empty() {
+                    let take = jobs.len().min(capacity);
+                    while state.lane(tenant).jobs.len() + take > capacity {
+                        state = inner.wait_retired(state);
                     }
-                    retire(inner, n);
+                    state.push(tenant, jobs.drain(..take), &inner.work);
                 }
+            } else if state.lane(tenant).jobs.len() + jobs.len() <= capacity {
+                state.push(tenant, jobs.into_iter(), &inner.work);
+            } else {
+                state.stats.shed_commands += jobs.len() as u64;
+                // A group is one batch's jobs, so one reply serves all.
+                let overloaded = || Err(ServiceError::Overloaded(tenant.clone()));
+                jobs[0]
+                    .reply
+                    .complete(jobs.iter().map(|job| (job.slot, overloaded())));
             }
-            return;
         }
-        let capacity = lane.ring.capacity();
-        let mut rest = jobs;
-        while !rest.is_empty() {
-            let take = rest.len().min(capacity);
-            let mut chunk: Vec<Job> = rest.drain(..take).collect();
-            loop {
-                // Ticket before the attempt: a worker freeing space
-                // between our failed push and our park bumps the
-                // generation, so the park returns immediately.
-                let ticket = lane.producers.ticket();
-                match lane.ring.try_push_batch(chunk) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        chunk = back;
-                        lane.producers.park(ticket);
-                    }
-                }
-            }
-            self.after_push(lane);
-        }
-    }
-
-    /// Post-push bookkeeping: record depth, make the lane runnable on
-    /// its home shard if it was not already scheduled, wake that shard.
-    fn after_push(&self, lane: &Arc<TenantLane>) {
-        let inner = &self.inner;
-        let depth = lane.ring.len() as u64;
-        inner
-            .counters
-            .queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-        if !lane.scheduled.swap(true, Ordering::AcqRel) {
-            push_runq(inner, lane.shard, Arc::clone(lane));
-            inner.shards[lane.shard].parker.unpark_all();
-        }
+        BatchTicket { state: reply }
     }
 
     /// Blocks until every command admitted so far has been committed,
     /// rejected, or shed. Snapshots taken from the store afterwards see
     /// all of them.
     pub fn flush(&self) {
-        let inner = &self.inner;
-        loop {
-            let ticket = inner.flush_parker.ticket();
-            if inner.in_flight.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            inner.flush_parker.park(ticket);
+        let mut state = self.inner.lock();
+        while state.in_flight > 0 {
+            state = self.inner.wait_retired(state);
         }
     }
 }
 
 impl Drop for ServiceBroker {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for shard in &self.inner.shards {
-            shard.parker.unpark_all();
-        }
+        self.inner.lock().shutdown = true;
+        self.inner.work.notify_all();
         for worker in self.workers.drain(..) {
             let _unused = worker.join();
         }
     }
 }
 
-/// Queues a runnable lane on `shard` (spins on the rare runq overflow).
-fn push_runq(inner: &Inner, shard: usize, lane: Arc<TenantLane>) {
-    let mut item = lane;
-    loop {
-        match inner.shards[shard].runq.try_push(item) {
-            Ok(()) => return,
-            Err(back) => {
-                item = back;
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Retires `n` completed (or shed) jobs; wakes flush waiters — and,
-/// during shutdown, the workers — when the count hits zero.
-fn retire(inner: &Inner, n: usize) {
-    if inner.in_flight.fetch_sub(n, Ordering::AcqRel) == n {
-        inner.flush_parker.unpark_all();
-        if inner.shutdown.load(Ordering::Acquire) {
-            for shard in &inner.shards {
-                shard.parker.unpark_all();
-            }
-        }
-    }
-}
-
-/// Pops a runnable lane: own shard first, then steal from the others.
-fn claim(inner: &Inner, me: usize) -> Option<Arc<TenantLane>> {
-    if let Some(lane) = inner.shards[me].runq.try_pop() {
-        return Some(lane);
-    }
-    let shards = inner.shards.len();
-    for offset in 1..shards {
-        if let Some(lane) = inner.shards[(me + offset) % shards].runq.try_pop() {
-            inner.counters.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(lane);
-        }
-    }
-    None
-}
-
-/// Worker: claim a lane, process it, park when nothing is runnable.
-fn worker_loop(inner: &Inner, me: usize) {
+/// Worker: claim the oldest runnable tenant, commit one drained batch
+/// outside the lock, hand the lane back; wait when nothing is runnable.
+/// Exits at shutdown once nothing is in flight.
+fn worker_loop(inner: &Inner) {
     let mut ops: Vec<RuleOp> = Vec::with_capacity(DRAIN_MAX);
-    let mut meta: Vec<(Arc<BatchState>, u32)> = Vec::with_capacity(DRAIN_MAX);
+    let mut replies: Vec<(Arc<BatchState>, usize)> = Vec::with_capacity(DRAIN_MAX);
+    let mut state = inner.lock();
     loop {
-        // Ticket before the scan: work pushed to this shard after the
-        // scan bumps the generation and the park falls through.
-        let ticket = inner.shards[me].parker.ticket();
-        if let Some(lane) = claim(inner, me) {
-            process(inner, &lane, &mut ops, &mut meta);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) && inner.in_flight.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        inner.counters.parks.fetch_add(1, Ordering::Relaxed);
-        inner.shards[me].parker.park(ticket);
-    }
-}
-
-/// Drains and commits batches from an exclusively-held lane, then hands
-/// the lane back (requeue if still loaded, release + recheck if not).
-fn process(
-    inner: &Inner,
-    lane: &Arc<TenantLane>,
-    ops: &mut Vec<RuleOp>,
-    meta: &mut Vec<(Arc<BatchState>, u32)>,
-) {
-    for _ in 0..BATCHES_PER_CLAIM {
-        ops.clear();
-        meta.clear();
-        while ops.len() < DRAIN_MAX {
-            match lane.ring.try_pop() {
-                Some(job) => {
-                    ops.push(job.op);
-                    meta.push((job.reply, job.slot));
-                }
-                None => break,
+        let Some(tenant) = state.runnable.pop_front() else {
+            if state.shutdown && state.in_flight == 0 {
+                return;
             }
+            state.stats.worker_parks += 1;
+            state.idle_workers += 1;
+            state = inner.work.wait(state).expect(POISONED);
+            state.idle_workers -= 1;
+            continue;
+        };
+        let lane = state.lanes.get_mut(&tenant).expect("runnable lane exists");
+        let take = lane.jobs.len().min(DRAIN_MAX);
+        for job in lane.jobs.drain(..take) {
+            ops.push(job.op);
+            replies.push((job.reply, job.slot));
         }
-        if ops.is_empty() {
-            break;
-        }
-        let drained = ops.len();
+        drop(state);
+
         // One copy-on-write commit for the whole drained batch; per-op
         // epochs and receipts come back in lane (= submission) order.
-        let results = inner.store.apply_ops(&lane.tenant, ops);
-        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-        // Count before completing. `complete` releases through the
-        // `AcqRel` decrement of `remaining`, and a waiter returns only
-        // after its `Acquire` load reads the final decrement, so these
-        // adds happen before the waiter's return: a caller holding its
-        // receipts never reads stats that lag them.
+        let results = inner.store.apply_ops(&tenant, &ops);
+        ops.clear();
+
+        state = inner.lock();
+        // Count before completing: a caller holding its receipts never
+        // reads stats that lag them.
         let committed = results.iter().filter(|r| r.is_ok()).count() as u64;
-        inner
-            .counters
-            .committed
-            .fetch_add(committed, Ordering::Relaxed);
-        inner
-            .counters
-            .rejected
-            .fetch_add(results.len() as u64 - committed, Ordering::Relaxed);
-        for ((state, slot), result) in meta.drain(..).zip(results) {
-            complete(&state, slot, result);
+        state.stats.batches += 1;
+        state.stats.committed += committed;
+        state.stats.rejected += results.len() as u64 - committed;
+        state.in_flight -= results.len();
+        let lane = state.lanes.get_mut(&tenant).expect("held lane exists");
+        if lane.jobs.is_empty() {
+            lane.scheduled = false;
+        } else {
+            state.make_runnable(tenant, &inner.work);
         }
-        // Space freed: wake producers parked on this lane.
-        lane.producers.unpark_all();
-        retire(inner, drained);
-    }
-    if !lane.ring.is_empty() {
-        // Still loaded after its fairness quantum: keep it scheduled
-        // and requeue so any worker (including a stealer) continues it.
-        push_runq(inner, lane.shard, Arc::clone(lane));
-        inner.shards[lane.shard].parker.unpark_all();
-        return;
-    }
-    lane.scheduled.store(false, Ordering::Release);
-    // A producer may have pushed between our last drain and the clear,
-    // seen `scheduled == true`, and skipped queueing the lane — recheck
-    // and reclaim so that push is never stranded.
-    if !lane.ring.is_empty() && !lane.scheduled.swap(true, Ordering::AcqRel) {
-        push_runq(inner, lane.shard, Arc::clone(lane));
-        inner.shards[lane.shard].parker.unpark_all();
+        if state.waiters > 0 {
+            inner.retired.notify_all();
+        }
+        if state.shutdown && state.in_flight == 0 {
+            inner.work.notify_all();
+        }
+        drop(state);
+
+        // Consecutive jobs of one batch deliver under one lock.
+        let mut results = results.into_iter();
+        for run in replies.chunk_by(|a, b| Arc::ptr_eq(&a.0, &b.0)) {
+            run[0]
+                .0
+                .complete(run.iter().map(|&(_, slot)| slot).zip(&mut results));
+        }
+        replies.clear();
+        state = inner.lock();
     }
 }
 
@@ -667,13 +489,13 @@ mod tests {
         let mut tickets = Vec::new();
         for i in 0..8 {
             for tenant in ["a", "b"] {
-                tickets.push(broker.submit(RuleCommand::new(
+                tickets.push(broker.submit_batch(&[RuleCommand::new(
                     tenant,
                     RuleOp::Create(CreateRuleRequest::new(noop_rule(&format!("r{i}")))),
-                )));
+                )]));
             }
         }
-        let receipts: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        let receipts: Vec<_> = tickets.into_iter().flat_map(|t| t.wait()).collect();
         // Per tenant, the i-th submission published epoch i+1.
         for (i, pair) in receipts.chunks(2).enumerate() {
             for receipt in pair {
@@ -691,10 +513,10 @@ mod tests {
         store.seed_tenant("lab", Rulebase::standard());
         let broker = ServiceBroker::new(Arc::clone(&store), 2);
         for i in 0..16 {
-            drop(broker.submit(RuleCommand::new(
+            drop(broker.submit_batch(&[RuleCommand::new(
                 "lab",
                 RuleOp::Create(CreateRuleRequest::new(noop_rule(&format!("r{i}")))),
-            )));
+            )]));
         }
         broker.flush();
         assert_eq!(store.epoch_of(&TenantId::new("lab")), Some(16));
@@ -710,11 +532,12 @@ mod tests {
         store.seed_tenant("lab", Rulebase::standard());
         let broker = ServiceBroker::new(Arc::clone(&store), 1);
         let err = broker
-            .submit(RuleCommand::new(
+            .submit_batch(&[RuleCommand::new(
                 "ghost",
                 RuleOp::Disable(RuleId::General(1)),
-            ))
+            )])
             .wait()
+            .remove(0)
             .expect_err("unseeded tenant");
         assert_eq!(err, ServiceError::UnknownTenant(TenantId::new("ghost")));
         assert_eq!(store.epoch_of(&TenantId::new("lab")), Some(0));
@@ -820,16 +643,46 @@ mod tests {
     }
 
     #[test]
+    fn lane_capacity_is_exact() {
+        let store = Arc::new(RuleStore::new());
+        store.seed_tenant("lab", Rulebase::standard());
+        let broker = ServiceBroker::paused(Arc::clone(&store), 3);
+        let toggle = RuleCommand::new("lab", RuleOp::Disable(RuleId::General(1)));
+        drop(broker.try_submit_batch(&[toggle.clone(), toggle.clone(), toggle.clone()]));
+        let receipts = broker.try_submit_batch(&[toggle]).wait();
+        assert_eq!(
+            receipts,
+            vec![Err(ServiceError::Overloaded(TenantId::new("lab")))]
+        );
+        assert_eq!(broker.stats().submitted, 3);
+    }
+
+    #[test]
+    fn one_commit_takes_at_most_drain_max_commands() {
+        let store = Arc::new(RuleStore::new());
+        store.seed_tenant("lab", Rulebase::standard());
+        let broker = ServiceBroker::new(Arc::clone(&store), 1);
+        // One group is admitted under one lock acquisition, so the
+        // worker finds all of it queued: 256 + 256 + 88 commands.
+        let commands = vec![RuleCommand::new("lab", RuleOp::Enable(RuleId::General(1))); 600];
+        let receipts = broker.submit_batch(&commands).wait();
+        for (i, receipt) in receipts.iter().enumerate() {
+            assert_eq!(receipt.as_ref().unwrap().epoch, i as u64 + 1);
+        }
+        assert_eq!(broker.stats().batches, 3);
+    }
+
+    #[test]
     fn drop_finishes_queued_work() {
         let store = Arc::new(RuleStore::new());
         store.seed_tenant("lab", Rulebase::standard());
         {
             let broker = ServiceBroker::new(Arc::clone(&store), 2);
             for i in 0..32 {
-                drop(broker.submit(RuleCommand::new(
+                drop(broker.submit_batch(&[RuleCommand::new(
                     "lab",
                     RuleOp::Create(CreateRuleRequest::new(noop_rule(&format!("r{i}")))),
-                )));
+                )]));
             }
             // No flush: Drop must drain the lanes before joining.
         }

@@ -16,12 +16,13 @@
 //!   with; the next command picks up the latest — exactly the
 //!   "epoch-consistent" contract the differential suite pins down.
 //! * [`ServiceBroker`] — an asynchronous command broker over the store:
-//!   sharded workers draining per-tenant bounded ring lanes, so one
-//!   lab's edits apply in submission order while different labs commit
-//!   in parallel, with identical results for any worker count. Batched
-//!   admission ([`ServiceBroker::submit_batch`] → [`BatchTicket`])
-//!   amortises wakeups and receipt delivery; bounded lanes give typed
-//!   backpressure ([`ServiceError::Overloaded`] via
+//!   worker threads draining per-tenant bounded FIFO lanes behind one
+//!   lock, so one lab's edits apply in submission order while different
+//!   labs commit in parallel, with identical results for any worker
+//!   count. Each drained batch is one [`RuleStore::apply_ops`] commit,
+//!   and batched admission ([`ServiceBroker::submit_batch`] →
+//!   [`BatchTicket`]) shares one receipt block per batch; bounded lanes
+//!   give typed backpressure ([`ServiceError::Overloaded`] via
 //!   [`ServiceBroker::try_submit_batch`]).
 //! * Typed requests and receipts — [`CreateRuleRequest`],
 //!   [`UpdateRuleRequest`] (partial, with `is_enabled`), [`RuleCommit`],
@@ -62,7 +63,7 @@
 mod broker;
 mod store;
 
-pub use broker::{BatchTicket, BrokerStats, RuleCommand, ServiceBroker, Ticket};
+pub use broker::{BatchTicket, BrokerStats, RuleCommand, ServiceBroker};
 pub use store::{
     CommitOp, CreateRuleRequest, RuleCommit, RuleOp, RuleStore, ServiceError, UpdateRuleRequest,
 };

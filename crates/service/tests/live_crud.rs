@@ -212,7 +212,7 @@ fn broker_results_are_identical_across_thread_counts() {
             // Script: stage two rules, disable the door rule, enable one
             // staged rule, update the other — tenant-dependent lengths.
             drop(
-                broker.submit(RuleCommand::new(
+                broker.submit_batch(&[RuleCommand::new(
                     *tenant,
                     RuleOp::Create(
                         CreateRuleRequest::new(Rule::new(
@@ -222,29 +222,29 @@ fn broker_results_are_identical_across_thread_counts() {
                         ))
                         .disabled(),
                     ),
-                )),
+                )]),
             );
-            drop(broker.submit(RuleCommand::new(
+            drop(broker.submit_batch(&[RuleCommand::new(
                 *tenant,
                 RuleOp::Create(CreateRuleRequest::new(Rule::new(
                     RuleId::Custom("staged-b".into()),
                     "never fires",
                     |_, _, _| None,
                 ))),
-            )));
-            drop(broker.submit(RuleCommand::new(*tenant, RuleOp::Disable(door_rule()))));
-            drop(broker.submit(RuleCommand::new(
+            )]));
+            drop(broker.submit_batch(&[RuleCommand::new(*tenant, RuleOp::Disable(door_rule()))]));
+            drop(broker.submit_batch(&[RuleCommand::new(
                 *tenant,
                 RuleOp::Enable(RuleId::Custom("staged-a".into())),
-            )));
+            )]));
             if i % 2 == 0 {
-                drop(broker.submit(RuleCommand::new(
+                drop(broker.submit_batch(&[RuleCommand::new(
                     *tenant,
                     RuleOp::Update(
                         RuleId::Custom("staged-b".into()),
                         UpdateRuleRequest::new().with_enabled(false),
                     ),
-                )));
+                )]));
             }
         }
         broker.flush();

@@ -997,6 +997,29 @@ mod tests {
         Command::new("ur3e", ActionKind::MoveToLocation { target })
     }
 
+    /// A target 0.15 m from the home tool point and a 2 mm wall midway
+    /// to it: the home pose clears the wall and the motion crosses it.
+    fn target_behind_wall() -> (Vec3, Aabb) {
+        let arm = presets::ur3e();
+        let home_tool = arm.tool_position(&arm.home_configuration());
+        let target = home_tool + Vec3::new(0.0, 0.15, 0.0);
+        let wall =
+            Aabb::from_center_half_extents(home_tool.lerp(target, 0.5), Vec3::new(0.3, 0.001, 0.1));
+        (target, wall)
+    }
+
+    /// The arm is home and its home pose is clear of every obstacle:
+    /// `MoveHome` from home checks exactly that pose.
+    fn assert_home_pose_clear(sim: &mut ExtendedSimulator) {
+        let id = DeviceId::new("ur3e");
+        assert_eq!(
+            sim.arm_configuration(&id),
+            Some(presets::ur3e().home_configuration())
+        );
+        let home = Command::new("ur3e", ActionKind::MoveHome);
+        assert_eq!(sim.validate(&home, &empty_state()), TrajectoryVerdict::Safe);
+    }
+
     #[test]
     fn free_space_move_is_safe_and_mirrors_pose() {
         let mut sim = sim_with(SimWorld::new());
@@ -1014,19 +1037,14 @@ mod tests {
     #[test]
     fn obstacle_on_path_is_detected() {
         // A wall of cuboid between home tool position and the target.
-        let arm = presets::ur3e();
-        let home_tool = arm.tool_position(&arm.home_configuration());
-        let target = home_tool + Vec3::new(0.0, 0.25, 0.0);
-        let mid = home_tool.lerp(target, 0.5);
-        let world = SimWorld::new().with_obstacle(
-            "hotplate",
-            Aabb::from_center_half_extents(mid, Vec3::new(0.35, 0.04, 0.35)),
-        );
-        let mut sim = sim_with(world);
+        let (target, wall) = target_behind_wall();
+        let mut sim = sim_with(SimWorld::new().with_obstacle("hotplate", wall));
+        assert_home_pose_clear(&mut sim);
         match sim.validate(&mv(target), &empty_state()) {
             TrajectoryVerdict::Collision(report) => {
                 assert_eq!(report.device.as_str(), "hotplate");
-                assert!((0.0..=1.0).contains(&report.at_fraction));
+                // Hit along the path, not at the start pose.
+                assert!(report.at_fraction > 0.0 && report.at_fraction <= 1.0);
                 // The structured payload carries link-level detail: a
                 // real link (base is exempt) and a finite contact point.
                 assert!(report.link >= 1);
@@ -1183,22 +1201,20 @@ mod tests {
 
     #[test]
     fn adaptive_sweep_reports_the_same_collision_as_dense() {
-        let arm = presets::ur3e();
-        let home_tool = arm.tool_position(&arm.home_configuration());
-        let target = home_tool + Vec3::new(0.0, 0.25, 0.0);
-        let mid = home_tool.lerp(target, 0.5);
-        let world = SimWorld::new().with_obstacle(
-            "hotplate",
-            Aabb::from_center_half_extents(mid, Vec3::new(0.35, 0.04, 0.35)),
-        );
+        let (target, wall) = target_behind_wall();
+        let world = SimWorld::new().with_obstacle("hotplate", wall);
         let run = |dense: bool| {
             let mut sim = uncached_with(world.clone());
             sim.config_mut().dense_sampling = dense;
+            assert_home_pose_clear(&mut sim);
             sim.validate(&mv(target), &empty_state())
         };
         let dense = run(true);
         let adaptive = run(false);
-        assert!(matches!(dense, TrajectoryVerdict::Collision(_)));
+        assert!(
+            matches!(&dense, TrajectoryVerdict::Collision(report) if report.at_fraction > 0.0),
+            "expected a collision along the path, got {dense:?}"
+        );
         // Bit-identical payload: obstacle, link, contact, sample fraction.
         assert_eq!(adaptive, dense);
     }
@@ -1207,9 +1223,7 @@ mod tests {
     fn next_validation_sees_a_world_mutation() {
         // First move: free space, heavy skipping. Then an obstacle lands
         // on the same path; the second validation must see it.
-        let arm = presets::ur3e();
-        let start_tool = arm.tool_position(&arm.home_configuration());
-        let target = start_tool + Vec3::new(0.0, 0.25, 0.0);
+        let (target, wall) = target_behind_wall();
         let mut sim = uncached_with(SimWorld::new());
         assert_eq!(
             sim.validate(&mv(target), &empty_state()),
@@ -1218,13 +1232,12 @@ mod tests {
         // Move back home so the next validation retraces the same path.
         let home = Command::new("ur3e", ActionKind::MoveHome);
         assert_eq!(sim.validate(&home, &empty_state()), TrajectoryVerdict::Safe);
-        sim.world_mut().add_obstacle(
-            "dropped_crate",
-            Aabb::from_center_half_extents(start_tool.lerp(target, 0.5), Vec3::new(0.3, 0.03, 0.3)),
-        );
+        sim.world_mut().add_obstacle("dropped_crate", wall);
+        assert_home_pose_clear(&mut sim);
         match sim.validate(&mv(target), &empty_state()) {
             TrajectoryVerdict::Collision(report) => {
-                assert_eq!(report.device.as_str(), "dropped_crate")
+                assert_eq!(report.device.as_str(), "dropped_crate");
+                assert!(report.at_fraction > 0.0, "hit at the start pose");
             }
             other => panic!("expected collision after mutation, got {other:?}"),
         }
@@ -1235,14 +1248,9 @@ mod tests {
         // Footnote 2: A→B avoids an obstacle; B becomes infeasible B' and
         // the arm silently skips it; the direct A→C path then collides —
         // and the simulator, whose mirrored pose is still A, catches it.
-        let arm = presets::ur3e();
-        let a_tool = arm.tool_position(&arm.home_configuration());
-        let c = a_tool + Vec3::new(0.0, 0.22, 0.0);
-        let world = SimWorld::new().with_obstacle(
-            "tall_device",
-            Aabb::from_center_half_extents(a_tool.lerp(c, 0.5), Vec3::new(0.3, 0.03, 0.4)),
-        );
-        let mut sim = sim_with(world);
+        let (c, wall) = target_behind_wall();
+        let mut sim = sim_with(SimWorld::new().with_obstacle("tall_device", wall));
+        assert_home_pose_clear(&mut sim);
         // B' infeasible: simulator says Unavailable, mirrored pose stays A.
         let b_prime = Vec3::new(4.0, 4.0, 4.0);
         assert_eq!(
@@ -1252,7 +1260,8 @@ mod tests {
         // A→C now collides in the simulator.
         match sim.validate(&mv(c), &empty_state()) {
             TrajectoryVerdict::Collision(report) => {
-                assert_eq!(report.device.as_str(), "tall_device")
+                assert_eq!(report.device.as_str(), "tall_device");
+                assert!(report.at_fraction > 0.0, "hit at the start pose");
             }
             other => panic!("expected collision, got {other:?}"),
         }

@@ -181,14 +181,15 @@ fn cached_verdicts_match_uncached_pose_for_pose() {
 
 #[test]
 fn mid_run_world_mutation_invalidates_cached_safe_verdict() {
-    // Cache a Safe verdict for home → target, then drop a device cuboid
-    // onto exactly that path. Replaying the identical command from the
-    // identical pose must report the collision, not the stale Safe.
+    // Cache a Safe verdict for home → target, then drop a thin device
+    // wall across that path, midway, clear of the home pose. Replaying
+    // the identical command from the identical pose must report the
+    // collision, not the stale Safe.
     let arm = presets::ur3e();
     let home_tool = arm.tool_position(&arm.home_configuration());
-    let target = home_tool + Vec3::new(0.0, 0.25, 0.0);
+    let target = home_tool + Vec3::new(0.0, 0.15, 0.0);
     let mid = home_tool.lerp(target, 0.5);
-    let block = Aabb::from_center_half_extents(mid, Vec3::new(0.35, 0.04, 0.35));
+    let block = Aabb::from_center_half_extents(mid, Vec3::new(0.3, 0.001, 0.1));
 
     let mut s = sim(SimWorld::new(), true);
     let cmd = Command::new("ur3e", ActionKind::MoveToLocation { target });
@@ -205,9 +206,12 @@ fn mid_run_world_mutation_invalidates_cached_safe_verdict() {
     // Mutate the device AABB mid-run: the same key inputs now face a
     // different world, so the stale Safe must not be served.
     s.world_mut().add_obstacle("dropped_device", block);
+    // The home pose is clear of the wall: `MoveHome` from home checks it.
+    assert_eq!(s.validate(&back, &lab), TrajectoryVerdict::Safe);
     match s.validate(&cmd, &lab) {
         TrajectoryVerdict::Collision(report) => {
-            assert_eq!(report.device.as_str(), "dropped_device")
+            assert_eq!(report.device.as_str(), "dropped_device");
+            assert!(report.at_fraction > 0.0, "hit at the start pose");
         }
         other => panic!("stale cached verdict served after mutation: {other:?}"),
     }
